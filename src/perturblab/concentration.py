@@ -202,21 +202,23 @@ def fourier_bound(
     if len(weights) != query.n:
         raise ValidationError(f"weight length {len(weights)} != query size {query.n}")
     freqs = [
-        abs(a * w)
-        for i, (a, w) in enumerate(zip(query.multipliers, weights))
-        if i not in query.exclusion
+        a * w for i, (a, w) in enumerate(zip(query.multipliers, weights)) if i not in query.exclusion
     ]
+    return cosine_average(freqs, mu_f, averaging_budget)
+
+
+def cosine_average(freqs: Sequence[int], mu: float, budget: int = AVERAGING_BUDGET) -> float:
+    """Integral over [0, 1) of prod_f (1 - mu + mu cos(2 pi f t)), computed
+    exactly as the average over N = sum |f| + 1 equispaced points."""
+    freqs = [abs(int(f)) for f in freqs]
     n_points = 1 + sum(freqs)
-    if n_points > averaging_budget:
-        raise ResourceError(
-            f"equispaced averaging needs {n_points} points (budget {averaging_budget})"
-        )
+    if n_points > budget:
+        raise ResourceError(f"equispaced averaging needs {n_points} points (budget {budget})")
     t = np.arange(n_points, dtype=float) / n_points
     acc = np.ones(n_points, dtype=float)
     for f in freqs:
-        if f == 0:
-            continue
-        acc *= (1.0 - mu_f) + mu_f * np.cos((2.0 * math.pi * f) * t)
+        if f:
+            acc *= (1.0 - mu) + mu * np.cos((2.0 * math.pi * f) * t)
     return float(acc.mean())
 
 

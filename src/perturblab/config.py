@@ -8,8 +8,7 @@ the dataclass exactly (floats travel as repr, tuples as comma lists).
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 

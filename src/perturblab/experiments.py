@@ -11,9 +11,9 @@ baseline is reproducible from the seed alone as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import ResourceError, ValidationError
 from .linalg import (
     IntegerMatrix,
     RealMatrix,
+    SingularSpectrum,
     matrix_from_spec,
     perturb,
     svd,
@@ -84,57 +85,52 @@ def build_mask(spec: str, base: IntegerMatrix, seed: int) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# shared per-trial kernel
+# shared trial loop
 
 
-def _kappa_trial(
-    base: IntegerMatrix,
-    noise_spec: str,
-    n: int,
-    seed: int,
-    mask: np.ndarray | None,
-    tail_threshold: float,
-) -> ExperimentRecord:
-    if noise_spec.strip().lower() == "gaussian":
-        noise = gaussian_matrix(n, seed)
-        if mask is not None:
-            noise = noise.copy()
-            noise[mask] = 0.0
-        spectrum = svd(RealMatrix(base.entries.astype(float) + noise))
-    else:
-        dist = distribution_from_spec(noise_spec)
-        noise_m = IntegerMatrix(sample_iid_matrix(dist, n, seed))
-        spectrum = svd(perturb(base, noise_m, mask))
-    s_max = spectrum.sigma_max
-    s_min = spectrum.sigma_min
-    singular = s_min < 1e-300 * max(s_max, 1e-300)
-    kappa = math.inf if singular else (s_max / s_min if s_min > 0 else math.inf)
-    if s_max == 0.0:
-        kappa = math.inf
-        singular = True
-    return ExperimentRecord(
-        trial=0,  # caller overwrites
-        seed=seed,
-        n=n,
-        sigma_max=s_max,
-        sigma_min=s_min,
-        kappa=kappa,
-        singular=bool(singular),
-        tail_hit=bool(kappa >= tail_threshold),
+def _law(spec: str) -> DiscreteDistribution | None:
+    """The discrete noise law named by spec, or None for gaussian noise."""
+    return None if spec.strip().lower() == "gaussian" else distribution_from_spec(spec)
+
+
+def _sizes(cfg: ExperimentConfig) -> Iterator[tuple[int, IntegerMatrix, np.ndarray | None]]:
+    """(n, base matrix, frozen-entry mask) for each configured size."""
+    for n in cfg.sizes:
+        base = matrix_from_spec(cfg.matrix, n, cfg.c_exponent)
+        yield n, base, build_mask(cfg.mask, base, cfg.seed)
+
+
+def _trials(cfg: ExperimentConfig, label: str, n: int, trial: Callable[[int, int], object]) -> list:
+    """trial(index, seed) for every trial index, in index order; each seed is
+    derived from (master seed, label, n, index) alone."""
+    return run_trials(
+        lambda index: trial(index, derive_seed(cfg.seed, label, n, index)), cfg.trials, cfg.threads
     )
 
 
-def _with_trial(record: ExperimentRecord, trial: int) -> ExperimentRecord:
+def _spectrum(
+    base: IntegerMatrix, law: DiscreteDistribution | None, seed: int, mask: np.ndarray | None
+) -> SingularSpectrum:
+    """Singular spectrum of base + noise, with law None meaning gaussian noise;
+    entries under the mask stay frozen."""
+    if law is None:
+        noise = gaussian_matrix(base.n, seed)
+        if mask is not None:
+            noise[mask] = 0.0
+        return svd(RealMatrix(base.entries.astype(float) + noise))
+    return svd(perturb(base, IntegerMatrix(sample_iid_matrix(law, base.n, seed)), mask))
+
+
+def _record(trial: int, seed: int, spectrum: SingularSpectrum, tail_hit: bool) -> ExperimentRecord:
     return ExperimentRecord(
         trial=trial,
-        seed=record.seed,
-        n=record.n,
-        sigma_max=record.sigma_max,
-        sigma_min=record.sigma_min,
-        kappa=record.kappa,
-        singular=record.singular,
-        tail_hit=record.tail_hit,
-        wall_time=record.wall_time,
+        seed=seed,
+        n=len(spectrum.sigma),
+        sigma_max=spectrum.sigma_max,
+        sigma_min=spectrum.sigma_min,
+        kappa=spectrum.kappa,
+        singular=spectrum.singular,
+        tail_hit=bool(tail_hit),
     )
 
 
@@ -219,31 +215,29 @@ def _tail_curve_from(inv_norms: list[float], n: int, grid_points: int) -> TailCu
     )
 
 
+def _inverse_norm(sigma_min: float) -> float:
+    return math.inf if sigma_min == 0.0 else 1.0 / sigma_min
+
+
 def tail_curve(cfg: ExperimentConfig) -> TailResult:
     """Exceedance curve of ||inverse|| = 1/sigma_min over a log grid."""
     if cfg.trials < 100:
         raise ValidationError("tail curves need at least 100 trials")
+    law = _law(cfg.noise)
     records: list[ExperimentRecord] = []
     curves: dict[int, TailCurve] = {}
-    for n in cfg.sizes:
-        base = matrix_from_spec(cfg.matrix, n, cfg.c_exponent)
-        mask = build_mask(cfg.mask, base, cfg.seed)
+    for n, base, mask in _sizes(cfg):
         x_ref = 10.0 * math.sqrt(n)  # record-level tail flag reference
 
-        def one(trial: int, n=n, base=base, mask=mask, x_ref=x_ref):
-            seed = derive_seed(cfg.seed, "tail", n, trial)
-            rec = _kappa_trial(base, cfg.noise, n, seed, mask, math.inf)
-            inv = math.inf if rec.sigma_min == 0.0 else 1.0 / rec.sigma_min
-            return ExperimentRecord(
-                trial=trial, seed=seed, n=n, sigma_max=rec.sigma_max,
-                sigma_min=rec.sigma_min, kappa=rec.kappa, singular=rec.singular,
-                tail_hit=bool(inv >= x_ref),
-            )
+        def one(trial: int, seed: int) -> ExperimentRecord:
+            spectrum = _spectrum(base, law, seed, mask)
+            return _record(trial, seed, spectrum, _inverse_norm(spectrum.sigma_min) >= x_ref)
 
-        rows = run_trials(one, cfg.trials, cfg.threads)
+        rows = _trials(cfg, "tail", n, one)
         records.extend(rows)
-        inv_norms = [math.inf if r.sigma_min == 0.0 else 1.0 / r.sigma_min for r in rows]
-        curves[n] = _tail_curve_from(inv_norms, n, cfg.grid_points)
+        curves[n] = _tail_curve_from(
+            [_inverse_norm(r.sigma_min) for r in rows], n, cfg.grid_points
+        )
     return TailResult(config=cfg, records=records, curves=curves)
 
 
@@ -271,37 +265,40 @@ class CondTailResult:
     smallest_sufficient_b: dict[int, float | None]
 
     def summary(self) -> dict:
-        def rows(table):
-            return [
-                {
-                    "b": r.b,
-                    "threshold": json_safe_float(r.threshold),
-                    "count": r.count,
-                    "fraction": json_safe_float(r.fraction),
-                    "ci_low": json_safe_float(r.ci_low),
-                    "ci_high": json_safe_float(r.ci_high),
-                    **(
-                        {"comparable_to_gaussian": r.comparable_to_gaussian}
-                        if r.comparable_to_gaussian is not None
-                        else {}
-                    ),
-                }
-                for r in table
-            ]
-
         out = {
             "experiment": "cond-tail",
             "trials": self.config.trials,
             "noise": self.config.noise,
             "matrix": self.config.matrix,
-            "tables": {str(n): rows(t) for n, t in self.tables.items()},
+            "tables": _tables_json(self.tables),
             "smallest_sufficient_b": {
                 str(n): b for n, b in self.smallest_sufficient_b.items()
             },
         }
         if self.gaussian_tables:
-            out["gaussian_tables"] = {str(n): rows(t) for n, t in self.gaussian_tables.items()}
+            out["gaussian_tables"] = _tables_json(self.gaussian_tables)
         return out
+
+
+def _tables_json(tables: dict[int, list[ExceedanceRow]], threshold: bool = True) -> dict:
+    """Exceedance tables keyed by str(n); the frozen summary has never
+    carried the threshold column."""
+
+    def row(r: ExceedanceRow) -> dict:
+        out = {
+            "b": r.b,
+            "count": r.count,
+            "fraction": json_safe_float(r.fraction),
+            "ci_low": json_safe_float(r.ci_low),
+            "ci_high": json_safe_float(r.ci_high),
+        }
+        if threshold:
+            out["threshold"] = json_safe_float(r.threshold)
+        if r.comparable_to_gaussian is not None:
+            out["comparable_to_gaussian"] = r.comparable_to_gaussian
+        return out
+
+    return {str(n): [row(r) for r in table] for n, table in tables.items()}
 
 
 def _exceedance_table(kappas: list[float], n: int, b_grid: Sequence[float]) -> list[ExceedanceRow]:
@@ -328,42 +325,31 @@ def condition_tail(cfg: ExperimentConfig) -> CondTailResult:
     intervals overlap.  The summary also reports the smallest grid B whose
     exceedance is at or below the configured target (empirical sufficiency).
     """
+    law = _law(cfg.noise)
     records: list[ExperimentRecord] = []
     tables: dict[int, list[ExceedanceRow]] = {}
     gauss_tables: dict[int, list[ExceedanceRow]] = {}
     smallest: dict[int, float | None] = {}
-    for n in cfg.sizes:
-        base = matrix_from_spec(cfg.matrix, n, cfg.c_exponent)
-        mask = build_mask(cfg.mask, base, cfg.seed)
+    for n, base, mask in _sizes(cfg):
         tail_ref = float(n) ** float(cfg.b_grid[0])
 
-        def one(trial: int, n=n, base=base, mask=mask, tail_ref=tail_ref):
-            seed = derive_seed(cfg.seed, "cond-tail", n, trial)
-            rec = _kappa_trial(base, cfg.noise, n, seed, mask, tail_ref)
-            return _with_trial(rec, trial)
+        def run(label: str, noise: DiscreteDistribution | None) -> list[ExperimentRecord]:
+            def one(trial: int, seed: int) -> ExperimentRecord:
+                spectrum = _spectrum(base, noise, seed, mask)
+                return _record(trial, seed, spectrum, spectrum.kappa >= tail_ref)
 
-        rows = run_trials(one, cfg.trials, cfg.threads)
+            return _trials(cfg, label, n, one)
+
+        rows = run("cond-tail", law)
         records.extend(rows)
-        kappas = [r.kappa for r in rows]
-        table = _exceedance_table(kappas, n, cfg.b_grid)
+        table = _exceedance_table([r.kappa for r in rows], n, cfg.b_grid)
         if cfg.compare_gaussian:
-
-            def one_gauss(trial: int, n=n, base=base, mask=mask, tail_ref=tail_ref):
-                seed = derive_seed(cfg.seed, "cond-tail-gaussian", n, trial)
-                return _with_trial(_kappa_trial(base, "gaussian", n, seed, mask, tail_ref), trial)
-
-            gauss_rows = run_trials(one_gauss, cfg.trials, cfg.threads)
-            gauss_kappas = [r.kappa for r in gauss_rows]
-            gtable = _exceedance_table(gauss_kappas, n, cfg.b_grid)
+            gtable = _exceedance_table(
+                [r.kappa for r in run("cond-tail-gaussian", None)], n, cfg.b_grid
+            )
             gauss_tables[n] = gtable
             table = [
-                ExceedanceRow(
-                    b=r.b, threshold=r.threshold, count=r.count, fraction=r.fraction,
-                    ci_low=r.ci_low, ci_high=r.ci_high,
-                    comparable_to_gaussian=bool(
-                        r.ci_low <= g.ci_high and g.ci_low <= r.ci_high
-                    ),
-                )
+                replace(r, comparable_to_gaussian=r.ci_low <= g.ci_high and g.ci_low <= r.ci_high)
                 for r, g in zip(table, gtable)
             ]
         tables[n] = table
@@ -504,47 +490,39 @@ def ge_error_experiment(cfg: ExperimentConfig) -> GeResult:
     rel_error / (eps_machine * kappa).  Singular draws are recorded and
     excluded from the error statistics.
     """
-    if cfg.noise.strip().lower() == "gaussian":
+    law = _law(cfg.noise)
+    if law is None:
         raise ValidationError("ge-check needs discrete noise: the exact reference path is integer")
     dtype = np.float32 if cfg.precision == "single" else np.float64
     eps = 2.0**-24 if cfg.precision == "single" else 2.0**-53
-    dist = distribution_from_spec(cfg.noise)
     records: list[ExperimentRecord] = []
     trials: list[GeTrial] = []
-    for n in cfg.sizes:
-        base = matrix_from_spec(cfg.matrix, n, cfg.c_exponent)
+    # the systems are never masked: ge-check measures elimination, not frozen entries
+    for n, base, _ in _sizes(replace(cfg, mask="none")):
 
-        def one(trial: int, n=n, base=base):
-            seed = derive_seed(cfg.seed, "ge-check", n, trial)
-            noise_m = IntegerMatrix(sample_iid_matrix(dist, n, seed))
-            system = perturb(base, noise_m, None)
+        def one(trial: int, seed: int) -> tuple[ExperimentRecord, GeTrial]:
+            system = perturb(base, IntegerMatrix(sample_iid_matrix(law, n, seed)), None)
             rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "ge-rhs", n, trial)))
             b = rng.integers(-9, 10, size=n)
             exact = rational.solve_exact(system.rows(), [int(x) for x in b])
             spectrum = svd(system)
-            s_max, s_min = spectrum.sigma_max, spectrum.sigma_min
-            singular = exact is None
-            kappa = math.inf if singular or s_min <= 0 else s_max / s_min
-            if singular:
-                rel = math.inf
-                ratio = math.inf
-            else:
+            singular = exact is None  # the exact half decides, not the spectrum
+            kappa = math.inf if singular else spectrum.kappa
+            rel = ratio = math.inf
+            if not singular:
                 approx = _ge_solve(system.entries.astype(np.float64), b.astype(np.float64), dtype)
                 x_true = np.array([float(x) for x in exact])
                 denom = float(np.linalg.norm(x_true))
-                if approx is None or denom == 0.0:
-                    rel = math.inf
-                else:
+                if approx is not None and denom != 0.0:
                     rel = float(np.linalg.norm(approx.astype(np.float64) - x_true)) / denom
-                ratio = rel / (eps * kappa) if math.isfinite(kappa) and kappa > 0 else math.inf
-            rec = ExperimentRecord(
-                trial=trial, seed=seed, n=n, sigma_max=s_max, sigma_min=s_min,
-                kappa=kappa, singular=singular, tail_hit=bool(not singular and ratio > 100.0),
+                if math.isfinite(kappa):
+                    ratio = rel / (eps * kappa)
+            rec = _record(trial, seed, spectrum, not singular and ratio > 100.0)
+            return replace(rec, kappa=kappa, singular=singular), GeTrial(
+                trial=trial, seed=seed, kappa=kappa, rel_error=rel, ratio=ratio, singular=singular
             )
-            return rec, GeTrial(trial=trial, seed=seed, kappa=kappa, rel_error=rel,
-                                ratio=ratio, singular=singular)
 
-        rows = run_trials(one, cfg.trials, cfg.threads)
+        rows = _trials(cfg, "ge-check", n, one)
         records.extend(r for r, _ in rows)
         trials.extend(t for _, t in rows)
     return GeResult(config=cfg, records=records, trials=trials, eps_machine=eps)
@@ -581,51 +559,24 @@ def minors_experiment(cfg: ExperimentConfig) -> MinorsResult:
     matrix; B = first entry of b_grid sets the n^B quality threshold."""
     if max(cfg.sizes) > 300:
         raise ValidationError("minors experiment caps n at 300")
+    law = distribution_from_spec(cfg.noise)
     b = cfg.b_grid[0]
     records: list[ExperimentRecord] = []
     per_k: dict[int, dict[int, float]] = {}
     frac_ok: dict[int, float] = {}
-    for n in cfg.sizes:
-        base = matrix_from_spec(cfg.matrix, n, cfg.c_exponent)
-        mask = build_mask(cfg.mask, base, cfg.seed)
+    for n, base, mask in _sizes(cfg):
         threshold = float(n) ** float(b)
 
-        def one(trial: int, n=n, base=base, mask=mask, threshold=threshold):
-            seed = derive_seed(cfg.seed, "minors", n, trial)
-            dist = distribution_from_spec(cfg.noise)
-            noise_m = IntegerMatrix(sample_iid_matrix(dist, n, seed))
-            full = perturb(base, noise_m, mask)
-            kappas = []
-            s_max = s_min = 0.0
-            for k in range(1, n + 1):
-                spec_k = svd(RealMatrix(full.entries[:k, :k].astype(float)))
-                if k == n:
-                    s_max, s_min = spec_k.sigma_max, spec_k.sigma_min
-                kappas.append(
-                    math.inf
-                    if spec_k.sigma_min <= 0 or spec_k.sigma_max == 0
-                    else spec_k.sigma_max / spec_k.sigma_min
-                )
-            kappa = math.inf if s_min <= 0 else s_max / s_min
-            max_kappa = max(kappas)
-            rec = ExperimentRecord(
-                trial=trial, seed=seed, n=n, sigma_max=s_max, sigma_min=s_min,
-                kappa=kappa, singular=bool(s_min <= 0),
-                tail_hit=bool(max_kappa > threshold),
-            )
-            return rec, kappas
+        def one(trial: int, seed: int) -> tuple[ExperimentRecord, list[float]]:
+            full = perturb(base, IntegerMatrix(sample_iid_matrix(law, n, seed)), mask).entries
+            spectra = [svd(RealMatrix(full[:k, :k].astype(float))) for k in range(1, n + 1)]
+            kappas = [spectrum.kappa for spectrum in spectra]
+            return _record(trial, seed, spectra[-1], max(kappas) > threshold), kappas
 
-        rows = run_trials(one, cfg.trials, cfg.threads)
+        rows = _trials(cfg, "minors", n, one)
         records.extend(r for r, _ in rows)
-        worst = {k + 1: 0.0 for k in range(n)}
-        good = 0
-        for _, kappas in rows:
-            if max(kappas) <= threshold:
-                good += 1
-            for k, value in enumerate(kappas, start=1):
-                worst[k] = max(worst[k], value)
-        per_k[n] = worst
-        frac_ok[n] = good / cfg.trials
+        per_k[n] = {k: max(kappas[k - 1] for _, kappas in rows) for k in range(1, n + 1)}
+        frac_ok[n] = sum(max(kappas) <= threshold for _, kappas in rows) / cfg.trials
     return MinorsResult(config=cfg, records=records, per_k=per_k, fraction_all_below=frac_ok)
 
 
@@ -641,24 +592,12 @@ class FrozenResult:
     unmasked_tables: dict[int, list[ExceedanceRow]]
 
     def summary(self) -> dict:
-        def rows(table):
-            return [
-                {
-                    "b": r.b,
-                    "count": r.count,
-                    "fraction": json_safe_float(r.fraction),
-                    "ci_low": json_safe_float(r.ci_low),
-                    "ci_high": json_safe_float(r.ci_high),
-                }
-                for r in table
-            ]
-
         return {
             "experiment": "frozen",
             "mask": self.config.mask,
             "trials": self.config.trials,
-            "masked_tables": {str(n): rows(t) for n, t in self.masked_tables.items()},
-            "unmasked_tables": {str(n): rows(t) for n, t in self.unmasked_tables.items()},
+            "masked_tables": _tables_json(self.masked_tables, threshold=False),
+            "unmasked_tables": _tables_json(self.unmasked_tables, threshold=False),
         }
 
 
@@ -667,23 +606,19 @@ def frozen_entries_experiment(cfg: ExperimentConfig) -> FrozenResult:
     at matched per-trial seeds."""
     if cfg.mask.strip().lower() in ("", "none"):
         raise ValidationError("frozen experiment needs a mask spec")
+    law = _law(cfg.noise)
     records: list[ExperimentRecord] = []
     masked_tables: dict[int, list[ExceedanceRow]] = {}
     unmasked_tables: dict[int, list[ExceedanceRow]] = {}
-    for n in cfg.sizes:
-        base = matrix_from_spec(cfg.matrix, n, cfg.c_exponent)
-        mask = build_mask(cfg.mask, base, cfg.seed)
-        if mask is None:
-            raise ValidationError("mask spec resolved to no frozen entries")
+    for n, base, mask in _sizes(cfg):
         tail_ref = float(n) ** float(cfg.b_grid[0])
 
-        def one(trial: int, n=n, base=base, mask=mask, tail_ref=tail_ref):
-            seed = derive_seed(cfg.seed, "frozen", n, trial)
-            rec_masked = _kappa_trial(base, cfg.noise, n, seed, mask, tail_ref)
-            rec_plain = _kappa_trial(base, cfg.noise, n, seed, None, tail_ref)
-            return _with_trial(rec_masked, trial), rec_plain.kappa
+        def one(trial: int, seed: int) -> tuple[ExperimentRecord, float]:
+            masked = _spectrum(base, law, seed, mask)
+            plain = _spectrum(base, law, seed, None)
+            return _record(trial, seed, masked, masked.kappa >= tail_ref), plain.kappa
 
-        rows = run_trials(one, cfg.trials, cfg.threads)
+        rows = _trials(cfg, "frozen", n, one)
         records.extend(r for r, _ in rows)
         masked_tables[n] = _exceedance_table([r.kappa for r, _ in rows], n, cfg.b_grid)
         unmasked_tables[n] = _exceedance_table([k for _, k in rows], n, cfg.b_grid)

@@ -16,29 +16,18 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .concentration import cosine_average
 from .errors import ConstructionError, ResourceError, ValidationError
+from .noise import _as_fraction
 
 logger = logging.getLogger("perturblab.gaps")
 
 ENUMERATION_CAP = 10_000_000
 SEARCH_WORK_BUDGET = 20_000_000
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x.strip())
-    if isinstance(x, float):
-        return Fraction(x)
-    raise ValidationError(f"cannot interpret {x!r} as an exact rational")
 
 
 @dataclass(frozen=True)
@@ -49,7 +38,7 @@ class Gap:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        gens = tuple(_frac(g) for g in self.generators)
+        gens = tuple(_as_fraction(g) for g in self.generators)
         dims = tuple(int(d) for d in self.dims)
         if len(gens) != len(dims) or not gens:
             raise ValidationError("generators and dims must align and be nonempty")
@@ -85,13 +74,13 @@ class Gap:
         return sorted(vals)
 
     def dilate(self, k) -> "Gap":
-        k = _frac(k)
+        k = _as_fraction(k)
         return Gap(tuple(g * k for g in self.generators), self.dims)
 
     def contains(self, x, cap: int = ENUMERATION_CAP) -> bool:
         """Exact membership.  Rank 1 and 2 solve for coefficients directly;
         higher ranks fall back to enumeration under the cap."""
-        x = _frac(x)
+        x = _as_fraction(x)
         if self.rank == 1:
             g = self.generators[0]
             n = self.dims[0]
@@ -123,7 +112,7 @@ class Gap:
         negative divisors redundant)."""
         if a_bound < 1:
             raise ValidationError("a_bound must be >= 1")
-        x = _frac(x)
+        x = _as_fraction(x)
         return any(self.contains(x * a, cap=cap) for a in range(1, a_bound + 1))
 
 
@@ -154,7 +143,7 @@ class DiscretizationResult:
     d_exponent: int
 
     def __post_init__(self):
-        object.__setattr__(self, "scale_R", _frac(self.scale_R))
+        object.__setattr__(self, "scale_R", _as_fraction(self.scale_R))
         if self.scale_R < 1:
             raise ValidationError("scale_R must be >= 1")
         if self.S < 1 or self.R0 < 1:
@@ -305,23 +294,6 @@ def discretize_rank1(p: Gap, r0: int, s: int) -> DiscretizationResult:
 # inverse search: from high concentration to a structured cover
 
 
-def _cosine_average(freqs: Sequence[int], mu: float, budget: int = 10_000_000) -> float:
-    """Exact equispaced average of prod (1 - mu + mu cos(2 pi f t));
-    see concentration.fourier_bound for why N = sum |f| + 1 points suffice."""
-    import numpy as np
-
-    n_points = 1 + sum(abs(int(f)) for f in freqs)
-    if n_points > budget:
-        raise ResourceError(f"averaging needs {n_points} points (budget {budget})")
-    t = np.arange(n_points, dtype=float) / n_points
-    acc = np.ones(n_points, dtype=float)
-    for f in freqs:
-        f = abs(int(f))
-        if f:
-            acc *= (1.0 - mu) + mu * np.cos((2.0 * math.pi * f) * t)
-    return float(acc.mean())
-
-
 @dataclass(frozen=True)
 class GapCover:
     gap: Gap
@@ -366,7 +338,7 @@ def inverse_lo_search(
     mu_f = float(mu)
     if not (0.0 < mu_f <= 0.5):
         raise ValidationError(f"mu = {mu_f} outside (0, 1/2]")
-    hyp_value = _cosine_average(v, mu_f)
+    hyp_value = cosine_average(v, mu_f)
     threshold = float(n) ** (-float(a_exponent))
     if hyp_value < threshold:
         return SearchOutcome(
@@ -483,7 +455,7 @@ def _gap_from_lines(lines: list[list[str]], start: int) -> tuple[Gap, int]:
     for row in lines[start + 1 : start + 1 + rank]:
         if len(row) != 2:
             raise ValidationError(f"expected 'generator dim', got {' '.join(row)!r}")
-        gens.append(_frac(row[0]))
+        gens.append(_as_fraction(row[0]))
         dims.append(int(row[1]))
     if len(gens) != rank:
         raise ValidationError(f"rank {rank} declared but {len(gens)} generator lines found")
@@ -522,7 +494,7 @@ def parse_discretization(text: str) -> DiscretizationResult:
         for r2 in lines[i + 1 : i + 1 + rank]:
             if len(r2) != 2:
                 raise ValidationError(f"expected 'generator dim', got {' '.join(r2)!r}")
-            gens.append(_frac(r2[0]))
+            gens.append(_as_fraction(r2[0]))
             dims.append(int(r2[1]))
         if len(gens) != rank:
             raise ValidationError(f"{tag} block declares rank {rank} but has {len(gens)} lines")
@@ -536,7 +508,7 @@ def parse_discretization(text: str) -> DiscretizationResult:
     return DiscretizationResult(
         p_small=parts["small"],
         p_sparse=parts["sparse"],
-        scale_R=_frac(scalars["R"]),
+        scale_R=_as_fraction(scalars["R"]),
         S=int(scalars["S"]),
         R0=int(scalars["R0"]),
         d_exponent=int(scalars["D"]),

@@ -11,8 +11,7 @@ study are tail events of 1/sigma_min.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +59,6 @@ class IntegerMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def as_real(self) -> "RealMatrix":
-        return RealMatrix(self.entries.astype(float))
-
     def rows(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self.entries]
 
@@ -88,9 +84,7 @@ class RealMatrix:
 
 
 def _as_real_array(m) -> np.ndarray:
-    if isinstance(m, IntegerMatrix):
-        return m.entries.astype(float)
-    if isinstance(m, RealMatrix):
+    if isinstance(m, (IntegerMatrix, RealMatrix)):
         return m.entries.astype(float)
     return RealMatrix(np.asarray(m, dtype=float)).entries.copy()
 
@@ -117,6 +111,20 @@ class SingularSpectrum:
     @property
     def sigma_min(self) -> float:
         return self.sigma[-1]
+
+    @property
+    def singular(self) -> bool:
+        """Numerically singular: the zero matrix, or sigma_min < 1e-300 sigma_max.
+
+        `svd` zeroes every column whose squared norm is at most
+        COLUMN_FLOOR2 * ||A||_F^2, so on its output a nonzero sigma_min is
+        above 1e-100 sigma_max and this is the same as sigma_min == 0."""
+        return self.sigma_max == 0.0 or self.sigma_min < 1e-300 * self.sigma_max
+
+    @property
+    def kappa(self) -> float:
+        """sigma_max / sigma_min; +inf when singular."""
+        return math.inf if self.singular else self.sigma_max / self.sigma_min
 
 
 def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -248,9 +256,7 @@ def condition_number(m) -> float:
     spec = svd(m)
     if spec.sigma_max == 0.0:
         raise ValidationError("condition number of the zero matrix is undefined")
-    if spec.sigma_min < 1e-300 * spec.sigma_max:
-        return math.inf
-    return spec.sigma_max / spec.sigma_min
+    return spec.kappa
 
 
 def perturb(

@@ -18,9 +18,9 @@ a dense grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -283,13 +283,16 @@ def discretized_gaussian(truncation_radius: int = 8) -> DiscreteDistribution:
     radius = int(truncation_radius)
     if radius < 6:
         raise ValidationError(f"truncation radius {radius} < 6 standard deviations")
-    with mpmath.workdps(40):
-        side: list[tuple[int, Fraction]] = []
-        for m in range(1, radius):
-            p = mpmath.ncdf(m + mpmath.mpf(1) / 2) - mpmath.ncdf(m - mpmath.mpf(1) / 2)
-            side.append((m, _mpf_to_fraction(p)))
-        tail = mpmath.mpf(1) / 2 * mpmath.erfc((radius - mpmath.mpf(1) / 2) / mpmath.sqrt(2))
-        side.append((radius, _mpf_to_fraction(tail)))
+    # a private context: the global mpmath.mp precision is shared by every thread
+    ctx = mpmath.MPContext()
+    ctx.dps = 40
+    half = ctx.mpf(1) / 2
+    side: list[tuple[int, Fraction]] = []
+    for m in range(1, radius):
+        p = ctx.ncdf(m + half) - ctx.ncdf(m - half)
+        side.append((m, _mpf_to_fraction(p)))
+    tail = half * ctx.erfc((radius - half) / ctx.sqrt(2))
+    side.append((radius, _mpf_to_fraction(tail)))
     center = 1 - 2 * sum(p for _, p in side)
     atoms = [(-m, p) for m, p in side] + [(0, center)] + side
     return DiscreteDistribution(f"discretized_gaussian({radius})", tuple(atoms))

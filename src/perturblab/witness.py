@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np

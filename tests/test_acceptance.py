@@ -136,6 +136,7 @@ def test_criterion_04_svd_against_exact_inverse(capsys):
             done += 1
 
 
+@pytest.mark.slow
 def test_criterion_05_gaussian_tail_slope(capsys):
     with criterion(capsys, 5, "gaussian inverse-norm tail slope in [-1.3, -0.7]"):
         t0 = time.time()
@@ -148,6 +149,7 @@ def test_criterion_05_gaussian_tail_slope(capsys):
         assert time.time() - t0 <= 300.0
 
 
+@pytest.mark.slow
 def test_criterion_06_discrete_condition_tail(capsys):
     with criterion(capsys, 6, "graded diagonal + signs: P(kappa >= n^5) <= 0.01"):
         t0 = time.time()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +13,16 @@ from perturblab import (
     bernoulli,
     build_mask,
     condition_tail,
+    determinant,
     format_records_csv,
+    format_summary_json,
     frozen_entries_experiment,
     gaussian_matrix,
     ge_error_experiment,
     lazy_coin,
+    matrix_from_spec,
     minors_experiment,
+    sample_iid_matrix,
     singularity_probability,
     tail_curve,
 )
@@ -185,12 +190,6 @@ def test_tail_curve_gaussian_noise_supported():
     assert out.curves[10].slope is not None
 
 
-def test_tail_records_deterministic_across_threads():
-    a = tail_curve(_tail_cfg(threads=1))
-    b = tail_curve(_tail_cfg(threads=8))
-    assert format_records_csv(a.records) == format_records_csv(b.records)
-
-
 # ---------------------------------------------------------------------------
 # condition tail
 
@@ -225,12 +224,6 @@ def test_condition_tail_summary_json_ready():
     out = condition_tail(_cond_cfg())
     text = json.dumps(out.summary())
     assert "cond-tail" in text
-
-
-def test_condition_tail_thread_determinism():
-    a = condition_tail(_cond_cfg(threads=1))
-    b = condition_tail(_cond_cfg(threads=8))
-    assert format_records_csv(a.records) == format_records_csv(b.records)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +268,20 @@ def test_ge_exact_reference_is_exact():
     assert x is not None
     for i in range(6):
         assert sum(Fraction(a[i][j]) * x[j] for j in range(6)) == b[i]
+
+
+def test_ge_singular_is_the_exact_determinant():
+    # duplicated_column under lazy coins has exactly singular draws whose
+    # floating sigma_min is still positive; the exact half decides
+    cfg = _ge_cfg(sizes=(5,), trials=60, noise="lazy_coin:1/2", matrix="duplicated_column")
+    out = ge_error_experiment(cfg)
+    base = matrix_from_spec(cfg.matrix, 5).entries
+    law = lazy_coin(Fraction(1, 2))
+    for r in out.records:
+        system = base + sample_iid_matrix(law, 5, r.seed)
+        assert r.singular == (determinant(system.tolist()) == 0)
+        assert r.singular == (r.kappa == math.inf)
+    assert any(r.singular and r.sigma_min > 0.0 for r in out.records)
 
 
 def test_ge_rejects_gaussian_noise():
@@ -346,3 +353,32 @@ def test_frozen_masked_run_actually_freezes():
     )
     # not directly comparable (different seed labels); just sanity-check ranges
     assert all(k >= 1.0 for k in masked if math.isfinite(k))
+
+
+# ---------------------------------------------------------------------------
+# every experiment kind
+
+
+_EVERY_KIND = {
+    "tail": (tail_curve, _tail_cfg(mask="random:2")),
+    "cond-tail": (condition_tail, _cond_cfg(mask="random:2", compare_gaussian=True)),
+    "ge-check": (
+        ge_error_experiment,
+        _ge_cfg(sizes=(5,), noise="lazy_coin:1/2", matrix="duplicated_column"),
+    ),
+    "minors": (minors_experiment, ExperimentConfig(kind="minors", sizes=(6,), trials=25, seed=17)),
+    "frozen": (
+        frozen_entries_experiment,
+        ExperimentConfig(kind="frozen", sizes=(8,), trials=40, seed=19, mask="random:2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_EVERY_KIND))
+def test_outputs_independent_of_thread_count(kind):
+    run, cfg = _EVERY_KIND[kind]
+    outputs = []
+    for threads in (1, 3):
+        out = run(replace(cfg, threads=threads))
+        outputs.append((format_records_csv(out.records), format_summary_json(out.summary())))
+    assert outputs[0] == outputs[1]

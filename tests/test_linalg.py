@@ -148,6 +148,20 @@ def test_condition_number_singular_is_inf():
     assert condition_number(IntegerMatrix([[1, 1], [1, 1]])) == math.inf
 
 
+@pytest.mark.parametrize(
+    "entries, singular, kappa",
+    [
+        ([[0, 0], [0, 0]], True, math.inf),
+        ([[1, 1], [1, 1]], True, math.inf),
+        ([[3, 0], [0, 4]], False, 4 / 3),
+    ],
+)
+def test_spectrum_kappa_and_singular(entries, singular, kappa):
+    spec = svd(IntegerMatrix(entries))
+    assert spec.singular is singular
+    assert spec.kappa == pytest.approx(kappa, rel=1e-15)
+
+
 def test_condition_number_zero_matrix_rejected():
     with pytest.raises(ValidationError):
         condition_number(IntegerMatrix([[0, 0], [0, 0]]))

@@ -112,6 +112,28 @@ def test_discretized_gaussian_exact_total_mass():
     assert g.max_abs_value == 8
 
 
+def test_discretized_gaussian_thread_safe():
+    # each build runs on its own mpmath context: concurrent builds neither
+    # see another build's precision nor leave the global one changed
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    import mpmath
+
+    want = discretized_gaussian().atoms
+    prec = mpmath.mp.prec
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            got = list(ex.map(lambda _: discretized_gaussian().atoms, range(400), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 400
+    assert all(atoms == want for atoms in got)
+    assert mpmath.mp.prec == prec
+
+
 def test_discretized_gaussian_radius_floor():
     with pytest.raises(ValidationError):
         discretized_gaussian(truncation_radius=4)

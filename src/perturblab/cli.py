@@ -34,30 +34,13 @@ def _resolve_config(args: argparse.Namespace, kind: str) -> ExperimentConfig:
         cfg = load_config(args.config, kind=kind)
     else:
         cfg = ExperimentConfig(kind=kind)
-    overrides = {}
-    def take(flag, field=None):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field or flag] = value
-    take("seed")
-    take("trials")
-    take("noise")
-    take("matrix")
-    take("mask")
-    take("threads")
-    take("out")
-    take("precision")
-    take("target_exceedance")
-    take("grid_points")
-    if getattr(args, "sizes", None):
-        overrides["sizes"] = tuple(args.sizes)
-    if getattr(args, "b_grid", None):
-        overrides["b_grid"] = tuple(args.b_grid)
-    if getattr(args, "compare_gaussian", False):
-        overrides["compare_gaussian"] = True
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    # every experiment flag's dest is a config field name
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ExperimentConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _emit(result, cfg: ExperimentConfig) -> None:
@@ -85,7 +68,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b-grid", dest="b_grid", type=float, nargs="+")
     p.add_argument("--target-exceedance", dest="target_exceedance", type=float)
     p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--compare-gaussian", dest="compare_gaussian", action="store_true")
+    p.add_argument("--compare-gaussian", dest="compare_gaussian", action="store_true", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,8 +202,8 @@ def _run_classify(args: argparse.Namespace) -> int:
     b = args.b_exponent if args.b_exponent is not None else default_b_exponent(1.0, 1.0)
     w = witness.WitnessVector(values=values, norm=0.0, b_exponent=b)
     query = concentration.ConcentrationQuery(dists=(dist,) * n)
-    labeled = witness.classify_witness(w, query, a_exponent=args.a_exponent)
     report = concentration.classify_rich(query, values, args.a_exponent)
+    labeled = witness.label_witness(w, report)
     print(f"class = {labeled.label.name}")
     print(f"sup concentration = {float(report.sup)!r} (threshold {report.threshold!r})")
     return 0

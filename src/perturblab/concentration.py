@@ -36,32 +36,11 @@ DP_STATE_BUDGET = 100_000_000
 AVERAGING_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Integer weights with their max-magnitude bound recorded."""
-
-    values: tuple[int, ...]
-    bound: int = 0
-
-    def __post_init__(self):
-        vals = tuple(int(x) for x in self.values)
-        if not vals:
-            raise ValidationError("empty weight vector")
-        observed = max(abs(x) for x in vals)
-        bound = self.bound if self.bound else observed
-        if observed > bound:
-            raise ValidationError(f"weight magnitude {observed} exceeds bound {bound}")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "bound", bound)
-
-    def __len__(self):
-        return len(self.values)
-
-
 def _weights(v) -> tuple[int, ...]:
-    if isinstance(v, WeightVector):
-        return v.values
-    return WeightVector(tuple(int(x) for x in v)).values
+    weights = tuple(int(x) for x in v)
+    if not weights:
+        raise ValidationError("empty weight vector")
+    return weights
 
 
 @dataclass(frozen=True)

@@ -108,17 +108,17 @@ def _trials(cfg: ExperimentConfig, label: str, n: int, trial: Callable[[int, int
     )
 
 
-def _spectrum(
+def _matrix(
     base: IntegerMatrix, law: DiscreteDistribution | None, seed: int, mask: np.ndarray | None
-) -> SingularSpectrum:
-    """Singular spectrum of base + noise, with law None meaning gaussian noise;
-    entries under the mask stay frozen."""
+) -> IntegerMatrix | RealMatrix:
+    """One trial's base + noise, with law None meaning gaussian noise; entries
+    under the mask stay frozen.  Discrete noise keeps the matrix integer."""
     if law is None:
         noise = gaussian_matrix(base.n, seed)
         if mask is not None:
             noise[mask] = 0.0
-        return svd(RealMatrix(base.entries.astype(float) + noise))
-    return svd(perturb(base, IntegerMatrix(sample_iid_matrix(law, base.n, seed)), mask))
+        return RealMatrix(base.entries.astype(float) + noise)
+    return perturb(base, IntegerMatrix(sample_iid_matrix(law, base.n, seed)), mask)
 
 
 def _record(trial: int, seed: int, spectrum: SingularSpectrum, tail_hit: bool) -> ExperimentRecord:
@@ -230,7 +230,7 @@ def tail_curve(cfg: ExperimentConfig) -> TailResult:
         x_ref = 10.0 * math.sqrt(n)  # record-level tail flag reference
 
         def one(trial: int, seed: int) -> ExperimentRecord:
-            spectrum = _spectrum(base, law, seed, mask)
+            spectrum = svd(_matrix(base, law, seed, mask))
             return _record(trial, seed, spectrum, _inverse_norm(spectrum.sigma_min) >= x_ref)
 
         rows = _trials(cfg, "tail", n, one)
@@ -335,7 +335,7 @@ def condition_tail(cfg: ExperimentConfig) -> CondTailResult:
 
         def run(label: str, noise: DiscreteDistribution | None) -> list[ExperimentRecord]:
             def one(trial: int, seed: int) -> ExperimentRecord:
-                spectrum = _spectrum(base, noise, seed, mask)
+                spectrum = svd(_matrix(base, noise, seed, mask))
                 return _record(trial, seed, spectrum, spectrum.kappa >= tail_ref)
 
             return _trials(cfg, label, n, one)
@@ -485,10 +485,10 @@ class GeResult:
 def ge_error_experiment(cfg: ExperimentConfig) -> GeResult:
     """Relative solve error of floating GE against the exact rational answer.
 
-    Systems are integer (base + discrete noise, integer right-hand side),
-    so the reference path is exact elimination; the reported ratio is
-    rel_error / (eps_machine * kappa).  Singular draws are recorded and
-    excluded from the error statistics.
+    Systems are integer (base + discrete noise, masked entries frozen,
+    integer right-hand side), so the reference path is exact elimination;
+    the reported ratio is rel_error / (eps_machine * kappa).  Singular
+    draws are recorded and excluded from the error statistics.
     """
     law = _law(cfg.noise)
     if law is None:
@@ -497,11 +497,10 @@ def ge_error_experiment(cfg: ExperimentConfig) -> GeResult:
     eps = 2.0**-24 if cfg.precision == "single" else 2.0**-53
     records: list[ExperimentRecord] = []
     trials: list[GeTrial] = []
-    # the systems are never masked: ge-check measures elimination, not frozen entries
-    for n, base, _ in _sizes(replace(cfg, mask="none")):
+    for n, base, mask in _sizes(cfg):
 
         def one(trial: int, seed: int) -> tuple[ExperimentRecord, GeTrial]:
-            system = perturb(base, IntegerMatrix(sample_iid_matrix(law, n, seed)), None)
+            system = _matrix(base, law, seed, mask)
             rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "ge-rhs", n, trial)))
             b = rng.integers(-9, 10, size=n)
             exact = rational.solve_exact(system.rows(), [int(x) for x in b])
@@ -559,7 +558,7 @@ def minors_experiment(cfg: ExperimentConfig) -> MinorsResult:
     matrix; B = first entry of b_grid sets the n^B quality threshold."""
     if max(cfg.sizes) > 300:
         raise ValidationError("minors experiment caps n at 300")
-    law = distribution_from_spec(cfg.noise)
+    law = _law(cfg.noise)
     b = cfg.b_grid[0]
     records: list[ExperimentRecord] = []
     per_k: dict[int, dict[int, float]] = {}
@@ -568,8 +567,8 @@ def minors_experiment(cfg: ExperimentConfig) -> MinorsResult:
         threshold = float(n) ** float(b)
 
         def one(trial: int, seed: int) -> tuple[ExperimentRecord, list[float]]:
-            full = perturb(base, IntegerMatrix(sample_iid_matrix(law, n, seed)), mask).entries
-            spectra = [svd(RealMatrix(full[:k, :k].astype(float))) for k in range(1, n + 1)]
+            full = _matrix(base, law, seed, mask).entries
+            spectra = [svd(RealMatrix(full[:k, :k])) for k in range(1, n + 1)]
             kappas = [spectrum.kappa for spectrum in spectra]
             return _record(trial, seed, spectra[-1], max(kappas) > threshold), kappas
 
@@ -614,8 +613,8 @@ def frozen_entries_experiment(cfg: ExperimentConfig) -> FrozenResult:
         tail_ref = float(n) ** float(cfg.b_grid[0])
 
         def one(trial: int, seed: int) -> tuple[ExperimentRecord, float]:
-            masked = _spectrum(base, law, seed, mask)
-            plain = _spectrum(base, law, seed, None)
+            masked = svd(_matrix(base, law, seed, mask))
+            plain = svd(_matrix(base, law, seed, None))
             return _record(trial, seed, masked, masked.kappa >= tail_ref), plain.kappa
 
         rows = _trials(cfg, "frozen", n, one)

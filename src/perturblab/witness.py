@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .concentration import ConcentrationQuery, classify_rich
+from .concentration import ConcentrationQuery, RichnessReport, classify_rich
 from .errors import ValidationError
 from .util import wilson_interval
 
@@ -94,8 +94,18 @@ def classify_witness(
     set (the singular profile).  Both thresholds compare integers against
     ceilings of the float exponentials.
     """
-    n = w.n
     report = classify_rich(row_queries, w.values, a_exponent, offset=rich_offset)
+    return label_witness(w, report, singular_count_exponent, large_coord_exponent)
+
+
+def label_witness(
+    w: WitnessVector,
+    report: RichnessReport,
+    singular_count_exponent: float = 0.2,
+    large_coord_exponent: float | None = None,
+) -> WitnessVector:
+    """The classify_witness label from an already computed richness report."""
+    n = w.n
     if report.label == "poor":
         return replace(w, label=WitnessClass.POOR)
     large_exp = (w.b_exponent / 2.0) if large_coord_exponent is None else float(large_coord_exponent)

@@ -1,11 +1,14 @@
 """End-to-end checks of the command line front end via cli.main()."""
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from perturblab.cli import main
+from perturblab import ExperimentConfig, concentration
+from perturblab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -166,6 +169,23 @@ def test_classify_poor_witness(tmp_path, capsys):
     assert "class = POOR" in out
 
 
+def test_classify_runs_the_exact_convolution_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    exact = concentration.exact_concentration
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(concentration, "exact_concentration", counting)
+    witness = tmp_path / "w.txt"
+    witness.write_text("1 2 3 4 5 6 7 8\n")
+    code, out, _ = run(capsys, "classify", str(witness), "--a-exponent", "4.0")
+    assert code == 0
+    assert "class = RICH_SINGULAR" in out
+    assert len(calls) == 1
+
+
 def test_classify_empty_file(tmp_path, capsys):
     witness = tmp_path / "w.txt"
     witness.write_text("\n")
@@ -226,6 +246,23 @@ def test_ge_check_runs(capsys):
     assert summary["eps_machine"] == 2.0**-24
 
 
+def test_minors_gaussian_noise_runs(capsys):
+    code, out, _ = run(capsys, "minors", "--sizes", "4", "--trials", "5", "--noise", "gaussian")
+    assert code == 0
+    assert json.loads(out)["experiment"] == "minors"
+
+
+def test_experiment_flag_dests_are_config_fields():
+    # overrides are taken by name, so a dest that names no config field
+    # would be dropped without an error
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"config"}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for kind in ("tail", "cond-tail", "ge-check", "minors", "frozen"):
+        for action in sub.choices[kind]._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.dest in names, (kind, action.dest)
+
+
 def test_config_file_with_override(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
@@ -236,6 +273,16 @@ def test_config_file_with_override(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["config"]["trials"] == 120
     assert summary["config"]["seed"] == 3
+
+
+def test_config_file_flag_left_out_is_kept(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[cond-tail]\nsizes = 4\ntrials = 10\ncompare_gaussian = true\n")
+    code, out, _ = run(capsys, "cond-tail", "--config", str(cfg), "--seed", "5")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["config"]["compare_gaussian"] is True
+    assert "gaussian_tables" in summary
 
 
 def test_same_seed_same_output(tmp_path, capsys):

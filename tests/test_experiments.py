@@ -284,6 +284,19 @@ def test_ge_singular_is_the_exact_determinant():
     assert any(r.singular and r.sigma_min > 0.0 for r in out.records)
 
 
+def test_ge_applies_the_mask():
+    cfg = _ge_cfg(sizes=(5,), trials=60, noise="lazy_coin:1/2", matrix="duplicated_column")
+    masked = replace(cfg, mask="random:1")
+    out = ge_error_experiment(masked)
+    assert format_records_csv(out.records) != format_records_csv(ge_error_experiment(cfg).records)
+    base = matrix_from_spec(cfg.matrix, 5)
+    mask = build_mask(masked.mask, base, masked.seed)
+    law = lazy_coin(Fraction(1, 2))
+    for r in out.records:
+        system = base.entries + np.where(mask, 0, sample_iid_matrix(law, 5, r.seed))
+        assert r.singular == (determinant(system.tolist()) == 0)
+
+
 def test_ge_rejects_gaussian_noise():
     with pytest.raises(ValidationError):
         ge_error_experiment(_ge_cfg(noise="gaussian"))
@@ -366,7 +379,12 @@ _EVERY_KIND = {
         ge_error_experiment,
         _ge_cfg(sizes=(5,), noise="lazy_coin:1/2", matrix="duplicated_column"),
     ),
+    "ge-check-masked": (ge_error_experiment, _ge_cfg(sizes=(5,), mask="random:1")),
     "minors": (minors_experiment, ExperimentConfig(kind="minors", sizes=(6,), trials=25, seed=17)),
+    "minors-gaussian": (
+        minors_experiment,
+        ExperimentConfig(kind="minors", sizes=(6,), trials=25, seed=17, noise="gaussian"),
+    ),
     "frozen": (
         frozen_entries_experiment,
         ExperimentConfig(kind="frozen", sizes=(8,), trials=40, seed=19, mask="random:2"),

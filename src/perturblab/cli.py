@@ -61,6 +61,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sizes", type=int, nargs="+")
     p.add_argument("--noise", help="bernoulli | lazy_coin:<alpha> | discretized_gaussian[:R] | gaussian | file:<path>")
     p.add_argument("--matrix", help="zero | graded_diagonal | rank_one_ones | duplicated_column | file:<path>")
+    p.add_argument("--c-exponent", dest="c_exponent", type=float, help="graded_diagonal caps its entries at n^C")
     p.add_argument("--mask", help="none | zeros | random:<k>")
     p.add_argument("--threads", type=int)
     p.add_argument("--out", help="output stem; writes <out>.csv and <out>.json")

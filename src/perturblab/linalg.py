@@ -10,6 +10,7 @@ study are tail events of 1/sigma_min.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,8 +128,9 @@ class SingularSpectrum:
         return math.inf if self.singular else self.sigma_max / self.sigma_min
 
 
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic all-pairs schedule: n-1 rounds of disjoint pairs."""
+@functools.lru_cache(maxsize=None)
+def _round_robin_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Deterministic all-pairs schedule: n-1 rounds of disjoint pairs, cached per n."""
     m = n if n % 2 == 0 else n + 1
     idx = list(range(m))
     rounds = []
@@ -140,9 +142,11 @@ def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
                 ps.append(min(a, b))
                 qs.append(max(a, b))
         if ps:
-            rounds.append((np.array(ps), np.array(qs)))
+            pair = np.array([ps, qs])
+            pair.setflags(write=False)  # every svd call of this size shares the rows
+            rounds.append(tuple(pair))
         idx = [idx[0]] + [idx[-1]] + idx[1:-1]
-    return rounds
+    return tuple(rounds)
 
 
 def svd(m) -> SingularSpectrum:
@@ -161,7 +165,7 @@ def svd(m) -> SingularSpectrum:
         return SingularSpectrum(tuple([0.0] * n), 0.0)
     rounds = _round_robin_rounds(n)
     off2 = 0.0
-    for _sweep in range(MAX_SWEEPS):
+    for sweep in range(MAX_SWEEPS):
         # columns squeezed this far below ||A||_F are pure roundoff debris
         # (their true singular value is 0 at this precision); zeroing them
         # stops the rotation pair test from chasing denormal residue.
@@ -170,6 +174,9 @@ def svd(m) -> SingularSpectrum:
         if dead.any():
             a[:, dead] = 0.0
         rotated = False
+        # off2 is reported only by a sweep with no rotation, or by the last
+        # sweep when the budget runs out; other sweeps stop summing it
+        last = sweep == MAX_SWEEPS - 1
         off2 = 0.0
         for ps, qs in rounds:
             ap = a[:, ps]
@@ -177,23 +184,24 @@ def svd(m) -> SingularSpectrum:
             app = np.einsum("ij,ij->j", ap, ap)
             aqq = np.einsum("ij,ij->j", aq, aq)
             apq = np.einsum("ij,ij->j", ap, aq)
-            off2 += float(np.sum(apq * apq))
+            if last or not rotated:
+                off2 += float(np.sum(apq * apq))
             mask = np.abs(apq) > PAIR_TOL * np.sqrt(app * aqq)
             if not mask.any():
                 continue
             rotated = True
-            apqm = apq[mask]
-            theta = (aqq[mask] - app[mask]) / (2.0 * apqm)
+            if not mask.all():
+                # gather again only the pairs that rotate
+                ps, qs = ps[mask], qs[mask]
+                ap, aq = a[:, ps], a[:, qs]
+                app, aqq, apq = app[mask], aqq[mask], apq[mask]
+            theta = (aqq - app) / (2.0 * apq)
             sgn = np.where(theta >= 0.0, 1.0, -1.0)
             t = sgn / (np.abs(theta) + np.hypot(1.0, theta))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            pm = ps[mask]
-            qm = qs[mask]
-            apm = a[:, pm]
-            aqm = a[:, qm]
-            a[:, pm] = c * apm - s * aqm
-            a[:, qm] = s * apm + c * aqm
+            a[:, ps] = c * ap - s * aq
+            a[:, qs] = s * ap + c * aq
         if not rotated:
             residual = math.sqrt(off2) / frob2
             sigma = np.sort(np.linalg.norm(a, axis=0))[::-1]

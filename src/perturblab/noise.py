@@ -356,28 +356,32 @@ def distribution_from_spec(spec: str) -> DiscreteDistribution:
 # sampling
 
 
+def _draw(dist: DiscreteDistribution, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from one law, one per uniform in u: the first value
+    whose cumulative float probability is >= u.  The last cumulative entry
+    is forced to 1.0, so every u in [0, 1) lands on an atom."""
+    values = np.array(dist.values, dtype=np.int64)
+    cum = np.cumsum([float(p) for p in dist.probabilities])
+    cum[-1] = 1.0
+    return values[np.searchsorted(cum, u, side="left")]
+
+
 def sample_vector(dists: Sequence[DiscreteDistribution], seed: int) -> np.ndarray:
     """Independent draw per coordinate, deterministic for a given seed."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(len(dists))
+    u = np.random.Generator(np.random.PCG64(seed)).random(len(dists))
     out = np.empty(len(dists), dtype=np.int64)
-    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for i, dist in enumerate(dists):
-        key = id(dist)
-        if key not in tables:
-            values = np.array(dist.values, dtype=np.int64)
-            cum = np.cumsum([float(p) for p in dist.probabilities])
-            cum[-1] = 1.0
-            tables[key] = (values, cum)
-        values, cum = tables[key]
-        out[i] = values[int(np.searchsorted(cum, u[i], side="left"))]
+    keys = np.fromiter(map(id, dists), dtype=np.uint64, count=len(dists))
+    for key, dist in {id(d): d for d in dists}.items():
+        idx = keys == key  # one draw call per distinct law object
+        out[idx] = _draw(dist, u[idx])
     return out
 
 
 def sample_iid_matrix(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
-    """n x n matrix of independent draws from one law (row-major fill)."""
-    flat = sample_vector([dist] * (n * n), seed)
-    return flat.reshape(n, n)
+    """n x n matrix of independent draws from one law (row-major fill); the
+    same matrix as sample_vector([dist] * n * n, seed) reshaped."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(n * n)
+    return _draw(dist, u).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

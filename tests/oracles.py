@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own code paths:
 concentration by direct enumeration of all noise outcomes, the cosine
 product integral by adaptive quadrature, determinants by cofactor
-expansion, and the normal law by mpmath's ncdf.  Slow and simple on
+expansion, and the normal law by mpmath's ncdf.  The scalar sampler and
+the Jacobi SVD below are the straightforward loops that the vectorized
+library versions must reproduce bit for bit.  Slow and simple on
 purpose; the tests compare the fast implementations against these.
 """
 
@@ -14,6 +16,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 from scipy import integrate
 
 
@@ -94,3 +97,79 @@ def singularity_by_enumeration(n, values):
         if det(rows) == 0:
             singular += 1
     return Fraction(singular, total)
+
+
+def scalar_sample_vector(dists, seed):
+    """One inverse-CDF lookup per coordinate from the seeded uniform stream."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = rng.random(len(dists))
+    out = np.empty(len(dists), dtype=np.int64)
+    for i, dist in enumerate(dists):
+        values = np.array(dist.values, dtype=np.int64)
+        cum = np.cumsum([float(p) for p in dist.probabilities])
+        cum[-1] = 1.0
+        out[i] = values[int(np.searchsorted(cum, u[i], side="left"))]
+    return out
+
+
+def _round_robin_pairs(n):
+    m = n if n % 2 == 0 else n + 1
+    idx = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [(idx[k], idx[m - 1 - k]) for k in range(m // 2)]
+        pairs = [(min(a, b), max(a, b)) for a, b in pairs if a < n and b < n]
+        if pairs:
+            rounds.append((np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])))
+        idx = [idx[0]] + [idx[-1]] + idx[1:-1]
+    return rounds
+
+
+def jacobi_svd(a, max_sweeps=60, pair_tol=1e-14, column_floor2=1e-200):
+    """One-sided Jacobi in round-robin order, every pair gathered afresh and
+    every sweep's off-diagonal sum taken in full.
+
+    Returns (descending singular values, residual, converged); when the
+    sweep budget runs out, the residual is that of the last sweep."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    frob2 = float(np.sum(a * a))
+    if frob2 == 0.0:
+        return tuple([0.0] * n), 0.0, True
+    rounds = _round_robin_pairs(n)
+    off2 = 0.0
+    for _ in range(max_sweeps):
+        norms2 = np.einsum("ij,ij->j", a, a)
+        dead = norms2 <= column_floor2 * frob2
+        if dead.any():
+            a[:, dead] = 0.0
+        rotated = False
+        off2 = 0.0
+        for ps, qs in rounds:
+            ap = a[:, ps]
+            aq = a[:, qs]
+            app = np.einsum("ij,ij->j", ap, ap)
+            aqq = np.einsum("ij,ij->j", aq, aq)
+            apq = np.einsum("ij,ij->j", ap, aq)
+            off2 += float(np.sum(apq * apq))
+            mask = np.abs(apq) > pair_tol * np.sqrt(app * aqq)
+            if not mask.any():
+                continue
+            rotated = True
+            apqm = apq[mask]
+            theta = (aqq[mask] - app[mask]) / (2.0 * apqm)
+            sgn = np.where(theta >= 0.0, 1.0, -1.0)
+            t = sgn / (np.abs(theta) + np.hypot(1.0, theta))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            pm = ps[mask]
+            qm = qs[mask]
+            apm = a[:, pm]
+            aqm = a[:, qm]
+            a[:, pm] = c * apm - s * aqm
+            a[:, qm] = s * apm + c * aqm
+        if not rotated:
+            sigma = np.sort(np.linalg.norm(a, axis=0))[::-1]
+            return tuple(float(x) for x in sigma), math.sqrt(off2) / frob2, True
+    sigma = np.sort(np.linalg.norm(a, axis=0))[::-1]
+    return tuple(float(x) for x in sigma), math.sqrt(off2) / frob2, False

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from perturblab import ExperimentConfig, concentration
+from perturblab import ExperimentConfig, concentration, experiments, matrix_from_spec
 from perturblab.cli import build_parser, main
 
 
@@ -261,6 +261,30 @@ def test_experiment_flag_dests_are_config_fields():
         for action in sub.choices[kind]._actions:
             if not isinstance(action, argparse._HelpAction):
                 assert action.dest in names, (kind, action.dest)
+        # and the converse: every field but the subcommand's own kind has a flag
+        dests = {action.dest for action in sub.choices[kind]._actions}
+        assert names - {"kind"} <= dests, (kind, names - {"kind"} - dests)
+
+
+def test_cond_tail_c_exponent_changes_the_base(monkeypatch, capsys):
+    bases = []
+
+    def spy(spec, n, c_exponent):
+        base = matrix_from_spec(spec, n, c_exponent)
+        bases.append(base.entries)
+        return base
+
+    monkeypatch.setattr(experiments, "matrix_from_spec", spy)
+    argv = ["cond-tail", "--sizes", "8", "--trials", "10", "--matrix", "graded_diagonal"]
+    code, default_out, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--c-exponent", "0.5")
+    assert code == 0
+    assert json.loads(out)["config"]["c_exponent"] == 0.5
+    # C = 1 caps the diagonal at 8, C = 1/2 at floor(sqrt 8) = 2
+    assert np.diag(bases[0]).tolist() == [1, 2, 4, 8, 8, 8, 8, 8]
+    assert np.diag(bases[1]).tolist() == [1, 2, 2, 2, 2, 2, 2, 2]
+    assert json.loads(out)["tables"] != json.loads(default_out)["tables"]
 
 
 def test_config_file_with_override(tmp_path, capsys):

@@ -24,8 +24,10 @@ from perturblab import (
     minors_experiment,
     sample_iid_matrix,
     singularity_probability,
+    svd,
     tail_curve,
 )
+from perturblab import experiments
 
 import oracles
 
@@ -354,18 +356,21 @@ def test_frozen_vs_unmasked_tables():
 
 
 def test_frozen_masked_run_actually_freezes():
-    # with every off-diagonal entry of row 0 frozen... instead compare:
-    # a mask changes the kappa stream with overwhelming probability
     cfg = ExperimentConfig(
-        kind="frozen", sizes=(8,), trials=30, seed=23, mask="random:4", b_grid=(1.0,)
+        kind="frozen", sizes=(8,), trials=30, seed=23, mask="random:4", b_grid=(1.0, 2.0)
     )
     out = frozen_entries_experiment(cfg)
-    masked = [r.kappa for r in out.records]
-    plain_cfg = ExperimentConfig(
-        kind="cond-tail", sizes=(8,), trials=30, seed=23, b_grid=(1.0,)
-    )
-    # not directly comparable (different seed labels); just sanity-check ranges
-    assert all(k >= 1.0 for k in masked if math.isfinite(k))
+    base = matrix_from_spec(cfg.matrix, 8, cfg.c_exponent)
+    mask = build_mask(cfg.mask, base, cfg.seed)
+    law = experiments._law(cfg.noise)
+    assert mask.sum(axis=1).tolist() == [4] * 8
+    for record in out.records:
+        m = experiments._matrix(base, law, record.seed, mask)
+        assert svd(m).sigma_min == record.sigma_min  # the trial the record came from
+        assert np.array_equal(m.entries[mask], base.entries[mask])
+        # bernoulli noise is never 0: every unmasked entry moved
+        assert np.all(m.entries[~mask] != base.entries[~mask])
+    assert out.masked_tables[8] != out.unmasked_tables[8]
 
 
 # ---------------------------------------------------------------------------

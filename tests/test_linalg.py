@@ -12,8 +12,10 @@ from perturblab import (
     ValidationError,
     bernoulli,
     condition_number,
+    discretized_gaussian,
     exact_inverse_norm,
     frobenius_norm,
+    lazy_coin,
     load_integer_matrix,
     matrix_from_spec,
     operator_norm,
@@ -23,6 +25,9 @@ from perturblab import (
     svd,
     worst_case_generator,
 )
+from perturblab import linalg
+
+import oracles
 
 
 def _random_int_matrix(rng, n, lo=-9, hi=10):
@@ -125,6 +130,54 @@ def test_sum_of_squares_is_frobenius():
     m = _random_int_matrix(rng, 7)
     s = svd(m)
     assert sum(x * x for x in s.sigma) == pytest.approx(frobenius_norm(m) ** 2, rel=1e-12)
+
+
+def _jacobi_inputs(n):
+    """Worst-case bases plus seeded noise of several laws, plus all-zero draws."""
+    yield np.zeros((n, n))
+    for kind in ("zero", "graded_diagonal", "duplicated_column"):
+        base = worst_case_generator(kind, n).entries
+        yield base.astype(float)
+        for law in (bernoulli(), lazy_coin("1/10"), discretized_gaussian()):
+            for seed in (1, 2):
+                yield (base + sample_iid_matrix(law, n, seed)).astype(float)
+        rng = np.random.Generator(np.random.PCG64(n))
+        yield base + rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 50])
+def test_svd_equals_reference_jacobi_bit_for_bit(n):
+    for a in _jacobi_inputs(n):
+        sigma, residual, converged = oracles.jacobi_svd(a)
+        assert converged
+        spec = svd(RealMatrix(a))
+        assert spec.sigma == sigma
+        assert spec.convergence_residual == residual
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 20])
+def test_round_robin_schedule(n):
+    rounds = linalg._round_robin_rounds(n)
+    assert linalg._round_robin_rounds(n) is rounds
+    seen = []
+    for ps, qs in rounds:
+        assert not ps.flags.writeable and not qs.flags.writeable
+        assert np.all(ps < qs)
+        cols = np.concatenate([ps, qs])
+        assert len(set(cols.tolist())) == len(cols)  # disjoint within a round
+        seen.extend(zip(ps.tolist(), qs.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def test_convergence_error_reports_the_last_full_sweep(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(8))
+    a = rng.standard_normal((7, 7))
+    sigma, residual, converged = oracles.jacobi_svd(a, max_sweeps=1)
+    assert not converged and residual > 0.0
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError) as info:
+        svd(RealMatrix(a))
+    assert info.value.residual == residual
 
 
 # ---------------------------------------------------------------------------

@@ -324,3 +324,38 @@ def test_sample_matrix_matches_vector_layout():
     flat = sample_vector([d] * 9, seed=42)
     m = sample_iid_matrix(d, 3, seed=42)
     assert np.array_equal(m, flat.reshape(3, 3))
+
+
+# the vectorized samplers against the scalar per-coordinate loop, bit for bit
+
+_LAWS = [
+    bernoulli(),
+    lazy_coin(Fraction(1, 2)),
+    lazy_coin(Fraction(1, 10)),
+    lazy_coin(1),
+    discretized_gaussian(6),
+    discretized_gaussian(8),
+    symmetric_discretization([("-3/2", "1/8"), ("-1/3", "3/8"), ("1/3", "3/8"), ("3/2", "1/8")]),
+    parse_distribution("-2 1/3\n5 1/6\n7 1/2\n", name="skewed"),
+    DiscreteDistribution("point", ((4, Fraction(1)),)),
+]
+
+
+@pytest.mark.parametrize("law", _LAWS, ids=lambda d: d.name)
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 2**40 + 5])
+def test_sample_iid_matrix_equals_scalar_loop(law, seed):
+    for n in (1, 2, 3, 7, 20, 50):
+        ref = oracles.scalar_sample_vector([law] * (n * n), seed).reshape(n, n)
+        got = sample_iid_matrix(law, n, seed)
+        assert got.dtype == ref.dtype == np.int64
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 99])
+def test_sample_vector_mixed_laws_equals_scalar_loop(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    # equal laws built twice are separate objects: grouping must not matter
+    pool = _LAWS + [bernoulli(), discretized_gaussian(6)]
+    dists = [pool[int(i)] for i in rng.integers(0, len(pool), size=3000)]
+    assert np.array_equal(sample_vector(dists, seed), oracles.scalar_sample_vector(dists, seed))
+    assert sample_vector([], seed).shape == (0,)

@@ -17,7 +17,6 @@ from .concentration import (
     classify_rich,
     exact_concentration,
     fourier_bound,
-    load_query,
     parse_query,
 )
 from .config import KINDS, ExperimentConfig, default_b_exponent, load_config, save_config
@@ -51,8 +50,6 @@ from .gaps import (
     format_discretization,
     format_gap,
     inverse_lo_search,
-    load_discretization,
-    load_gap,
     parse_discretization,
     parse_gap,
     sumset,
@@ -83,7 +80,6 @@ from .noise import (
     discretized_gaussian,
     distribution_from_spec,
     lazy_coin,
-    load_distribution,
     make_standard,
     parse_distribution,
     sample_iid_matrix,
@@ -101,7 +97,7 @@ from .records import (
     write_records_csv,
     write_summary_json,
 )
-from .util import derive_seed, wilson_interval
+from .util import derive_seed, read_text, wilson_interval
 from .witness import (
     EpsilonNet,
     SmallImageReport,

@@ -5,7 +5,8 @@ overrides, run, and write <out>.csv (per-trial records) plus <out>.json
 (summary tables).  The analysis subcommands (lo-check, gap-verify, net,
 classify) operate on small text inputs and print their results.
 
-Exit codes: 0 success, 2 invalid input, 3 resource budget exceeded.
+Exit codes: 0 success, 1 a check failed, 2 invalid input (a missing file,
+or a malformed token, named by its line), 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import dataclasses
 import sys
 
 from . import concentration, experiments, gaps, witness
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, default_b_exponent, load_config
 from .errors import PerturbLabError, ResourceError, ValidationError
-from .noise import distribution_from_spec
+from .noise import certificate_from_symmetric, distribution_from_spec
 from .records import format_summary_json, write_records_csv, write_summary_json
+from .util import content_lines, read_text, token
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
@@ -108,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="points CSV path (default: stdout)")
 
     p = sub.add_parser("classify", help="rich/poor and singular/nonsingular label for a witness")
-    p.add_argument("witness", help="file of whitespace separated integers")
+    p.add_argument("witness", help="file of whitespace separated integers, '#' comments")
     p.add_argument("--dist", default="bernoulli")
     p.add_argument("--a-exponent", dest="a_exponent", type=float, default=1.0)
     p.add_argument("--b-exponent", dest="b_exponent", type=float, default=None)
@@ -146,14 +148,12 @@ def _run_singularity(args: argparse.Namespace) -> int:
 
 
 def _run_lo_check(args: argparse.Namespace) -> int:
-    parsed = concentration.load_query(args.query)
+    parsed = concentration.parse_query(read_text(args.query))
     if parsed.mu is not None:
         exact = concentration.exact_concentration(parsed.query, parsed.v).sup
         bound = concentration.fourier_bound(parsed.query, parsed.v, parsed.mu)
     else:
         # no mu line: derive certificates from the (symmetric) noise laws
-        from .noise import certificate_from_symmetric
-
         certs = [certificate_from_symmetric(d) for d in parsed.query.dists]
         report = concentration.check_dominance(parsed.query, parsed.v, certs)
         exact, bound = report.exact, report.bound
@@ -165,8 +165,8 @@ def _run_lo_check(args: argparse.Namespace) -> int:
 
 
 def _run_gap_verify(args: argparse.Namespace) -> int:
-    gap = gaps.load_gap(args.gap)
-    result = gaps.load_discretization(args.discretization)
+    gap = gaps.parse_gap(read_text(args.gap))
+    result = gaps.parse_discretization(read_text(args.discretization))
     report = gaps.verify_discretization(gap, result)
     print(f"scale={report.scale} smallness={report.smallness} "
           f"sparseness={report.sparseness} covering={report.covering}")
@@ -191,15 +191,12 @@ def _run_net(args: argparse.Namespace) -> int:
 
 
 def _run_classify(args: argparse.Namespace) -> int:
-    with open(args.witness, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    values = tuple(int(t) for t in tokens)
+    lines = content_lines(read_text(args.witness))
+    values = tuple(token(lineno, tok) for lineno, row in lines for tok in row)
     if not values:
         raise ValidationError("witness file is empty")
     n = len(values)
     dist = distribution_from_spec(args.dist)
-    from .config import default_b_exponent
-
     b = args.b_exponent if args.b_exponent is not None else default_b_exponent(1.0, 1.0)
     w = witness.WitnessVector(values=values, norm=0.0, b_exponent=b)
     query = concentration.ConcentrationQuery(dists=(dist,) * n)

@@ -29,8 +29,10 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import ResourceError, ValidationError
-from .noise import BoundednessCertificate, DiscreteDistribution, distribution_from_spec, sample_vector
-from .util import wilson_interval, derive_seed
+from .noise import (
+    BoundednessCertificate, DiscreteDistribution, _as_fraction, distribution_from_spec, sample_vector,
+)
+from .util import content_lines, derive_seed, keyed_lines, token, wilson_interval
 
 DP_STATE_BUDGET = 100_000_000
 AVERAGING_BUDGET = 10_000_000
@@ -330,7 +332,8 @@ def classify_rich(
 
 
 # ---------------------------------------------------------------------------
-# query file format: 'key values...' lines, '#' comments, 0-based indices.
+# query file format: 'key values...' lines, '#' comments, 0-based indices;
+# an unknown or repeated key is rejected.
 #
 #   dist bernoulli          required; one law for all coordinates
 #   v 1 1 2                 required
@@ -348,34 +351,27 @@ class ParsedQuery:
     mu: Fraction | None
 
 
+_QUERY_KEYS = ("dist", "v", "z", "a", "exclude", "mu", "k_exponent")
+_QUERY_SCALARS = {"mu": _as_fraction, "k_exponent": float}
+
+
 def parse_query(text: str) -> ParsedQuery:
-    fields: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        fields[parts[0].lower()] = parts[1:]
+    fields = keyed_lines(content_lines(text), _QUERY_KEYS)
     if "v" not in fields or "dist" not in fields:
         raise ValidationError("query file needs 'dist' and 'v' lines")
-    v = tuple(int(x) for x in fields["v"])
-    dist = distribution_from_spec(" ".join(fields["dist"]))
-    n = len(v)
-    shift = tuple(int(x) for x in fields["z"]) if "z" in fields else None
-    mults = tuple(int(x) for x in fields["a"]) if "a" in fields else None
-    excl = frozenset(int(x) for x in fields.get("exclude", []))
-    k_exp = float(fields["k_exponent"][0]) if "k_exponent" in fields else None
-    mu = Fraction(fields["mu"][0]) if "mu" in fields else None
+    dist = distribution_from_spec(" ".join(fields.pop("dist")[1]))
+    got = {}
+    for key, (lineno, values) in fields.items():
+        if key in _QUERY_SCALARS and len(values) != 1:
+            raise ValidationError(f"line {lineno}: expected '{key} <value>'")
+        got[key] = tuple(token(lineno, x, _QUERY_SCALARS.get(key, int)) for x in values)
+    (k_exp,) = got.get("k_exponent", (None,))
+    (mu,) = got.get("mu", (None,))
     query = ConcentrationQuery(
-        dists=tuple([dist] * n),
-        shift=shift,
-        multipliers=mults,
-        exclusion=excl,
+        dists=tuple([dist] * len(got["v"])),
+        shift=got.get("z"),
+        multipliers=got.get("a"),
+        exclusion=frozenset(got.get("exclude", ())),
         k_exponent=k_exp,
     )
-    return ParsedQuery(query=query, v=v, mu=mu)
-
-
-def load_query(path: str) -> ParsedQuery:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_query(fh.read())
+    return ParsedQuery(query=query, v=got["v"], mu=mu)

@@ -8,10 +8,12 @@ the dataclass exactly (floats travel as repr, tuples as comma lists).
 from __future__ import annotations
 
 import configparser
+import re
 import typing
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError
+from .util import content_lines, read_text, token
 
 KINDS = (
     "tail",
@@ -96,47 +98,63 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 def config_from_text(text: str, kind: str | None = None) -> ExperimentConfig:
     parser = configparser.ConfigParser()
-    parser.read_string(text)
-    sections = parser.sections()
-    if not sections:
-        raise ValidationError("config has no [section]")
-    if kind is None:
-        if len(sections) > 1:
-            raise ValidationError(f"config has several sections {sections}; pick a kind")
-        kind = sections[0]
-    elif kind not in sections:
-        raise ValidationError(f"config has no [{kind}] section (found {sections})")
-    section = parser[kind]
-    kwargs: dict = {"kind": kind}
-    for f in fields(ExperimentConfig):
-        if f.name == "kind" or f.name not in section:
-            continue
-        raw = section[f.name].strip()
-        kwargs[f.name] = _parse_field(f.name, raw)
+    try:
+        parser.read_string(text)
+        sections = parser.sections()
+        if not sections:
+            raise ValidationError("config has no [section]")
+        if kind is None:
+            if len(sections) > 1:
+                raise ValidationError(f"config has several sections {sections}; pick a kind")
+            kind = sections[0]
+        elif kind not in sections:
+            raise ValidationError(f"config has no [{kind}] section (found {sections})")
+        section = dict(parser[kind])  # interpolates every value
+    except configparser.Error as exc:
+        raise ValidationError(str(exc)) from None
     unknown = set(section) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    lines = _key_lines(text, kind)
+    kwargs: dict = {"kind": kind}
+    for f in fields(ExperimentConfig):
+        if f.name != "kind" and f.name in section:
+            kwargs[f.name] = _parse_field(f.name, section[f.name].strip(), lines.get(f.name))
     return ExperimentConfig(**kwargs)
 
 
-def _parse_field(name: str, raw: str):
+def _key_lines(text: str, kind: str) -> dict[str, int]:
+    """The line of each key that section [kind] reads: its own, else the
+    [DEFAULT] one (configparser keeps no line numbers)."""
+    out: dict[str, int] = {}
+    section = None
+    for lineno, (head, *_) in content_lines(text):
+        if head.startswith("["):
+            section = head[1:].partition("]")[0]
+        elif section in (kind, configparser.DEFAULTSECT):
+            key = re.split("[=:]", head)[0].lower()
+            out[key] = lineno if section == kind else out.get(key, lineno)
+    return out
+
+
+def _parse_field(name: str, raw: str, lineno: int | None):
     """The value of field `name` parsed from raw by its annotated type."""
     kind = _FIELD_TYPES[name]
     if kind in (tuple[int, ...], tuple[float, ...]):
-        return tuple(typing.get_args(kind)[0](tok) for tok in raw.replace(",", " ").split())
+        convert = typing.get_args(kind)[0]
+        return tuple(token(lineno, tok, convert) for tok in raw.replace(",", " ").split())
     if kind is bool:
         low = raw.lower()
         if low not in ("true", "false"):
-            raise ValidationError(f"{name} must be true or false, got {raw!r}")
+            raise ValidationError(f"line {lineno}: {name} must be true or false, got {raw!r}")
         return low == "true"
     if kind in (int, float):
-        return kind(raw)
+        return token(lineno, raw, kind)
     return raw
 
 
 def load_config(path: str, kind: str | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_text(fh.read(), kind=kind)
+    return config_from_text(read_text(path), kind=kind)
 
 
 def save_config(path: str, cfg: ExperimentConfig) -> None:

@@ -23,6 +23,7 @@ from typing import Sequence
 from .concentration import cosine_average
 from .errors import ConstructionError, ResourceError, ValidationError
 from .noise import _as_fraction
+from .util import content_lines, keyed_lines, token
 
 logger = logging.getLogger("perturblab.gaps")
 
@@ -339,18 +340,17 @@ def inverse_lo_search(
     if not (0.0 < mu_f <= 0.5):
         raise ValidationError(f"mu = {mu_f} outside (0, 1/2]")
     hyp_value = cosine_average(v, mu_f)
-    threshold = float(n) ** (-float(a_exponent))
-    if hyp_value < threshold:
-        return SearchOutcome(
-            found=None, hypothesis_holds=False, hypothesis_value=hyp_value,
-            counterexample_candidate=False,
-        )
+
+    def outcome(found: GapCover | None, holds: bool = True, candidate: bool = False) -> SearchOutcome:
+        return SearchOutcome(found=found, hypothesis_holds=holds, hypothesis_value=hyp_value,
+                             counterexample_candidate=candidate)
+
+    if hyp_value < float(n) ** (-float(a_exponent)):
+        return outcome(None, holds=False)
 
     nonzero = sorted({abs(x) for x in v if x != 0})
     if not nonzero:
-        cover = GapCover(gap=Gap((Fraction(1),), (0,)), excluded=frozenset(), multiplier_s=1)
-        return SearchOutcome(found=cover, hypothesis_holds=True,
-                             hypothesis_value=hyp_value, counterexample_candidate=False)
+        return outcome(GapCover(gap=Gap((Fraction(1),), (0,)), excluded=frozenset(), multiplier_s=1))
 
     n_max = (volume_cap - 1) // 2
     work = 0
@@ -378,9 +378,7 @@ def inverse_lo_search(
             hit = rank1_try(u)
             if hit is not None:
                 excluded, radius = hit
-                cover = GapCover(gap=Gap((u,), (radius,)), excluded=excluded, multiplier_s=s)
-                return SearchOutcome(found=cover, hypothesis_holds=True,
-                                     hypothesis_value=hyp_value, counterexample_candidate=False)
+                return outcome(GapCover(gap=Gap((u,), (radius,)), excluded=excluded, multiplier_s=s))
         if rank_cap >= 2:
             dim_pairs = [
                 (n1, n2)
@@ -401,20 +399,14 @@ def inverse_lo_search(
                         if len(misses) > except_cap:
                             break
                     if len(misses) <= except_cap:
-                        cover = GapCover(gap=gap, excluded=frozenset(misses), multiplier_s=s)
-                        return SearchOutcome(found=cover, hypothesis_holds=True,
-                                             hypothesis_value=hyp_value,
-                                             counterexample_candidate=False)
+                        return outcome(GapCover(gap=gap, excluded=frozenset(misses), multiplier_s=s))
 
     logger.warning(
         "counterexample candidate: concentration %.3e >= n^-%s but no rank<=%d cover "
         "of volume <= %d found for v=%s",
         hyp_value, a_exponent, rank_cap, volume_cap, v,
     )
-    return SearchOutcome(
-        found=None, hypothesis_holds=True, hypothesis_value=hyp_value,
-        counterexample_candidate=True,
-    )
+    return outcome(None, candidate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -432,100 +424,71 @@ def inverse_lo_search(
 
 
 def parse_gap(text: str) -> Gap:
-    lines = _content_lines(text)
-    return _gap_from_lines(lines, 0)[0]
+    lines = list(content_lines(text))
+    gap, end = _gap_from_lines(lines, 0)
+    if end < len(lines):
+        raise ValidationError(f"line {lines[end][0]}: text after the rank-{gap.rank} progression")
+    return gap
 
 
-def _content_lines(text: str) -> list[list[str]]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line.split())
-    return out
-
-
-def _gap_from_lines(lines: list[list[str]], start: int) -> tuple[Gap, int]:
-    header = lines[start]
-    if header[0].lower() != "rank" or len(header) != 2:
-        raise ValidationError(f"expected 'rank d' header, got {' '.join(header)!r}")
-    rank = int(header[1])
-    gens = []
-    dims = []
-    for row in lines[start + 1 : start + 1 + rank]:
+def _gap_from_lines(lines: list[tuple[int, list[str]]], start: int, tag: str = "") -> tuple[Gap, int]:
+    """The progression whose '[tag] rank d' header is lines[start], and the
+    index of the line after its d 'generator dim' lines."""
+    want = f"{tag} rank d".strip()
+    if start >= len(lines):
+        raise ValidationError(f"missing '{want}' header")
+    lineno, header = lines[start]
+    if [h.lower() for h in header[:-1]] != want.split()[:-1]:
+        raise ValidationError(f"line {lineno}: expected '{want}' header, got {' '.join(header)!r}")
+    rank = token(lineno, header[-1])
+    rows = lines[start + 1 : start + 1 + rank]
+    if len(rows) != rank:
+        raise ValidationError(f"line {lineno}: rank {rank} declared but {len(rows)} generator lines found")
+    gens, dims = [], []
+    for lineno, row in rows:
         if len(row) != 2:
-            raise ValidationError(f"expected 'generator dim', got {' '.join(row)!r}")
-        gens.append(_as_fraction(row[0]))
-        dims.append(int(row[1]))
-    if len(gens) != rank:
-        raise ValidationError(f"rank {rank} declared but {len(gens)} generator lines found")
+            raise ValidationError(f"line {lineno}: expected 'generator dim', got {' '.join(row)!r}")
+        gens.append(token(lineno, row[0], _as_fraction))
+        dims.append(token(lineno, row[1]))
     return Gap(tuple(gens), tuple(dims)), start + 1 + rank
 
 
-def load_gap(path: str) -> Gap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_gap(fh.read())
-
-
 def format_gap(g: Gap) -> str:
-    lines = [f"rank {g.rank}"]
-    for gen, d in zip(g.generators, g.dims):
-        lines.append(f"{gen} {d}")
-    return "\n".join(lines) + "\n"
+    return f"rank {g.rank}\n" + "".join(f"{gen} {d}\n" for gen, d in zip(g.generators, g.dims))
+
+
+_SCALARS = ("R", "S", "R0", "D")
+_BLOCKS = ("small", "sparse")
 
 
 def parse_discretization(text: str) -> DiscretizationResult:
-    lines = _content_lines(text)
-    scalars: dict[str, str] = {}
-    i = 0
-    while i < len(lines) and lines[i][0].lower() not in ("small", "sparse"):
-        if len(lines[i]) != 2:
-            raise ValidationError(f"expected 'key value', got {' '.join(lines[i])!r}")
-        scalars[lines[i][0].upper()] = lines[i][1]
-        i += 1
-    parts: dict[str, Gap] = {}
+    lines = list(content_lines(text))
+    i = next((k for k, (_, row) in enumerate(lines) if row[0].lower() in _BLOCKS), len(lines))
+    scalars = {}
+    for key, (lineno, values) in keyed_lines(lines[:i], _SCALARS).items():
+        if len(values) != 1:
+            raise ValidationError(f"line {lineno}: expected '{key} value'")
+        scalars[key] = token(lineno, values[0], _as_fraction if key == "R" else int)
+    blocks: dict[str, Gap] = {}
     while i < len(lines):
-        row = lines[i]
+        lineno, row = lines[i]
         tag = row[0].lower()
-        if tag not in ("small", "sparse") or len(row) != 3 or row[1].lower() != "rank":
-            raise ValidationError(f"expected a 'small rank d' or 'sparse rank d' header, got {' '.join(row)!r}")
-        rank = int(row[2])
-        gens, dims = [], []
-        for r2 in lines[i + 1 : i + 1 + rank]:
-            if len(r2) != 2:
-                raise ValidationError(f"expected 'generator dim', got {' '.join(r2)!r}")
-            gens.append(_as_fraction(r2[0]))
-            dims.append(int(r2[1]))
-        if len(gens) != rank:
-            raise ValidationError(f"{tag} block declares rank {rank} but has {len(gens)} lines")
-        parts[tag] = Gap(tuple(gens), tuple(dims))
-        i += 1 + rank
-    for key in ("R", "S", "R0", "D"):
-        if key not in scalars:
-            raise ValidationError(f"missing scalar {key} in discretization file")
-    if "small" not in parts or "sparse" not in parts:
-        raise ValidationError("discretization file needs both small and sparse blocks")
+        if tag not in _BLOCKS or tag in blocks:
+            raise ValidationError(f"line {lineno}: expected a new 'small rank d' or 'sparse rank d' header")
+        blocks[tag], i = _gap_from_lines(lines, i, tag)
+    missing = [key for key in _SCALARS + _BLOCKS if key not in scalars and key not in blocks]
+    if missing:
+        raise ValidationError(f"discretization file lacks {', '.join(missing)}")
     return DiscretizationResult(
-        p_small=parts["small"],
-        p_sparse=parts["sparse"],
-        scale_R=_as_fraction(scalars["R"]),
-        S=int(scalars["S"]),
-        R0=int(scalars["R0"]),
-        d_exponent=int(scalars["D"]),
+        p_small=blocks["small"],
+        p_sparse=blocks["sparse"],
+        scale_R=scalars["R"],
+        S=scalars["S"],
+        R0=scalars["R0"],
+        d_exponent=scalars["D"],
     )
 
 
-def load_discretization(path: str) -> DiscretizationResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_discretization(fh.read())
-
-
 def format_discretization(r: DiscretizationResult) -> str:
-    lines = [f"R {r.scale_R}", f"S {r.S}", f"R0 {r.R0}", f"D {r.d_exponent}"]
-    lines.append(f"small rank {r.p_small.rank}")
-    for gen, d in zip(r.p_small.generators, r.p_small.dims):
-        lines.append(f"{gen} {d}")
-    lines.append(f"sparse rank {r.p_sparse.rank}")
-    for gen, d in zip(r.p_sparse.generators, r.p_sparse.dims):
-        lines.append(f"{gen} {d}")
-    return "\n".join(lines) + "\n"
+    header = f"R {r.scale_R}\nS {r.S}\nR0 {r.R0}\nD {r.d_exponent}\n"
+    return f"{header}small {format_gap(r.p_small)}sparse {format_gap(r.p_sparse)}"

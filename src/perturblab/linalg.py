@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
+from .util import content_lines, read_text, token
 from . import rational
 
 _INT64_SAFE = 2**62
@@ -336,23 +337,18 @@ def matrix_from_spec(spec: str, n: int, c_exponent: float | None = None) -> Inte
 
 
 def load_integer_matrix(path: str, entry_bound: int | None = None) -> IntegerMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens_by_line = [
-            line.split("#", 1)[0].split() for line in fh if line.split("#", 1)[0].strip()
-        ]
-    if not tokens_by_line:
-        raise ValidationError(f"{path}: empty matrix file")
-    try:
-        n = int(tokens_by_line[0][0])
-    except (IndexError, ValueError):
-        raise ValidationError(f"{path}: first line must be the matrix size") from None
-    flat = [tok for line in tokens_by_line[1:] for tok in line]
-    if len(flat) != n * n:
-        raise ValidationError(f"{path}: expected {n * n} entries, found {len(flat)}")
-    try:
-        values = [int(tok) for tok in flat]
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-integer entry ({exc})") from None
+    lines = list(content_lines(read_text(path)))
+    if not lines or len(lines[0][1]) != 1:
+        raise ValidationError(f"{path}: the first line must be the matrix size n")
+    (first, (size,)), *rows = lines
+    n = token(first, size)
+    if n < 1:
+        raise ValidationError(f"{path}: line {first}: matrix size {n} < 1")
+    values = [token(lineno, tok) for lineno, row in rows for tok in row]
+    if len(values) != n * n:
+        raise ValidationError(f"{path}: expected {n * n} entries, found {len(values)}")
+    if any(not -(2**63) <= v < 2**63 for v in values):
+        raise ValidationError(f"{path}: an entry overflows the 64-bit range")
     arr = np.array(values, dtype=np.int64).reshape(n, n)
     m = IntegerMatrix(arr, entry_bound=entry_bound or 0)
     if entry_bound is not None and int(np.max(np.abs(arr))) > entry_bound:

@@ -26,6 +26,7 @@ import mpmath
 import numpy as np
 
 from .errors import ValidationError
+from .util import content_lines, read_text, token
 
 _INT64_MAX = 2**63 - 1
 
@@ -44,7 +45,10 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"cannot interpret {x!r} as an exact rational") from None
     if isinstance(x, float):
         return Fraction(x)
     raise ValidationError(f"cannot interpret {x!r} as an exact rational")
@@ -121,17 +125,17 @@ class DiscreteDistribution:
         return self.name
 
 
-def char_magnitude(dist: DiscreteDistribution, t: float) -> float:
-    """|E exp(2 pi i xi t)| at a real point t."""
-    t = float(t)
-    re = 0.0
-    im = 0.0
+def char_magnitude(dist: DiscreteDistribution, t: float | np.ndarray) -> float | np.ndarray:
+    """|E exp(2 pi i xi t)| at real t, a point or an array of points."""
+    t = np.asarray(t, dtype=float)
+    re = np.zeros_like(t)
+    im = np.zeros_like(t)
     for value, prob in dist.atoms:
         angle = 2.0 * math.pi * value * t
         p = float(prob)
-        re += p * math.cos(angle)
-        im += p * math.sin(angle)
-    return math.hypot(re, im)
+        re += p * np.cos(angle)
+        im += p * np.sin(angle)
+    return np.hypot(re, im)
 
 
 @dataclass(frozen=True)
@@ -183,15 +187,10 @@ def verify_certificate(
         raise ValidationError(
             f"grid_size {grid_size} below Nyquist-style minimum {min_grid}"
         )
-    one_minus_mu = 1.0 - float(cert.mu)
     mu = float(cert.mu)
-    worst = math.inf
-    for j in range(grid_size):
-        t = j / grid_size
-        envelope = one_minus_mu + mu * math.cos(2.0 * math.pi * cert.k * t)
-        slack = envelope - char_magnitude(dist, t)
-        if slack < worst:
-            worst = slack
+    t = np.arange(grid_size) / grid_size
+    envelope = (1.0 - mu) + mu * np.cos(2.0 * math.pi * cert.k * t)
+    worst = float(np.min(envelope - char_magnitude(dist, t)))
     return CertificateCheck(ok=worst >= -GRID_TOLERANCE, worst_margin=worst, grid_size=grid_size)
 
 
@@ -242,15 +241,10 @@ def symmetric_chain_margins(
     eps = float(dist.probability_of(s))
     if eps <= 0:
         raise ValidationError(f"no mass at s = {s}")
-    worst1 = math.inf
-    worst2 = math.inf
-    for j in range(grid_size):
-        t = j / grid_size
-        mid = (1.0 - 2.0 * eps) + abs(2.0 * eps * math.cos(2.0 * math.pi * s * t))
-        top = (1.0 - eps / 2.0) + (eps / 2.0) * math.cos(4.0 * math.pi * s * t)
-        worst1 = min(worst1, mid - char_magnitude(dist, t))
-        worst2 = min(worst2, top - mid)
-    return worst1, worst2
+    t = np.arange(grid_size) / grid_size
+    mid = (1.0 - 2.0 * eps) + np.abs(2.0 * eps * np.cos(2.0 * math.pi * s * t))
+    top = (1.0 - eps / 2.0) + (eps / 2.0) * np.cos(4.0 * math.pi * s * t)
+    return float(np.min(mid - char_magnitude(dist, t))), float(np.min(top - mid))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +342,7 @@ def distribution_from_spec(spec: str) -> DiscreteDistribution:
     if head == "discretized_gaussian":
         return discretized_gaussian(int(arg) if arg else 8)
     if head == "file":
-        return load_distribution(arg)
+        return parse_distribution(read_text(arg), name=arg)
     raise ValidationError(f"unknown noise spec {spec!r}")
 
 
@@ -391,23 +385,10 @@ def sample_iid_matrix(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarr
 
 def parse_distribution(text: str, name: str = "custom") -> DiscreteDistribution:
     atoms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in content_lines(text):
         if len(parts) != 2:
-            raise ValidationError(f"line {lineno}: expected 'value probability', got {raw!r}")
-        try:
-            value = int(parts[0])
-        except ValueError:
-            raise ValidationError(f"line {lineno}: bad integer {parts[0]!r}") from None
-        atoms.append((value, _as_fraction(parts[1])))
+            raise ValidationError(f"line {lineno}: expected 'value probability', got {' '.join(parts)!r}")
+        atoms.append((token(lineno, parts[0]), token(lineno, parts[1], _as_fraction)))
     if not atoms:
         raise ValidationError("no atoms in distribution text")
     return DiscreteDistribution(name, tuple(atoms))
-
-
-def load_distribution(path: str) -> DiscreteDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_distribution(fh.read(), name=path)

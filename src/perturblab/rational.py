@@ -69,6 +69,18 @@ def determinant(matrix) -> int:
     return sign * red[n - 1][n - 1]
 
 
+def _back_substitute(red: list[list[int]], n: int, col: int) -> list[Fraction]:
+    """Solve the upper triangular system in the first n columns of the
+    reduced rows against their column `col`."""
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = Fraction(red[i][col])
+        for j in range(i + 1, n):
+            acc -= red[i][j] * x[j]
+        x[i] = acc / red[i][i]
+    return x
+
+
 def solve_exact(matrix, rhs: Sequence) -> list[Fraction] | None:
     """Solve A x = b exactly; returns None when A is singular."""
     rows = _to_int_rows(matrix)
@@ -82,13 +94,7 @@ def solve_exact(matrix, rhs: Sequence) -> list[Fraction] | None:
     sign, red = _bareiss(aug, n)
     if sign == 0:
         return None
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(red[i][n])
-        for j in range(i + 1, n):
-            acc -= red[i][j] * x[j]
-        x[i] = acc / red[i][i]
-    return [v / denom for v in x]
+    return [v / denom for v in _back_substitute(red, n, n)]
 
 
 def invert_exact(matrix) -> list[list[Fraction]]:
@@ -99,14 +105,5 @@ def invert_exact(matrix) -> list[list[Fraction]]:
     sign, red = _bareiss(aug, n)
     if sign == 0:
         raise ValidationError("matrix is singular, no inverse")
-    inv: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    for col in range(n):
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            acc = Fraction(red[i][n + col])
-            for j in range(i + 1, n):
-                acc -= red[i][j] * x[j]
-            x[i] = acc / red[i][i]
-        for i in range(n):
-            inv[i][col] = x[i]
-    return inv
+    columns = [_back_substitute(red, n, n + col) for col in range(n)]
+    return [list(row) for row in zip(*columns)]

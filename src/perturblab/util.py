@@ -1,9 +1,15 @@
-"""Small shared helpers: confidence intervals and seed derivation."""
+"""Small shared helpers: confidence intervals, seed derivation, and the
+one reader behind every line-based text format."""
 
 from __future__ import annotations
 
 import hashlib
 import math
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+from .errors import ValidationError
+
+T = TypeVar("T")
 
 # two-sided 99% normal quantile
 Z_99 = 2.5758293035489004
@@ -35,3 +41,50 @@ def derive_seed(master_seed: int, *parts) -> int:
         h.update(b"/")
         h.update(str(part).encode())
     return int.from_bytes(h.digest(), "big")
+
+
+# ---------------------------------------------------------------------------
+# the line-based text formats: '#' starts a comment, blank lines are skipped,
+# and a missing file or a malformed token is a ValidationError
+
+
+def read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot read {path!r}: {reason}") from None
+
+
+def content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number from 1, tokens) of every line with tokens before its '#'."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if tokens := raw.split("#", 1)[0].split():
+            yield lineno, tokens
+
+
+def token(lineno: int, tok: str, convert: Callable[[str], T] = int) -> T:
+    """tok converted by int, float or noise._as_fraction (exact rationals);
+    a token it rejects is a ValidationError naming the line."""
+    try:
+        return convert(tok)
+    except (ValueError, ZeroDivisionError, ValidationError):
+        kind = {int: "an integer", float: "a number"}.get(convert, "a rational")
+        raise ValidationError(f"line {lineno}: expected {kind}, got {tok!r}") from None
+
+
+def keyed_lines(
+    lines: Iterable[tuple[int, list[str]]], known: Sequence[str]
+) -> dict[str, tuple[int, list[str]]]:
+    """(line number, values) of 'key values...' lines by key, keys matched to
+    `known` ignoring case; an unknown or repeated key is a ValidationError."""
+    names = {k.lower(): k for k in known}
+    out: dict[str, tuple[int, list[str]]] = {}
+    for lineno, (head, *values) in lines:
+        key = names.get(head.lower())
+        if key is None or key in out:
+            why = "repeated" if key else f"unknown (known: {', '.join(known)})"
+            raise ValidationError(f"line {lineno}: key {head!r} {why}")
+        out[key] = (lineno, values)
+    return out

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's own code paths:
 concentration by direct enumeration of all noise outcomes, the cosine
 product integral by adaptive quadrature, determinants by cofactor
-expansion, and the normal law by mpmath's ncdf.  The scalar sampler and
-the Jacobi SVD below are the straightforward loops that the vectorized
-library versions must reproduce bit for bit.  Slow and simple on
+expansion, and the normal law by mpmath's ncdf.  The scalar sampler, the
+Jacobi SVD and the scalar Fourier-side grid checks below are the
+straightforward loops that the vectorized library versions must
+reproduce bit for bit.  Slow and simple on
 purpose; the tests compare the fast implementations against these.
 """
 
@@ -173,3 +174,41 @@ def jacobi_svd(a, max_sweeps=60, pair_tol=1e-14, column_floor2=1e-200):
             return tuple(float(x) for x in sigma), math.sqrt(off2) / frob2, True
     sigma = np.sort(np.linalg.norm(a, axis=0))[::-1]
     return tuple(float(x) for x in sigma), math.sqrt(off2) / frob2, False
+
+
+def scalar_char_magnitude(dist, t):
+    """|E exp(2 pi i xi t)| at one point, summed atom by atom."""
+    re = 0.0
+    im = 0.0
+    for value, prob in dist.atoms:
+        angle = 2.0 * math.pi * value * t
+        p = float(prob)
+        re += p * math.cos(angle)
+        im += p * math.sin(angle)
+    return math.hypot(re, im)
+
+
+def scalar_certificate_margin(dist, mu, k, grid_size):
+    """Least slack of the envelope (1 - mu) + mu cos(2 pi k t) over |phi(t)|
+    on t = j / grid_size, one point at a time."""
+    worst = math.inf
+    for j in range(grid_size):
+        t = j / grid_size
+        envelope = (1.0 - mu) + mu * math.cos(2.0 * math.pi * k * t)
+        worst = min(worst, envelope - scalar_char_magnitude(dist, t))
+    return worst
+
+
+def scalar_chain_margins(dist, s, grid_size):
+    """Least slack of each step of the symmetric certificate chain on
+    t = j / grid_size, one point at a time."""
+    eps = float(dist.probability_of(s))
+    worst1 = math.inf
+    worst2 = math.inf
+    for j in range(grid_size):
+        t = j / grid_size
+        mid = (1.0 - 2.0 * eps) + abs(2.0 * eps * math.cos(2.0 * math.pi * s * t))
+        top = (1.0 - eps / 2.0) + (eps / 2.0) * math.cos(4.0 * math.pi * s * t)
+        worst1 = min(worst1, mid - scalar_char_magnitude(dist, t))
+        worst2 = min(worst2, top - mid)
+    return worst1, worst2

@@ -141,7 +141,7 @@ def test_criterion_05_gaussian_tail_slope(capsys):
     with criterion(capsys, 5, "gaussian inverse-norm tail slope in [-1.3, -0.7]"):
         t0 = time.time()
         cfg = ExperimentConfig(
-            kind="tail", sizes=(50,), trials=2000, seed=505, noise="gaussian", threads=8
+            kind="tail", sizes=(50,), trials=2000, seed=505, noise="gaussian", threads=1
         )
         slope = tail_curve(cfg).curves[50].slope
         assert slope is not None
@@ -162,7 +162,7 @@ def test_criterion_06_discrete_condition_tail(capsys):
             matrix="graded_diagonal",
             c_exponent=1.0,
             b_grid=(5.0,),
-            threads=8,
+            threads=1,
         )
         row = condition_tail(cfg).tables[100][0]
         assert row.b == 5.0

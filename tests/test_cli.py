@@ -317,3 +317,80 @@ def test_same_seed_same_output(tmp_path, capsys):
     run(capsys, "tail", "--sizes", "6", "--trials", "100", "--seed", "7",
         "--threads", "4", "--out", str(b))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+# ------------------------------------------------------------- input formats
+
+# the command that reads each line-based format from {path}
+READERS = {
+    "distribution": ["singularity", "--n", "2", "--dist", "file:{path}"],
+    "matrix": ["cond-tail", "--sizes", "2", "--trials", "1", "--matrix", "file:{path}"],
+    "query": ["lo-check", "{path}"],
+    "gap": ["gap-verify", "{path}", "{disc}"],
+    "discretization": ["gap-verify", "{gap}", "{path}"],
+    "witness": ["classify", "{path}"],
+    "config": ["tail", "--config", "{path}"],
+}
+
+# malformed input: (format, text, the line the error must name)
+MALFORMED = {
+    "distribution-token": ("distribution", "-1 1/2\n# comment\n1 x\n", 3),
+    "distribution-zero-denominator": ("distribution", "-1 1/2\n1 1/0\n", 2),
+    "matrix-token": ("matrix", "2\n1 2\n3 x\n", 3),
+    "query-token": ("query", "dist bernoulli\nv 1 x 2\n", 2),
+    "query-unknown-key": ("query", "dist bernoulli\nv 1 2\nexclud 1\n", 3),
+    "query-repeated-key": ("query", "dist bernoulli\nv 1 2\nmu 1/4\nv 2 2\n", 4),
+    "gap-token": ("gap", "# progression\nrank x\n3 40\n", 2),
+    "gap-trailing-line": ("gap", "rank 1\n3 40\n5 2\n", 3),
+    "discretization-token": ("discretization", DISC_TEXT.replace("S 2", "S x"), 2),
+    "witness-token": ("witness", "1 2 3\n4 x 6\n", 2),
+    "config-token": ("config", "[tail]\ntrials = abc\n", 2),
+}
+
+
+def _read(capsys, tmp_path, fmt, path):
+    gap = tmp_path / "gap.txt"
+    gap.write_text(GAP_TEXT)
+    disc = tmp_path / "disc.txt"
+    disc.write_text(DISC_TEXT)
+    return run(capsys, *(arg.format(path=path, gap=gap, disc=disc) for arg in READERS[fmt]))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_naming_its_line(case, tmp_path, capsys):
+    fmt, text, lineno = MALFORMED[case]
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, _, err = _read(capsys, tmp_path, fmt, path)
+    assert code == 2
+    assert err.startswith("error:")
+    assert f"line {lineno}:" in err
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_missing_input_file_exits_2(fmt, tmp_path, capsys):
+    code, _, err = _read(capsys, tmp_path, fmt, tmp_path / "no-such-file.txt")
+    assert code == 2
+    assert err.startswith("error:") and "no-such-file.txt" in err
+
+
+def test_empty_gap_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("# nothing but a comment\n\n")
+    code, _, err = _read(capsys, tmp_path, "gap", path)
+    assert code == 2
+    assert "rank d" in err
+
+
+def test_classify_witness_with_comments(tmp_path, capsys):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("1 2 3 4 5 6 7 8\n")
+    commented = tmp_path / "commented.txt"
+    commented.write_text("# an arithmetic progression\n1 2 3 4  # first half\n\n5 6 7 8\n")
+    outs = []
+    for path in (plain, commented):
+        code, out, _ = run(capsys, "classify", str(path), "--a-exponent", "4.0")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "class = RICH_SINGULAR" in outs[1]

@@ -337,6 +337,6 @@ def test_load_helpers(tmp_path):
     g = Gap(generators=(Fraction(7),), dims=(3,))
     gp = tmp_path / "g.txt"
     gp.write_text(format_gap(g))
-    from perturblab import load_gap
+    from perturblab import read_text
 
-    assert load_gap(str(gp)) == g
+    assert parse_gap(read_text(str(gp))) == g

@@ -22,7 +22,7 @@ from perturblab import (
     symmetric_discretization,
     verify_certificate,
 )
-from perturblab.noise import symmetric_chain_margins
+from perturblab.noise import GRID_TOLERANCE, symmetric_chain_margins
 
 import oracles
 
@@ -262,6 +262,33 @@ def test_two_step_chain_gaussian():
     m1, m2 = symmetric_chain_margins(discretized_gaussian(), 1, grid_size=4096)
     assert m1 >= -1e-12
     assert m2 >= -1e-12
+
+
+FIVE_LAWS = (
+    bernoulli(),
+    lazy_coin(Fraction(1, 2)),
+    lazy_coin(Fraction(1, 10)),
+    discretized_gaussian(),
+    symmetric_discretization([(Fraction(-3, 2), Fraction(1, 4)), (0, Fraction(1, 2)),
+                              (Fraction(3, 2), Fraction(1, 4))]),
+)
+
+
+@pytest.mark.parametrize("law", FIVE_LAWS, ids=str)
+def test_fourier_grid_equals_scalar_loop(law):
+    # one vectorized grid, the same floats as the point-by-point loop
+    n = 4096
+    grid = char_magnitude(law, np.arange(n) / n)
+    assert grid.tolist() == [oracles.scalar_char_magnitude(law, j / n) for j in range(n)]
+    sound = certificate_from_symmetric(law)
+    overtight = BoundednessCertificate(mu=Fraction(49, 100), k=2, d_bound=2)  # fails for the first four laws
+    for cert in (sound, overtight):
+        check = verify_certificate(law, cert, grid_size=n)
+        worst = oracles.scalar_certificate_margin(law, float(cert.mu), cert.k, n)
+        assert check.worst_margin == worst
+        assert check.ok == (worst >= -GRID_TOLERANCE)
+    s = sound.k // 2
+    assert symmetric_chain_margins(law, s, n) == oracles.scalar_chain_margins(law, s, n)
 
 
 @given(

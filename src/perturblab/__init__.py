@@ -68,7 +68,6 @@ from .linalg import (
     perturb,
     save_integer_matrix,
     svd,
-    worst_case_generator,
 )
 from .noise import (
     BoundednessCertificate,
@@ -80,7 +79,6 @@ from .noise import (
     discretized_gaussian,
     distribution_from_spec,
     lazy_coin,
-    make_standard,
     parse_distribution,
     sample_iid_matrix,
     sample_vector,

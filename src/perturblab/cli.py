@@ -6,7 +6,8 @@ overrides, run, and write <out>.csv (per-trial records) plus <out>.json
 classify) operate on small text inputs and print their results.
 
 Exit codes: 0 success, 1 a check failed, 2 invalid input (a missing file,
-or a malformed token, named by its line), 3 resource budget exceeded.
+a malformed token named by its file and line, or a malformed spec string),
+3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .config import ExperimentConfig, default_b_exponent, load_config
 from .errors import PerturbLabError, ResourceError, ValidationError
 from .noise import certificate_from_symmetric, distribution_from_spec
 from .records import format_summary_json, write_records_csv, write_summary_json
-from .util import content_lines, read_text, token
+from .util import content_lines, parse_file, token
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
@@ -81,53 +82,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("tail", "exceedance curve of the inverse norm"),
-        ("cond-tail", "P(kappa >= n^B) over a grid of B"),
-        ("ge-check", "elimination error against the exact rational solve"),
-        ("minors", "condition numbers of all leading principal minors"),
-        ("frozen", "condition tail with frozen entries vs the unmasked run"),
+    for name, runner, help_text in (
+        ("tail", experiments.tail_curve, "exceedance curve of the inverse norm"),
+        ("cond-tail", experiments.condition_tail, "P(kappa >= n^B) over a grid of B"),
+        ("ge-check", experiments.ge_error_experiment,
+         "elimination error against the exact rational solve"),
+        ("minors", experiments.minors_experiment, "condition numbers of all leading principal minors"),
+        ("frozen", experiments.frozen_entries_experiment,
+         "condition tail with frozen entries vs the unmasked run"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_experiment_flags(p)
+        p.set_defaults(run=_run_experiment, runner=runner)
 
     p = sub.add_parser("singularity", help="exact P(det = 0) by enumeration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", default="bernoulli")
     p.add_argument("--order", choices=["rows", "cols", "both"], default="both")
+    p.set_defaults(run=_run_singularity)
 
     p = sub.add_parser("lo-check", help="exact concentration vs its cosine product bound")
     p.add_argument("query", help="query file: dist/v/z/a/mu lines")
+    p.set_defaults(run=_run_lo_check)
 
     p = sub.add_parser("gap-verify", help="check a discretization against its progression")
     p.add_argument("gap", help="progression file")
     p.add_argument("discretization", help="discretization file")
+    p.set_defaults(run=_run_gap_verify)
 
     p = sub.add_parser("net", help="build a separated covering net on the unit sphere")
     p.add_argument("--dimension", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--seed", type=int, default=20260818)
     p.add_argument("--out", help="points CSV path (default: stdout)")
+    p.set_defaults(run=_run_net)
 
     p = sub.add_parser("classify", help="rich/poor and singular/nonsingular label for a witness")
     p.add_argument("witness", help="file of whitespace separated integers, '#' comments")
     p.add_argument("--dist", default="bernoulli")
     p.add_argument("--a-exponent", dest="a_exponent", type=float, default=1.0)
     p.add_argument("--b-exponent", dest="b_exponent", type=float, default=None)
+    p.set_defaults(run=_run_classify)
     return parser
 
 
 def _run_experiment(args: argparse.Namespace) -> int:
-    kind = args.command
-    cfg = _resolve_config(args, kind)
-    runner = {
-        "tail": experiments.tail_curve,
-        "cond-tail": experiments.condition_tail,
-        "ge-check": experiments.ge_error_experiment,
-        "minors": experiments.minors_experiment,
-        "frozen": experiments.frozen_entries_experiment,
-    }[kind]
-    _emit(runner(cfg), cfg)
+    cfg = _resolve_config(args, args.command)
+    _emit(args.runner(cfg), cfg)
     return 0
 
 
@@ -148,7 +149,7 @@ def _run_singularity(args: argparse.Namespace) -> int:
 
 
 def _run_lo_check(args: argparse.Namespace) -> int:
-    parsed = concentration.parse_query(read_text(args.query))
+    parsed = parse_file(args.query, concentration.parse_query)
     if parsed.mu is not None:
         exact = concentration.exact_concentration(parsed.query, parsed.v).sup
         bound = concentration.fourier_bound(parsed.query, parsed.v, parsed.mu)
@@ -165,8 +166,8 @@ def _run_lo_check(args: argparse.Namespace) -> int:
 
 
 def _run_gap_verify(args: argparse.Namespace) -> int:
-    gap = gaps.parse_gap(read_text(args.gap))
-    result = gaps.parse_discretization(read_text(args.discretization))
+    gap = parse_file(args.gap, gaps.parse_gap)
+    result = parse_file(args.discretization, gaps.parse_discretization)
     report = gaps.verify_discretization(gap, result)
     print(f"scale={report.scale} smallness={report.smallness} "
           f"sparseness={report.sparseness} covering={report.covering}")
@@ -191,8 +192,9 @@ def _run_net(args: argparse.Namespace) -> int:
 
 
 def _run_classify(args: argparse.Namespace) -> int:
-    lines = content_lines(read_text(args.witness))
-    values = tuple(token(lineno, tok) for lineno, row in lines for tok in row)
+    values = parse_file(args.witness, lambda text: tuple(
+        token(lineno, tok) for lineno, row in content_lines(text) for tok in row
+    ))
     if not values:
         raise ValidationError("witness file is empty")
     n = len(values)
@@ -211,19 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("tail", "cond-tail", "ge-check", "minors", "frozen"):
-            return _run_experiment(args)
-        if args.command == "singularity":
-            return _run_singularity(args)
-        if args.command == "lo-check":
-            return _run_lo_check(args)
-        if args.command == "gap-verify":
-            return _run_gap_verify(args)
-        if args.command == "net":
-            return _run_net(args)
-        if args.command == "classify":
-            return _run_classify(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -233,7 +223,6 @@ def main(argv: list[str] | None = None) -> int:
     except PerturbLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import ResourceError, ValidationError
 from .noise import (
-    BoundednessCertificate, DiscreteDistribution, _as_fraction, distribution_from_spec, sample_vector,
+    BoundednessCertificate, DiscreteDistribution, _as_fraction, distribution_from_spec, mu_float,
+    sample_vector,
 )
 from .util import content_lines, derive_seed, keyed_lines, token, wilson_interval
 
@@ -175,10 +176,7 @@ def fourier_bound(
     t = j/N for N = F + 1 kills every nonzero frequency (none is a
     multiple of N) and returns the constant term, which is the integral.
     """
-    mu = Fraction(mu) if not isinstance(mu, float) else mu
-    mu_f = float(mu)
-    if not (0.0 < mu_f <= 0.5):
-        raise ValidationError(f"mu = {mu_f} outside (0, 1/2]")
+    mu_f = mu_float(mu)
     weights = _weights(v)
     if len(weights) != query.n:
         raise ValidationError(f"weight length {len(weights)} != query size {query.n}")
@@ -270,9 +268,7 @@ def check_nondegeneracy(
     y_arr = np.asarray(y, dtype=float)
     if y_arr.shape != (n,):
         raise ValidationError("y length mismatch")
-    mu_f = float(mu)
-    if not (0.0 < mu_f <= 0.5):
-        raise ValidationError(f"mu = {mu_f} outside (0, 1/2]")
+    mu_f = mu_float(mu)
     base = 0.0
     if shift is not None:
         base = float(np.dot(np.asarray(shift, dtype=float), y_arr))

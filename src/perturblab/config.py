@@ -13,7 +13,7 @@ import typing
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError
-from .util import content_lines, read_text, token
+from .util import content_lines, parse_file, token
 
 KINDS = (
     "tail",
@@ -154,7 +154,7 @@ def _parse_field(name: str, raw: str, lineno: int | None):
 
 
 def load_config(path: str, kind: str | None = None) -> ExperimentConfig:
-    return config_from_text(read_text(path), kind=kind)
+    return parse_file(path, lambda text: config_from_text(text, kind=kind))
 
 
 def save_config(path: str, cfg: ExperimentConfig) -> None:

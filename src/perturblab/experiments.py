@@ -30,7 +30,7 @@ from .linalg import (
 from .noise import DiscreteDistribution, distribution_from_spec, sample_iid_matrix
 from .records import ExperimentRecord, json_safe_float, run_trials
 from . import rational
-from .util import derive_seed, wilson_interval
+from .util import derive_seed, parse_spec, wilson_interval
 
 SINGULARITY_BUDGET = 2**34
 
@@ -51,21 +51,23 @@ def gaussian_matrix(n: int, seed: int) -> np.ndarray:
     return z[:count].reshape(n, n)
 
 
+_MASK_ARGS = {"none": None, "zeros": None, "random": (int, None)}
+
+
 def build_mask(spec: str, base: IntegerMatrix, seed: int) -> np.ndarray | None:
-    """Frozen-entry masks: 'none', 'zeros' (freeze zero entries of the base),
-    or 'random:<k>' (k seeded positions per row).
+    """Frozen-entry masks: 'none' (or ''), 'zeros' (freeze zero entries of
+    the base), or 'random:<k>' (k seeded positions per row).
 
     Per-row frozen counts are capped at min(ceil(n^0.99), n - 1): freezing
     a full row would remove all randomness from it.
     """
-    spec = spec.strip().lower()
+    head, k = parse_spec(spec.strip() or "none", "mask", _MASK_ARGS)
     n = base.n
-    if spec in ("", "none"):
+    if head == "none":
         return None
-    if spec == "zeros":
+    if head == "zeros":
         mask = base.entries == 0
-    elif spec.startswith("random:"):
-        k = int(spec.split(":", 1)[1])
+    else:
         if k < 0:
             raise ValidationError("random mask count must be >= 0")
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "mask", n)))
@@ -73,8 +75,6 @@ def build_mask(spec: str, base: IntegerMatrix, seed: int) -> np.ndarray | None:
         for i in range(n):
             cols = rng.choice(n, size=min(k, n), replace=False)
             mask[i, cols] = True
-    else:
-        raise ValidationError(f"unknown mask spec {spec!r}")
     cap = min(math.ceil(n**0.99), n - 1) if n > 1 else 0
     worst = int(np.max(np.sum(mask, axis=1)))
     if worst > cap:
@@ -603,13 +603,13 @@ class FrozenResult:
 def frozen_entries_experiment(cfg: ExperimentConfig) -> FrozenResult:
     """Condition tail with a frozen-entry mask, against the unmasked run
     at matched per-trial seeds."""
-    if cfg.mask.strip().lower() in ("", "none"):
-        raise ValidationError("frozen experiment needs a mask spec")
     law = _law(cfg.noise)
     records: list[ExperimentRecord] = []
     masked_tables: dict[int, list[ExceedanceRow]] = {}
     unmasked_tables: dict[int, list[ExceedanceRow]] = {}
     for n, base, mask in _sizes(cfg):
+        if mask is None:
+            raise ValidationError("frozen experiment needs a mask spec")
         tail_ref = float(n) ** float(cfg.b_grid[0])
 
         def one(trial: int, seed: int) -> tuple[ExperimentRecord, float]:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .concentration import cosine_average
 from .errors import ConstructionError, ResourceError, ValidationError
-from .noise import _as_fraction
+from .noise import _as_fraction, mu_float
 from .util import content_lines, keyed_lines, token
 
 logger = logging.getLogger("perturblab.gaps")
@@ -336,9 +336,7 @@ def inverse_lo_search(
         raise ValidationError(f"rank_cap must be 1 or 2, got {rank_cap}")
     if volume_cap < 1 or except_cap < 0:
         raise ValidationError("volume_cap must be >= 1 and except_cap >= 0")
-    mu_f = float(mu)
-    if not (0.0 < mu_f <= 0.5):
-        raise ValidationError(f"mu = {mu_f} outside (0, 1/2]")
+    mu_f = mu_float(mu)
     hyp_value = cosine_average(v, mu_f)
 
     def outcome(found: GapCover | None, holds: bool = True, candidate: bool = False) -> SearchOutcome:

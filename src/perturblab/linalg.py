@@ -1,4 +1,4 @@
-"""Matrix types, singular spectra, and worst-case inputs.
+"""Matrix types, singular spectra, and base matrices by spec.
 
 The SVD here is a one-sided Jacobi iteration built from scratch: column
 pairs are rotated until all pairwise column inner products vanish, at
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .util import content_lines, read_text, token
+from .util import content_lines, parse_file, parse_spec, token
 from . import rational
 
 _INT64_SAFE = 2**62
@@ -286,74 +286,63 @@ def perturb(
 
 
 # ---------------------------------------------------------------------------
-# worst-case inputs
+# base matrices M: worst-case inputs or a matrix file
+
+_MATRIX_ARGS = {"zero": None, "graded_diagonal": None, "rank_one_ones": None,
+                "duplicated_column": None, "file": (str, None)}
 
 
-def worst_case_generator(
-    kind: str, n: int, c_exponent: float | None = None, path: str | None = None
-) -> IntegerMatrix:
-    """Deterministic hard inputs for the experiments.
-
-    kinds: 'zero', 'graded_diagonal' (powers of two capped at n^C),
-    'rank_one_ones', 'duplicated_column', 'file:<path>' / 'user_file'.
-    """
-    kind = kind.strip().lower()
+def matrix_from_spec(spec: str, n: int, c_exponent: float | None = None) -> IntegerMatrix:
+    """The n x n base matrix named by a matrix spec: 'zero',
+    'graded_diagonal' (powers of two capped at n^C, C = 1 by default),
+    'rank_one_ones', 'duplicated_column', or 'file:<path>'."""
+    head, path = parse_spec(spec, "matrix", _MATRIX_ARGS)
     if n < 1:
         raise ValidationError(f"matrix size {n} < 1")
-    if kind == "zero":
+    if head == "zero":
         return IntegerMatrix(np.zeros((n, n), dtype=np.int64))
-    if kind == "graded_diagonal":
+    if head == "graded_diagonal":
         c = 1.0 if c_exponent is None else float(c_exponent)
         if c < 0:
             raise ValidationError(f"exponent C = {c} < 0")
         cap = max(1, math.floor(n**c))
         diag = [min(2**i if i < 63 else cap, cap) for i in range(n)]
         return IntegerMatrix(np.diag(np.array(diag, dtype=np.int64)), entry_bound=cap)
-    if kind == "rank_one_ones":
+    if head == "rank_one_ones":
         return IntegerMatrix(np.ones((n, n), dtype=np.int64))
-    if kind == "duplicated_column":
+    if head == "duplicated_column":
         a = np.eye(n, dtype=np.int64)
         if n >= 2:
             a[:, n - 1] = a[:, 0]
         return IntegerMatrix(a)
-    if kind in ("user_file", "file"):
-        if not path:
-            raise ValidationError("user_file generator needs a path")
-        loaded = load_integer_matrix(path)
-        if loaded.n != n:
-            raise ValidationError(f"file matrix is {loaded.n}x{loaded.n}, expected {n}")
-        return loaded
-    raise ValidationError(f"unknown worst-case kind {kind!r}")
-
-
-def matrix_from_spec(spec: str, n: int, c_exponent: float | None = None) -> IntegerMatrix:
-    """'graded_diagonal', 'zero', ..., or 'file:<path>'."""
-    head, _, arg = spec.strip().partition(":")
-    return worst_case_generator(head, n, c_exponent=c_exponent, path=arg or None)
+    loaded = load_integer_matrix(path)
+    if loaded.n != n:
+        raise ValidationError(f"{path}: the matrix is {loaded.n}x{loaded.n}, expected {n}")
+    return loaded
 
 
 # ---------------------------------------------------------------------------
 # matrix file format: first line n, then n rows of n integers.
 
 
-def load_integer_matrix(path: str, entry_bound: int | None = None) -> IntegerMatrix:
-    lines = list(content_lines(read_text(path)))
+def _parse_integer_matrix(text: str) -> IntegerMatrix:
+    lines = list(content_lines(text))
     if not lines or len(lines[0][1]) != 1:
-        raise ValidationError(f"{path}: the first line must be the matrix size n")
+        raise ValidationError("the first line must be the matrix size n")
     (first, (size,)), *rows = lines
     n = token(first, size)
     if n < 1:
-        raise ValidationError(f"{path}: line {first}: matrix size {n} < 1")
+        raise ValidationError(f"line {first}: matrix size {n} < 1")
     values = [token(lineno, tok) for lineno, row in rows for tok in row]
     if len(values) != n * n:
-        raise ValidationError(f"{path}: expected {n * n} entries, found {len(values)}")
+        raise ValidationError(f"expected {n * n} entries, found {len(values)}")
     if any(not -(2**63) <= v < 2**63 for v in values):
-        raise ValidationError(f"{path}: an entry overflows the 64-bit range")
-    arr = np.array(values, dtype=np.int64).reshape(n, n)
-    m = IntegerMatrix(arr, entry_bound=entry_bound or 0)
-    if entry_bound is not None and int(np.max(np.abs(arr))) > entry_bound:
-        raise ValidationError(f"{path}: entries exceed declared bound {entry_bound}")
-    return m
+        raise ValidationError("an entry overflows the 64-bit range")
+    return IntegerMatrix(np.array(values, dtype=np.int64).reshape(n, n))
+
+
+def load_integer_matrix(path: str) -> IntegerMatrix:
+    return parse_file(path, _parse_integer_matrix)
 
 
 def save_integer_matrix(path: str, m: IntegerMatrix) -> None:

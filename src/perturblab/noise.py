@@ -26,7 +26,7 @@ import mpmath
 import numpy as np
 
 from .errors import ValidationError
-from .util import content_lines, read_text, token
+from .util import content_lines, parse_file, parse_spec, token
 
 _INT64_MAX = 2**63 - 1
 
@@ -143,14 +143,12 @@ class BoundednessCertificate:
     """Claim: |phi(t)| <= (1 - mu) + mu * cos(2 pi k t) for all real t.
 
     ``d_bound`` is the declared cap on the frequency (1 <= k <= d_bound);
-    no minimality of k is claimed.  ``verified_grid_points`` records the
-    densest grid the claim has been checked on (0 = unchecked).
+    no minimality of k is claimed.
     """
 
     mu: Fraction
     k: int
     d_bound: int
-    verified_grid_points: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "mu", _as_fraction(self.mu))
@@ -158,6 +156,14 @@ class BoundednessCertificate:
             raise ValidationError(f"mu = {self.mu} outside (0, 1/2]")
         if not (1 <= self.k <= self.d_bound):
             raise ValidationError(f"frequency k = {self.k} outside 1..{self.d_bound}")
+
+
+def mu_float(mu) -> float:
+    """mu as a float, checked to lie in (0, 1/2] like a certificate's."""
+    mu_f = float(mu)
+    if not (0.0 < mu_f <= 0.5):
+        raise ValidationError(f"mu = {mu_f} outside (0, 1/2]")
+    return mu_f
 
 
 @dataclass(frozen=True)
@@ -220,9 +226,7 @@ def certificate_from_symmetric(dist: DiscreteDistribution) -> BoundednessCertifi
         raise AssertionError(
             f"constructive certificate failed its own check (margin {check.worst_margin})"
         )
-    return BoundednessCertificate(
-        mu=cert.mu, k=cert.k, d_bound=cert.d_bound, verified_grid_points=check.grid_size
-    )
+    return cert
 
 
 def symmetric_chain_margins(
@@ -315,35 +319,23 @@ def symmetric_discretization(
     return DiscreteDistribution(name, tuple(sorted(binned.items())))
 
 
-def make_standard(kind: str, **params) -> DiscreteDistribution:
-    """Dispatch on a standard-law name; see the individual constructors."""
-    kind = kind.strip().lower()
-    if kind == "bernoulli":
-        return bernoulli()
-    if kind == "lazy_coin":
-        return lazy_coin(params.get("alpha", Fraction(1, 2)))
-    if kind == "discretized_gaussian":
-        return discretized_gaussian(params.get("truncation_radius", 8))
-    if kind == "symmetric_discretization":
-        return symmetric_discretization(params["pairs"])
-    raise ValidationError(f"unknown standard law {kind!r}")
+# the noise spec heads: None takes no argument, else (convert, default)
+_LAW_ARGS = {"bernoulli": None, "lazy_coin": (_as_fraction, Fraction(1, 2)),
+             "discretized_gaussian": (int, 8), "file": (str, None)}
 
 
 def distribution_from_spec(spec: str) -> DiscreteDistribution:
-    """Parse a one-token law spec: 'bernoulli', 'lazy_coin:1/2',
-    'discretized_gaussian:8', or 'file:<path>'."""
-    spec = spec.strip()
-    head, _, arg = spec.partition(":")
-    head = head.strip().lower()
+    """The law named by a noise spec: 'bernoulli', 'lazy_coin[:alpha]'
+    (alpha 1/2 by default), 'discretized_gaussian[:radius]' (radius 8 by
+    default), or 'file:<path>'."""
+    head, arg = parse_spec(spec, "noise", _LAW_ARGS)
     if head == "bernoulli":
         return bernoulli()
     if head == "lazy_coin":
-        return lazy_coin(arg if arg else Fraction(1, 2))
+        return lazy_coin(arg)
     if head == "discretized_gaussian":
-        return discretized_gaussian(int(arg) if arg else 8)
-    if head == "file":
-        return parse_distribution(read_text(arg), name=arg)
-    raise ValidationError(f"unknown noise spec {spec!r}")
+        return discretized_gaussian(arg)
+    return parse_file(arg, lambda text: parse_distribution(text, name=arg))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 CSV output is byte-identical for a fixed (config, seed) pair no matter
 how many worker threads ran the trials: records are keyed and sorted by
 trial index, floats are serialized via repr (shortest round-trip), and
-wall-clock time is deliberately kept in memory only -- a timing column
-would break reproducibility of the artifact files.
+no timing is recorded -- a timing column would break reproducibility of
+the artifact files.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class ExperimentRecord:
     kappa: float
     singular: bool
     tail_hit: bool
-    wall_time: float = 0.0  # in-memory only, never persisted
 
     def __post_init__(self):
         if math.isfinite(self.kappa) and self.sigma_min > 0.0:
@@ -42,18 +41,12 @@ class ExperimentRecord:
                 )
 
 
-def _fmt_float(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
-
-
 def format_records_csv(records: Sequence[ExperimentRecord]) -> str:
     lines = [CSV_SCHEMA_LINE, CSV_HEADER]
     for r in sorted(records, key=lambda r: (r.n, r.trial)):
         lines.append(
-            f"{r.trial},{r.seed},{r.n},{_fmt_float(r.sigma_max)},{_fmt_float(r.sigma_min)},"
-            f"{_fmt_float(r.kappa)},{int(r.singular)},{int(r.tail_hit)}"
+            f"{r.trial},{r.seed},{r.n},{float(r.sigma_max)!r},{float(r.sigma_min)!r},"
+            f"{float(r.kappa)!r},{int(r.singular)},{int(r.tail_hit)}"
         )
     return "\n".join(lines) + "\n"
 

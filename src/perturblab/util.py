@@ -1,11 +1,12 @@
-"""Small shared helpers: confidence intervals, seed derivation, and the
-one reader behind every line-based text format."""
+"""Small shared helpers: confidence intervals, seed derivation, the one
+reader behind every line-based text format, and the one grammar of
+'head[:arg]' spec strings."""
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import ValidationError
 
@@ -57,6 +58,15 @@ def read_text(path: str) -> str:
         raise ValidationError(f"cannot read {path!r}: {reason}") from None
 
 
+def parse_file(path: str, parse: Callable[[str], T]) -> T:
+    """parse(text of the file at path); an error in the text names the path."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number from 1, tokens) of every line with tokens before its '#'."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -64,14 +74,16 @@ def content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, tokens
 
 
-def token(lineno: int, tok: str, convert: Callable[[str], T] = int) -> T:
-    """tok converted by int, float or noise._as_fraction (exact rationals);
-    a token it rejects is a ValidationError naming the line."""
+def token(at: int | str, tok: str, convert: Callable[[str], T] = int) -> T:
+    """tok converted by int, float, noise._as_fraction (exact rationals) or
+    str; a token it rejects is a ValidationError naming `at`, its line
+    number or the spec string it came from."""
     try:
         return convert(tok)
     except (ValueError, ZeroDivisionError, ValidationError):
         kind = {int: "an integer", float: "a number"}.get(convert, "a rational")
-        raise ValidationError(f"line {lineno}: expected {kind}, got {tok!r}") from None
+        where = f"line {at}" if isinstance(at, int) else at
+        raise ValidationError(f"{where}: expected {kind}, got {tok!r}") from None
 
 
 def keyed_lines(
@@ -88,3 +100,34 @@ def keyed_lines(
             raise ValidationError(f"line {lineno}: key {head!r} {why}")
         out[key] = (lineno, values)
     return out
+
+
+# ---------------------------------------------------------------------------
+# spec strings: 'head' or 'head:arg' names a noise law, base matrix or mask
+
+
+def parse_spec(
+    spec: str, what: str, heads: Mapping[str, tuple[Callable[[str], object], object] | None]
+) -> tuple[str, object]:
+    """(head, argument) of spec, the head matched to `heads` ignoring case.
+
+    heads maps a head to None if it takes no argument, else to (convert,
+    default): the argument is token(spec, arg, convert), or the default when
+    there is no colon (a default of None makes it required).  Any other
+    form is a ValidationError naming the spec."""
+    head, colon, arg = spec.strip().partition(":")
+    head = head.strip().lower()
+    label = f"{what} spec {spec!r}"
+    if head not in heads:
+        raise ValidationError(f"unknown {label} (known: {', '.join(heads)})")
+    takes = heads[head]
+    if takes is None:
+        if colon:
+            raise ValidationError(f"{label}: {head} takes no argument")
+        return head, None
+    convert, default = takes
+    if not colon and default is not None:
+        return head, default
+    if not arg.strip():
+        raise ValidationError(f"{label}: {head} needs an argument after ':'")
+    return head, token(label, arg, convert)

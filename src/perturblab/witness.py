@@ -18,6 +18,7 @@ import numpy as np
 
 from .concentration import ConcentrationQuery, RichnessReport, classify_rich
 from .errors import ValidationError
+from .noise import mu_float
 from .util import wilson_interval
 
 # beyond 2^53 the float scale n^(B+2) no longer represents integers
@@ -295,9 +296,7 @@ def small_image_event(
         raise ValidationError("trials must be >= 1")
     y_arr = np.asarray(y, dtype=float)
     n = len(y_arr)
-    mu_f = float(mu)
-    if not (0.0 < mu_f <= 0.5):
-        raise ValidationError(f"mu = {mu_f} outside (0, 1/2]")
+    mu_f = mu_float(mu)
     cut = float(n) ** (-2.0)
     hits = 0
     for t in range(trials):

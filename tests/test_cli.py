@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -394,3 +395,67 @@ def test_classify_witness_with_comments(tmp_path, capsys):
         outs.append(out)
     assert outs[0] == outs[1]
     assert "class = RICH_SINGULAR" in outs[1]
+
+
+def test_gap_verify_error_names_the_discretization_file(tmp_path, capsys):
+    gap = tmp_path / "g.txt"
+    disc = tmp_path / "d.txt"
+    gap.write_text(GAP_TEXT)
+    disc.write_text(DISC_TEXT.replace("S 2", "S x"))
+    code, _, err = run(capsys, "gap-verify", str(gap), str(disc))
+    assert code == 2
+    assert f"{disc}: line 2:" in err and str(gap) not in err
+
+
+def test_matrix_file_error_names_the_matrix_file(tmp_path, capsys):
+    law = tmp_path / "law.txt"
+    law.write_text("-1 1/2\n1 1/2\n")
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2\n1 2\n3 x\n")
+    code, _, err = run(capsys, "cond-tail", "--sizes", "2", "--trials", "1",
+                       "--noise", f"file:{law}", "--matrix", f"file:{matrix}")
+    assert code == 2
+    assert f"{matrix}: line 3:" in err and str(law) not in err
+
+
+# ------------------------------------------------------------- spec strings
+
+# a malformed spec: the flags that carry it
+MALFORMED_SPECS = {
+    "mask-bad-count": ["ge-check", "--sizes", "3", "--trials", "2", "--mask", "random:x"],
+    "mask-missing-count": ["ge-check", "--sizes", "3", "--trials", "2", "--mask", "random"],
+    "dist-bad-radius": ["singularity", "--n", "2", "--dist", "discretized_gaussian:x"],
+    "noise-argument-to-bernoulli": ["cond-tail", "--sizes", "3", "--trials", "2", "--noise", "bernoulli:7"],
+    "noise-empty-alpha": ["cond-tail", "--sizes", "3", "--trials", "2", "--noise", "lazy_coin:"],
+    "noise-unknown-head": ["tail", "--sizes", "3", "--trials", "100", "--noise", "cauchy"],
+    "matrix-argument-to-zero": ["cond-tail", "--sizes", "3", "--trials", "2", "--matrix", "zero:9"],
+    "matrix-user-file-alias": ["cond-tail", "--sizes", "2", "--trials", "2", "--matrix", "user_file:{path}"],
+    "matrix-empty-path": ["cond-tail", "--sizes", "2", "--trials", "2", "--matrix", "file:"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_malformed_spec_exits_2_naming_the_spec(case, tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("2\n1 0\n0 1\n")
+    argv = [arg.format(path=path) for arg in MALFORMED_SPECS[case]]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(argv[-1]) in err
+
+
+def test_spec_help_names_exactly_the_dispatched_heads():
+    from perturblab import linalg, noise
+
+    heads = {
+        "noise": set(noise._LAW_ARGS) | {"gaussian"},
+        "matrix": set(linalg._MATRIX_ARGS),
+        "mask": set(experiments._MASK_ARGS),
+    }
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for kind in ("tail", "cond-tail", "ge-check", "minors", "frozen"):
+        for action in sub.choices[kind]._actions:
+            if action.dest in heads:
+                named = {re.split(r"[:\[]", part.strip())[0] for part in action.help.split("|")}
+                assert named == heads[action.dest], (kind, action.dest)

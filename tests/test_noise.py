@@ -15,7 +15,6 @@ from perturblab import (
     discretized_gaussian,
     distribution_from_spec,
     lazy_coin,
-    make_standard,
     parse_distribution,
     sample_iid_matrix,
     sample_vector,
@@ -159,13 +158,20 @@ def test_symmetric_discretization_rejects_asymmetric_table():
         symmetric_discretization([(1, Fraction(1, 2)), (0, Fraction(1, 2))])
 
 
-def test_make_standard_and_spec_strings():
-    assert make_standard("bernoulli").atoms == bernoulli().atoms
+def test_distribution_spec_strings():
     assert distribution_from_spec("bernoulli").atoms == bernoulli().atoms
     assert distribution_from_spec("lazy_coin:1/2").atoms == lazy_coin(Fraction(1, 2)).atoms
     assert distribution_from_spec("discretized_gaussian:8").atoms == discretized_gaussian().atoms
     with pytest.raises(ValidationError):
         distribution_from_spec("unknown_kind")
+
+
+def test_distribution_spec_defaults_and_case():
+    assert distribution_from_spec(" Lazy_Coin ").atoms == lazy_coin(Fraction(1, 2)).atoms
+    assert distribution_from_spec("DISCRETIZED_GAUSSIAN").atoms == discretized_gaussian(8).atoms
+    for spec in ("bernoulli:7", "lazy_coin:", "lazy_coin:x", "file"):
+        with pytest.raises(ValidationError, match="noise spec"):
+            distribution_from_spec(spec)
 
 
 def test_parse_distribution_round_trip(tmp_path):

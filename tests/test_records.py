@@ -67,12 +67,6 @@ def test_csv_floats_use_repr_and_inf():
     assert row.endswith("1,0")  # singular, tail_hit as ints
 
 
-def test_wall_time_never_persisted():
-    fast = _rec(wall_time=0.001)
-    slow = _rec(wall_time=9.5)
-    assert format_records_csv([fast]) == format_records_csv([slow])
-
-
 def test_csv_write(tmp_path):
     path = tmp_path / "r.csv"
     write_records_csv(str(path), [_rec()])

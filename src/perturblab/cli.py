@@ -26,9 +26,8 @@ from .util import content_lines, parse_file, token
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
     out = dataclasses.asdict(cfg)
-    out = {k: (list(v) if isinstance(v, tuple) else v) for k, v in out.items()}
-    if out.get("out") is None:
-        out.pop("out", None)
+    if out["out"] is None:
+        del out["out"]
     return out
 
 

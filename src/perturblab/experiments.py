@@ -1,15 +1,20 @@
 """Seeded Monte Carlo experiments over perturbed matrices.
 
-Every trial derives its own seed from (master seed, experiment label,
+Every trial derives its own seed from (master seed, experiment kind,
 size, trial index), so the record stream is identical no matter how many
 worker threads run and rerunning a config reproduces its outputs byte
 for byte.  Gaussian baseline noise is generated by Box-Muller from the
 same seeded uniform stream rather than a library normal sampler, so the
 baseline is reproducible from the seed alone as well.
+
+`tail`, `cond-tail` and `frozen` share one trial: the singular values of
+base + noise.  `frozen` is the cond-tail measurement run twice, masked and
+unmasked, on matched per-trial seeds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -27,7 +32,7 @@ from .linalg import (
     perturb,
     svd,
 )
-from .noise import DiscreteDistribution, distribution_from_spec, sample_iid_matrix
+from .noise import NOISE_ARGS, DiscreteDistribution, distribution_from_spec, sample_iid_matrix
 from .records import ExperimentRecord, json_safe_float, run_trials
 from . import rational
 from .util import derive_seed, parse_spec, wilson_interval
@@ -90,7 +95,8 @@ def build_mask(spec: str, base: IntegerMatrix, seed: int) -> np.ndarray | None:
 
 def _law(spec: str) -> DiscreteDistribution | None:
     """The discrete noise law named by spec, or None for gaussian noise."""
-    return None if spec.strip().lower() == "gaussian" else distribution_from_spec(spec)
+    head, _ = parse_spec(spec, "noise", NOISE_ARGS)
+    return None if head == "gaussian" else distribution_from_spec(spec)
 
 
 def _sizes(cfg: ExperimentConfig) -> Iterator[tuple[int, IntegerMatrix, np.ndarray | None]]:
@@ -100,9 +106,12 @@ def _sizes(cfg: ExperimentConfig) -> Iterator[tuple[int, IntegerMatrix, np.ndarr
         yield n, base, build_mask(cfg.mask, base, cfg.seed)
 
 
-def _trials(cfg: ExperimentConfig, label: str, n: int, trial: Callable[[int, int], object]) -> list:
+def _trials(
+    cfg: ExperimentConfig, n: int, trial: Callable[[int, int], object], suffix: str = ""
+) -> list:
     """trial(index, seed) for every trial index, in index order; each seed is
-    derived from (master seed, label, n, index) alone."""
+    derived from (master seed, cfg.kind + suffix, n, index) alone."""
+    label = cfg.kind + suffix
     return run_trials(
         lambda index: trial(index, derive_seed(cfg.seed, label, n, index)), cfg.trials, cfg.threads
     )
@@ -132,6 +141,25 @@ def _record(trial: int, seed: int, spectrum: SingularSpectrum, tail_hit: bool) -
         singular=spectrum.singular,
         tail_hit=bool(tail_hit),
     )
+
+
+def _svd_trials(
+    cfg: ExperimentConfig, n: int, base: IntegerMatrix, law: DiscreteDistribution | None,
+    mask: np.ndarray | None, hit: Callable[[SingularSpectrum], bool], suffix: str = "",
+) -> list[ExperimentRecord]:
+    """One record per trial of svd(base + noise), tail-flagged by hit."""
+
+    def one(trial: int, seed: int) -> ExperimentRecord:
+        spectrum = svd(_matrix(base, law, seed, mask))
+        return _record(trial, seed, spectrum, hit(spectrum))
+
+    return _trials(cfg, n, one, suffix)
+
+
+def _exceedance(values: Sequence[float], thresholds: Sequence[float]) -> list[tuple]:
+    """(count of values >= x, fraction, Wilson low, Wilson high) per threshold x."""
+    counts = [sum(1 for v in values if v >= x) for x in thresholds]
+    return [(c, c / len(values), *wilson_interval(c, len(values))) for c in counts]
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +216,7 @@ def _tail_curve_from(inv_norms: list[float], n: int, grid_points: int) -> TailCu
     if hi <= lo:
         hi = lo * 10.0  # all observations equal: still emit a usable grid
     grid = list(np.geomspace(lo, hi, grid_points))
-    trials = len(inv_norms)
-    counts, fracs, cl, ch = [], [], [], []
-    for x in grid:
-        c = sum(1 for v in inv_norms if v >= x)
-        counts.append(c)
-        fracs.append(c / trials)
-        w = wilson_interval(c, trials)
-        cl.append(w[0])
-        ch.append(w[1])
+    counts, fracs, cl, ch = zip(*_exceedance(inv_norms, grid))
     pts = [(math.log10(x), math.log10(f)) for x, f in zip(grid, fracs) if 0.0 < f < 1.0]
     slope = None
     if len(pts) >= 3:
@@ -206,10 +226,10 @@ def _tail_curve_from(inv_norms: list[float], n: int, grid_points: int) -> TailCu
     return TailCurve(
         n=n,
         grid=tuple(grid),
-        counts=tuple(counts),
-        fractions=tuple(fracs),
-        ci_low=tuple(cl),
-        ci_high=tuple(ch),
+        counts=counts,
+        fractions=fracs,
+        ci_low=cl,
+        ci_high=ch,
         slope=slope,
         slope_points=len(pts),
     )
@@ -228,12 +248,7 @@ def tail_curve(cfg: ExperimentConfig) -> TailResult:
     curves: dict[int, TailCurve] = {}
     for n, base, mask in _sizes(cfg):
         x_ref = 10.0 * math.sqrt(n)  # record-level tail flag reference
-
-        def one(trial: int, seed: int) -> ExperimentRecord:
-            spectrum = svd(_matrix(base, law, seed, mask))
-            return _record(trial, seed, spectrum, _inverse_norm(spectrum.sigma_min) >= x_ref)
-
-        rows = _trials(cfg, "tail", n, one)
+        rows = _svd_trials(cfg, n, base, law, mask, lambda s: _inverse_norm(s.sigma_min) >= x_ref)
         records.extend(rows)
         curves[n] = _tail_curve_from(
             [_inverse_norm(r.sigma_min) for r in rows], n, cfg.grid_points
@@ -302,19 +317,11 @@ def _tables_json(tables: dict[int, list[ExceedanceRow]], threshold: bool = True)
 
 
 def _exceedance_table(kappas: list[float], n: int, b_grid: Sequence[float]) -> list[ExceedanceRow]:
-    trials = len(kappas)
-    rows = []
-    for b in b_grid:
-        threshold = float(n) ** float(b)
-        count = sum(1 for k in kappas if k >= threshold)
-        lo, hi = wilson_interval(count, trials)
-        rows.append(
-            ExceedanceRow(
-                b=float(b), threshold=threshold, count=count,
-                fraction=count / trials, ci_low=lo, ci_high=hi,
-            )
-        )
-    return rows
+    thresholds = [float(n) ** float(b) for b in b_grid]
+    return [
+        ExceedanceRow(float(b), threshold, *counted)
+        for b, threshold, counted in zip(b_grid, thresholds, _exceedance(kappas, thresholds))
+    ]
 
 
 def condition_tail(cfg: ExperimentConfig) -> CondTailResult:
@@ -333,20 +340,15 @@ def condition_tail(cfg: ExperimentConfig) -> CondTailResult:
     for n, base, mask in _sizes(cfg):
         tail_ref = float(n) ** float(cfg.b_grid[0])
 
-        def run(label: str, noise: DiscreteDistribution | None) -> list[ExperimentRecord]:
-            def one(trial: int, seed: int) -> ExperimentRecord:
-                spectrum = svd(_matrix(base, noise, seed, mask))
-                return _record(trial, seed, spectrum, spectrum.kappa >= tail_ref)
+        def hit(spectrum: SingularSpectrum) -> bool:
+            return spectrum.kappa >= tail_ref
 
-            return _trials(cfg, label, n, one)
-
-        rows = run("cond-tail", law)
+        rows = _svd_trials(cfg, n, base, law, mask, hit)
         records.extend(rows)
         table = _exceedance_table([r.kappa for r in rows], n, cfg.b_grid)
         if cfg.compare_gaussian:
-            gtable = _exceedance_table(
-                [r.kappa for r in run("cond-tail-gaussian", None)], n, cfg.b_grid
-            )
+            gaussian = _svd_trials(cfg, n, base, None, mask, hit, "-gaussian")
+            gtable = _exceedance_table([r.kappa for r in gaussian], n, cfg.b_grid)
             gauss_tables[n] = gtable
             table = [
                 replace(r, comparable_to_gaussian=r.ci_low <= g.ci_high and g.ci_low <= r.ci_high)
@@ -391,8 +393,6 @@ def singularity_probability(
         )
     probs = {v: p for v, p in dist.atoms}
     uniform = len(set(dist.probabilities)) == 1
-    import itertools
-
     singular_mass = Fraction(0)
     singular_count = 0
     for assignment in itertools.product(support, repeat=cells):
@@ -521,7 +521,7 @@ def ge_error_experiment(cfg: ExperimentConfig) -> GeResult:
                 trial=trial, seed=seed, kappa=kappa, rel_error=rel, ratio=ratio, singular=singular
             )
 
-        rows = _trials(cfg, "ge-check", n, one)
+        rows = _trials(cfg, n, one)
         records.extend(r for r, _ in rows)
         trials.extend(t for _, t in rows)
     return GeResult(config=cfg, records=records, trials=trials, eps_machine=eps)
@@ -572,7 +572,7 @@ def minors_experiment(cfg: ExperimentConfig) -> MinorsResult:
             kappas = [spectrum.kappa for spectrum in spectra]
             return _record(trial, seed, spectra[-1], max(kappas) > threshold), kappas
 
-        rows = _trials(cfg, "minors", n, one)
+        rows = _trials(cfg, n, one)
         records.extend(r for r, _ in rows)
         per_k[n] = {k: max(kappas[k - 1] for _, kappas in rows) for k in range(1, n + 1)}
         frac_ok[n] = sum(max(kappas) <= threshold for _, kappas in rows) / cfg.trials
@@ -602,26 +602,12 @@ class FrozenResult:
 
 def frozen_entries_experiment(cfg: ExperimentConfig) -> FrozenResult:
     """Condition tail with a frozen-entry mask, against the unmasked run
-    at matched per-trial seeds."""
-    law = _law(cfg.noise)
-    records: list[ExperimentRecord] = []
-    masked_tables: dict[int, list[ExceedanceRow]] = {}
-    unmasked_tables: dict[int, list[ExceedanceRow]] = {}
-    for n, base, mask in _sizes(cfg):
-        if mask is None:
-            raise ValidationError("frozen experiment needs a mask spec")
-        tail_ref = float(n) ** float(cfg.b_grid[0])
-
-        def one(trial: int, seed: int) -> tuple[ExperimentRecord, float]:
-            masked = svd(_matrix(base, law, seed, mask))
-            plain = svd(_matrix(base, law, seed, None))
-            return _record(trial, seed, masked, masked.kappa >= tail_ref), plain.kappa
-
-        rows = _trials(cfg, "frozen", n, one)
-        records.extend(r for r, _ in rows)
-        masked_tables[n] = _exceedance_table([r.kappa for r, _ in rows], n, cfg.b_grid)
-        unmasked_tables[n] = _exceedance_table([k for _, k in rows], n, cfg.b_grid)
+    at matched per-trial seeds: both runs are cond-tail under kind frozen."""
+    if next(_sizes(cfg))[2] is None:  # a bad matrix or mask spec fails here first, as in a run
+        raise ValidationError("frozen experiment needs a mask spec")
+    masked = condition_tail(replace(cfg, compare_gaussian=False))
+    unmasked = condition_tail(replace(cfg, compare_gaussian=False, mask="none"))
     return FrozenResult(
-        config=cfg, records=records,
-        masked_tables=masked_tables, unmasked_tables=unmasked_tables,
+        config=cfg, records=masked.records,
+        masked_tables=masked.tables, unmasked_tables=unmasked.tables,
     )

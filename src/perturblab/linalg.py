@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,10 +35,10 @@ COLUMN_FLOOR2 = 1e-200  # squared column norm under this times ||A||_F^2 is nois
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Square integer matrix with its entry bound recorded at construction."""
+    """Square integer matrix; entry_bound is its largest |entry|."""
 
     entries: np.ndarray
-    entry_bound: int = 0
+    entry_bound: int = field(init=False)
 
     def __post_init__(self):
         arr = np.asarray(self.entries)
@@ -50,12 +50,9 @@ class IntegerMatrix:
             arr = arr.astype(np.int64)
         arr = arr.astype(np.int64, copy=True)
         arr.setflags(write=False)
-        observed = int(np.max(np.abs(arr))) if arr.size else 0
-        bound = self.entry_bound if self.entry_bound else observed
-        if observed > bound:
-            raise ValidationError(f"entry magnitude {observed} exceeds declared bound {bound}")
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "entry_bound", bound)
+        # in Python ints: np.abs(-2**63) wraps to -2**63 in int64
+        object.__setattr__(self, "entry_bound", max(int(arr.max()), -int(arr.min())))
 
     @property
     def n(self) -> int:
@@ -307,7 +304,7 @@ def matrix_from_spec(spec: str, n: int, c_exponent: float | None = None) -> Inte
             raise ValidationError(f"exponent C = {c} < 0")
         cap = max(1, math.floor(n**c))
         diag = [min(2**i if i < 63 else cap, cap) for i in range(n)]
-        return IntegerMatrix(np.diag(np.array(diag, dtype=np.int64)), entry_bound=cap)
+        return IntegerMatrix(np.diag(np.array(diag, dtype=np.int64)))
     if head == "rank_one_ones":
         return IntegerMatrix(np.ones((n, n), dtype=np.int64))
     if head == "duplicated_column":

@@ -319,9 +319,11 @@ def symmetric_discretization(
     return DiscreteDistribution(name, tuple(sorted(binned.items())))
 
 
-# the noise spec heads: None takes no argument, else (convert, default)
+# the law spec heads: None takes no argument, else (convert, default); an
+# experiment's --noise also takes gaussian, the one law that is not discrete
 _LAW_ARGS = {"bernoulli": None, "lazy_coin": (_as_fraction, Fraction(1, 2)),
              "discretized_gaussian": (int, 8), "file": (str, None)}
+NOISE_ARGS = {**_LAW_ARGS, "gaussian": None}
 
 
 def distribution_from_spec(spec: str) -> DiscreteDistribution:

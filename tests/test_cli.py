@@ -428,9 +428,16 @@ MALFORMED_SPECS = {
     "noise-argument-to-bernoulli": ["cond-tail", "--sizes", "3", "--trials", "2", "--noise", "bernoulli:7"],
     "noise-empty-alpha": ["cond-tail", "--sizes", "3", "--trials", "2", "--noise", "lazy_coin:"],
     "noise-unknown-head": ["tail", "--sizes", "3", "--trials", "100", "--noise", "cauchy"],
+    "noise-misspelt-gaussian": ["tail", "--sizes", "3", "--trials", "100", "--noise", "gausian"],
+    "noise-argument-to-gaussian": ["cond-tail", "--sizes", "3", "--trials", "2", "--noise", "gaussian:3"],
     "matrix-argument-to-zero": ["cond-tail", "--sizes", "3", "--trials", "2", "--matrix", "zero:9"],
     "matrix-user-file-alias": ["cond-tail", "--sizes", "2", "--trials", "2", "--matrix", "user_file:{path}"],
     "matrix-empty-path": ["cond-tail", "--sizes", "2", "--trials", "2", "--matrix", "file:"],
+}
+# what the message must say besides the spec
+MALFORMED_SPEC_REASONS = {
+    "noise-misspelt-gaussian": "file, gaussian)",
+    "noise-argument-to-gaussian": "gaussian takes no argument",
 }
 
 
@@ -443,13 +450,14 @@ def test_malformed_spec_exits_2_naming_the_spec(case, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert repr(argv[-1]) in err
+    assert MALFORMED_SPEC_REASONS.get(case, "") in err
 
 
 def test_spec_help_names_exactly_the_dispatched_heads():
     from perturblab import linalg, noise
 
     heads = {
-        "noise": set(noise._LAW_ARGS) | {"gaussian"},
+        "noise": set(noise.NOISE_ARGS),
         "matrix": set(linalg._MATRIX_ARGS),
         "mask": set(experiments._MASK_ARGS),
     }

@@ -13,6 +13,7 @@ from perturblab import (
     bernoulli,
     build_mask,
     condition_tail,
+    derive_seed,
     determinant,
     format_records_csv,
     format_summary_json,
@@ -395,6 +396,25 @@ _EVERY_KIND = {
         ExperimentConfig(kind="frozen", sizes=(8,), trials=40, seed=19, mask="random:2"),
     ),
 }
+
+
+@pytest.mark.parametrize("kind", list(_EVERY_KIND))
+def test_record_seeds_follow_the_kind(kind):
+    run, cfg = _EVERY_KIND[kind]
+    records = run(cfg).records
+    assert len(records) == cfg.trials * len(cfg.sizes)
+    for r in records:
+        assert r.seed == derive_seed(cfg.seed, cfg.kind, r.n, r.trial)
+
+
+def test_frozen_tables_are_the_cond_tail_tables():
+    cfg = ExperimentConfig(
+        kind="frozen", sizes=(5, 8), trials=30, seed=19, mask="random:2", b_grid=(1.0, 1.5, 3.0)
+    )
+    out = frozen_entries_experiment(cfg)
+    assert out.unmasked_tables == condition_tail(replace(cfg, mask="none")).tables
+    assert out.masked_tables == condition_tail(cfg).tables
+    assert out.masked_tables != out.unmasked_tables
 
 
 @pytest.mark.parametrize("kind", list(_EVERY_KIND))

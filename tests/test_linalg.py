@@ -46,6 +46,7 @@ def test_integer_matrix_entries_read_only():
 def test_integer_matrix_bound_derived():
     m = IntegerMatrix([[1, -7], [3, 4]])
     assert m.entry_bound == 7
+    assert IntegerMatrix([[-(2**63), 0], [0, 1]]).entry_bound == 2**63
 
 
 def test_integer_matrix_rejects_non_square():
@@ -248,6 +249,15 @@ def test_perturb_mask_freezes_entries():
     mask = np.array([[True, False], [False, True]])
     out = perturb(base, noise, mask)
     assert np.array_equal(out.entries, [[1, 2], [3, 1]])
+
+
+def test_perturb_refuses_int64_overflow():
+    big = IntegerMatrix([[2**62, 0], [0, 1]])
+    with pytest.raises(ValidationError, match="64-bit"):
+        perturb(big, IntegerMatrix([[0, 0], [0, 1]]))
+    assert perturb(big, IntegerMatrix([[0, 0], [0, 0]])).entry_bound == 2**62
+    with pytest.raises(ValidationError, match="64-bit"):  # int64 min, whose np.abs wraps
+        perturb(IntegerMatrix([[-(2**63), 0], [0, 1]]), IntegerMatrix([[-1, 0], [0, 1]]))
 
 
 def test_perturb_dimension_mismatch():

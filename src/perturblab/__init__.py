@@ -16,6 +16,7 @@ from .concentration import (
     check_nondegeneracy,
     classify_rich,
     exact_concentration,
+    exact_point_mass,
     fourier_bound,
     parse_query,
 )

@@ -94,10 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
         _add_experiment_flags(p)
         p.set_defaults(run=_run_experiment, runner=runner)
 
-    p = sub.add_parser("singularity", help="exact P(det = 0) by enumeration")
+    p = sub.add_parser(
+        "singularity", help="exact P(det = 0): cofactor vectors of the first n-1 lines against the last"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", default="bernoulli")
-    p.add_argument("--order", choices=["rows", "cols", "both"], default="both")
+    p.add_argument(
+        "--order", choices=["rows", "cols", "both"], default="both",
+        help="side the n-1 prefix lines come from; 'both' runs rows and cols and insists they agree",
+    )
     p.set_defaults(run=_run_singularity)
 
     p = sub.add_parser("lo-check", help="exact concentration vs its cosine product bound")
@@ -138,7 +143,7 @@ def _run_singularity(args: argparse.Namespace) -> int:
         by_cols = experiments.singularity_probability(args.n, dist, order="cols")
         if by_rows != by_cols:
             raise ValidationError(
-                f"enumeration orders disagree: {by_rows} vs {by_cols}"
+                f"row and column prefixes disagree: {by_rows} vs {by_cols}"
             )
         value = by_rows
     else:

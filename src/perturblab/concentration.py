@@ -112,16 +112,14 @@ class ConcentrationValue:
     argmax: int
 
 
-def exact_concentration(
-    query: ConcentrationQuery, v, state_budget: int = DP_STATE_BUDGET
-) -> ConcentrationValue:
-    """Exact sup_a P((Z + X) . v = a) by sparse convolution.
+def _walk(query: ConcentrationQuery, v, state_budget: int) -> tuple[dict[int, int], int, int]:
+    """Law of X . v as integer masses over one common denominator, and the
+    shift's offset Z . v: returns (masses by value, denominator, offset).
 
     The walk's support spans at most 2 * sum |v_i| max|xi_i| + 1 integers
     and at most prod(support sizes) points; if both exceed the state
     budget the instance is out of reach for the exact path (use the
-    Monte Carlo estimator in check_nondegeneracy instead).  The shift
-    only relocates the argmax, never the sup.
+    Monte Carlo estimator in check_nondegeneracy instead).
     """
     weights = _weights(v)
     if len(weights) != query.n:
@@ -157,13 +155,32 @@ def exact_concentration(
                 else:
                     nxt[key] = p * prob
         dp = nxt
-    top = max(dp.values())
-    sup = Fraction(top, den)
     base = 0
     if query.shift is not None:
         base = sum(z * w for z, w in zip(query.shift, weights))
+    return dp, den, base
+
+
+def exact_concentration(
+    query: ConcentrationQuery, v, state_budget: int = DP_STATE_BUDGET
+) -> ConcentrationValue:
+    """Exact sup_a P((Z + X) . v = a) by sparse convolution.
+
+    Raises ResourceError when the convolution is over the state budget.
+    The shift only relocates the argmax, never the sup.
+    """
+    dp, den, base = _walk(query, v, state_budget)
+    top = max(dp.values())
     argmax = min(k for k, p in dp.items() if p == top) + base
-    return ConcentrationValue(sup=sup, argmax=argmax)
+    return ConcentrationValue(sup=Fraction(top, den), argmax=argmax)
+
+
+def exact_point_mass(
+    query: ConcentrationQuery, v, state_budget: int = DP_STATE_BUDGET
+) -> Fraction:
+    """Exact P((Z + X) . v = 0), from the same convolution."""
+    dp, den, base = _walk(query, v, state_budget)
+    return Fraction(dp.get(-base, 0), den)
 
 
 def fourier_bound(

@@ -22,6 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .concentration import ConcentrationQuery, exact_point_mass
 from .config import ExperimentConfig
 from .errors import ResourceError, ValidationError
 from .linalg import (
@@ -37,7 +38,7 @@ from .records import ExperimentRecord, json_safe_float, run_trials
 from . import rational
 from .util import derive_seed, parse_spec, wilson_interval
 
-SINGULARITY_BUDGET = 2**34
+SINGULARITY_BUDGET = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -367,50 +368,133 @@ def condition_tail(cfg: ExperimentConfig) -> CondTailResult:
 # exact singularity probability
 
 
+def _bareiss_steps(a: np.ndarray, steps: range, sign: np.ndarray, prev: np.ndarray) -> None:
+    """Bareiss steps on a stack of r x cols int64 matrices, stacked along
+    the last axis (so every update runs over the stack), in place.
+
+    Step k pivots on column k (the first nonzero entry at or below row k)
+    and updates the entries right of and below it, so every entry it
+    writes is a minor of its matrix and the caller guarantees that twice
+    the square of the largest minor fits in int64.  A zero pivot column
+    sets `sign` to 0 and zeroes the matrix, which then rides along.
+    """
+    for k in steps:
+        piv = k + np.argmax(a[k:, k] != 0, axis=0)
+        moved = np.flatnonzero(piv != k)
+        row_k = a[k, :, moved]
+        a[k, :, moved] = a[piv[moved], :, moved]
+        a[piv[moved], :, moved] = row_k
+        sign[moved] *= -1
+        dead = a[k, k] == 0
+        sign[dead] = 0
+        a[:, :, dead] = 0
+        pivot = np.where(dead, 1, a[k, k])
+        a[k + 1 :, k + 1 :] = (a[k + 1 :, k + 1 :] * pivot - a[k + 1 :, k, None] * a[k, k + 1 :]) // prev
+        prev[:] = pivot
+
+
+def _cofactors(prefixes: np.ndarray, entry_bound: int) -> np.ndarray:
+    """c[b, j] = (-1)^(r+j) det(prefix b without column j) for a stack of
+    r x (r + 1) integer prefixes, so that det([prefix; x]) = x . c.
+
+    int64 Bareiss over the whole stack when the Hadamard bound allows it
+    (|minor| <= (entry_bound^2 r)^(r/2)), else rational.determinant one
+    minor at a time, as Python ints.  Bareiss treats columns alike, so the
+    minors without column j share the first j steps: one elimination of
+    the whole prefix, and minor j branches off it before step j.
+    """
+    count, r, n = prefixes.shape
+    signs = np.array([(-1) ** (r + j) for j in range(n)], dtype=np.int64)
+    if 2 * (entry_bound * entry_bound * r) ** r >= 2**63:
+        drop = [[i for i in range(n) if i != j] for j in range(n)]
+        return np.array(
+            [[rational.determinant(p[:, d]) for d in drop] for p in prefixes], dtype=object
+        ) * signs
+    dets = np.empty((count, n), dtype=np.int64)
+    a = np.ascontiguousarray(prefixes.transpose(1, 2, 0))
+    sign = np.ones(count, dtype=np.int64)
+    prev = np.ones(count, dtype=np.int64)
+    for j in range(r):
+        minor, minor_sign = np.delete(a, j, axis=1), sign.copy()
+        _bareiss_steps(minor, range(j, r), minor_sign, prev.copy())
+        dets[:, j] = minor_sign * minor[r - 1, r - 1]
+        _bareiss_steps(a, range(j, j + 1), sign, prev)
+    dets[:, r] = sign * a[r - 1, r - 1]
+    return dets * signs
+
+
 def singularity_probability(
     n: int,
     dist: DiscreteDistribution,
     order: str = "rows",
     budget: int = SINGULARITY_BUDGET,
 ) -> Fraction:
-    """P(det = 0) by exhaustive enumeration over all entry assignments.
+    """Exact P(det = 0) for an n x n matrix of iid entries with law `dist`.
 
-    Exact rational output.  `order` picks the fill order of the
-    assignment tuple ('rows' or 'cols'); the sum is the same either way,
-    which doubles as a regression check on the enumeration.
+    The normal-vector reduction: once the first n - 1 rows are fixed, the
+    matrix is singular exactly when the last row X is orthogonal to their
+    integer cofactor vector c, so
+
+        P(det = 0) = sum over prefixes of P(prefix) * P(X . c = 0),
+
+    where a rank-deficient prefix has c = 0 and counts in full, and
+    P(X . c = 0) is the point mass of the walk that
+    `concentration.exact_point_mass` convolves (cached by sorted c, by
+    sorted |c| under a symmetric law).  Rows are exchangeable, so the
+    prefix is enumerated as a multiset of row classes weighted by its
+    multinomial coefficient; under a symmetric law a row and its negation
+    are one class of twice the mass.  `budget` caps the number of prefix
+    multisets, C(m + n - 2, n - 1) for m row classes, and is checked
+    before any work.
+
+    `order` names the side the n - 1 prefix lines come from ('rows' or
+    'cols').  For iid entries the transpose has the law of the matrix, so
+    both sides run one code path and give the same value.
     """
-    if n < 1 or n > 5:
-        raise ValidationError("exhaustive singularity supports 1 <= n <= 5")
+    if n < 1:
+        raise ValidationError("singularity needs n >= 1")
     if order not in ("rows", "cols"):
         raise ValidationError(f"order must be 'rows' or 'cols', got {order!r}")
-    support = dist.values
-    k = len(support)
-    cells = n * n
-    total_states = k**cells
-    if total_states > budget:
-        raise ResourceError(
-            f"enumeration needs {total_states} states (budget {budget})"
-        )
-    probs = {v: p for v, p in dist.atoms}
-    uniform = len(set(dist.probabilities)) == 1
-    singular_mass = Fraction(0)
-    singular_count = 0
-    for assignment in itertools.product(support, repeat=cells):
-        if order == "rows":
-            rows = [list(assignment[i * n : (i + 1) * n]) for i in range(n)]
-        else:
-            rows = [[assignment[j * n + i] for j in range(n)] for i in range(n)]
-        if rational.determinant(rows) == 0:
-            if uniform:
-                singular_count += 1
-            else:
-                mass = Fraction(1)
-                for v in assignment:
-                    mass *= probs[v]
-                singular_mass += mass
-    if uniform:
-        return Fraction(singular_count, total_states)
-    return singular_mass
+    symmetric = dist.is_symmetric
+    k = len(dist.atoms)
+    zero = int(0 in dist.values)
+    m = (k**n - zero) // 2 + zero if symmetric else k**n
+    # C(m + n - 2, n - 1) >= m once n >= 2: a huge class count is refused uncounted
+    count = m if n > 1 and m > budget else math.comb(m + n - 2, n - 1)
+    if count > budget:
+        raise ResourceError(f"normal-vector route needs at least {count} prefix multisets (budget {budget})")
+    if n == 1:
+        return dist.probability_of(0)
+    # row classes, with masses as integers over den^n
+    den = math.lcm(*(p.denominator for p in dist.probabilities))
+    scaled = [p.numerator * (den // p.denominator) for p in dist.probabilities]
+    digits = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.int64)
+    rows = np.array(dist.values, dtype=np.int64)[digits]
+    masses = np.array([math.prod(scaled[d] for d in row) for row in digits.tolist()], dtype=object)
+    if symmetric:  # a row and its negation: one class of twice the mass
+        lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+        keep = lead >= 0
+        rows, masses = rows[keep], masses[keep] * np.where(lead[keep] > 0, 2, 1)
+    weight_by_key: dict[tuple, int] = {}
+    prefixes = itertools.combinations_with_replacement(range(m), n - 1)
+    while chunk := list(itertools.islice(prefixes, 4096)):
+        picks = np.array(chunk, dtype=np.int64)
+        # multinomial (n-1)! / prod(multiplicity!) from the runs of each sorted pick
+        run = np.ones(len(picks), dtype=np.int64)
+        repeats = np.ones(len(picks), dtype=np.int64)
+        for i in range(1, n - 1):
+            run = np.where(picks[:, i] == picks[:, i - 1], run + 1, 1)
+            repeats *= run
+        weights = (math.factorial(n - 1) // repeats).astype(object)
+        for i in range(n - 1):
+            weights = weights * masses[picks[:, i]]
+        c = _cofactors(rows[picks], dist.max_abs_value)
+        keys = np.sort(np.abs(c) if symmetric else c, axis=1)
+        for key, w in zip(map(tuple, keys.tolist()), weights):
+            weight_by_key[key] = weight_by_key.get(key, 0) + w
+    query = ConcentrationQuery(dists=(dist,) * n)
+    total = sum((w * exact_point_mass(query, key) for key, w in weight_by_key.items()), Fraction(0))
+    return total / den ** (n * (n - 1))
 
 
 # ---------------------------------------------------------------------------

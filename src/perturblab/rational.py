@@ -71,14 +71,21 @@ def determinant(matrix) -> int:
 
 def _back_substitute(red: list[list[int]], n: int, col: int) -> list[Fraction]:
     """Solve the upper triangular system in the first n columns of the
-    reduced rows against their column `col`."""
-    x = [Fraction(0)] * n
+    reduced rows against their column `col`.
+
+    The last pivot d is +-det, so by Cramer's rule y = d x is an integer
+    vector: back-substitution runs in integers with exact divisions, and
+    each x_i = y_i / d is one Fraction at the end.
+    """
+    d = red[n - 1][n - 1]
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(red[i][col])
+        row = red[i]
+        acc = d * row[col]
         for j in range(i + 1, n):
-            acc -= red[i][j] * x[j]
-        x[i] = acc / red[i][i]
-    return x
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    return [Fraction(v, d) for v in y]
 
 
 def solve_exact(matrix, rhs: Sequence) -> list[Fraction] | None:

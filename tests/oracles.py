@@ -3,15 +3,18 @@
 Everything here deliberately avoids the library's own code paths:
 concentration by direct enumeration of all noise outcomes, the cosine
 product integral by adaptive quadrature, determinants by cofactor
-expansion, and the normal law by mpmath's ncdf.  The scalar sampler, the
-Jacobi SVD and the scalar Fourier-side grid checks below are the
-straightforward loops that the vectorized library versions must
-reproduce bit for bit.  Slow and simple on
-purpose; the tests compare the fast implementations against these.
+expansion or the Leibniz sum, the singularity probability by summing
+over every entry assignment, and the normal law by mpmath's ncdf.  The
+scalar sampler, the Jacobi SVD, the scalar Fourier-side grid checks and
+the term-by-term Fraction back-substitution (on the library's own
+Bareiss reduction) below are the straightforward loops that the faster
+library versions must reproduce exactly.  Slow and simple on purpose;
+the tests compare the fast implementations against these.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -20,12 +23,14 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
+from perturblab.rational import _bareiss
+
 
 def brute_force_concentration(dists, v, shift=None):
     """sup_a P(sum_i (z_i + x_i) v_i = a) over every outcome combination.
 
     dists: sequence of DiscreteDistribution-like objects with .atoms;
-    exponential in n, keep n small.  Returns (sup, argmax).
+    exponential in n, keep n small.  Returns (sup, argmax, mass at 0).
     """
     n = len(v)
     z = shift if shift is not None else (0,) * n
@@ -39,7 +44,7 @@ def brute_force_concentration(dists, v, shift=None):
         mass[s] = mass.get(s, Fraction(0)) + p
     best = max(mass.values())
     arg = min(k for k, p in mass.items() if p == best)
-    return best, arg
+    return best, arg, mass.get(0, Fraction(0))
 
 
 def quad_cosine_product(freqs, mu, tol=1e-12):
@@ -70,9 +75,18 @@ def det3_cofactor(rows):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def det2(rows):
-    (a, b), (c, d) = rows
-    return a * d - b * c
+@functools.cache
+def _signed_permutations(n):
+    out = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        out.append((-1 if inversions % 2 else 1, tuple(enumerate(perm))))
+    return out
+
+
+def leibniz_det(rows):
+    """Integer determinant as the signed sum over all permutations."""
+    return sum(sign * math.prod(rows[i][j] for i, j in cells) for sign, cells in _signed_permutations(len(rows)))
 
 
 def normal_mass(lo, hi, dps=40):
@@ -81,23 +95,64 @@ def normal_mass(lo, hi, dps=40):
         return mpmath.ncdf(hi) - mpmath.ncdf(lo)
 
 
-def singularity_by_enumeration(n, values):
-    """Fraction of n x n sign-pattern matrices (uniform over `values`)
-    that are singular, via cofactor/Leibniz determinants."""
-    if n == 2:
-        det = det2
-    elif n == 3:
-        det = det3_cofactor
+def singularity_by_enumeration(n, law, order="rows"):
+    """P(det = 0) for an n x n matrix of iid entries, summed over every one
+    of the k^(n^2) entry assignments with Leibniz determinants.
+
+    law: an object with .atoms (value, probability) or a sequence of values
+    taken uniformly.  order: 'rows' or 'cols', the fill order of the
+    assignment tuple; the sum is the same either way.
+    """
+    if hasattr(law, "atoms"):
+        atoms = dict(law.atoms)
     else:
-        raise ValueError("oracle supports n in {2, 3}")
-    singular = 0
-    total = 0
-    for combo in itertools.product(values, repeat=n * n):
-        rows = [list(combo[i * n : (i + 1) * n]) for i in range(n)]
-        total += 1
-        if det(rows) == 0:
-            singular += 1
-    return Fraction(singular, total)
+        atoms = {v: Fraction(1, len(law)) for v in law}
+    singular: dict = {}  # sorted entries -> number of singular assignments
+    for combo in itertools.product(atoms, repeat=n * n):
+        if order == "rows":
+            rows = [combo[i * n : (i + 1) * n] for i in range(n)]
+        else:
+            rows = [combo[i::n] for i in range(n)]
+        if leibniz_det(rows) == 0:
+            key = tuple(sorted(combo))
+            singular[key] = singular.get(key, 0) + 1
+    return sum(
+        (count * math.prod(atoms[v] for v in key) for key, count in singular.items()), Fraction(0)
+    )
+
+
+def fraction_back_substitute(red, n, col):
+    """Solve the upper triangular system in the first n columns of the
+    reduced rows against their column `col`, one Fraction per term."""
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = Fraction(red[i][col])
+        for j in range(i + 1, n):
+            acc -= red[i][j] * x[j]
+        x[i] = acc / red[i][i]
+    return x
+
+
+def solve_by_fractions(matrix, rhs):
+    """rational.solve_exact with the Fraction back-substitution; None when
+    the matrix is singular."""
+    n = len(matrix)
+    b = [Fraction(x) for x in rhs]
+    denom = math.lcm(*(x.denominator for x in b))
+    aug = [[int(v) for v in matrix[i]] + [int(b[i] * denom)] for i in range(n)]
+    sign, red = _bareiss(aug, n)
+    if sign == 0:
+        return None
+    return [v / denom for v in fraction_back_substitute(red, n, n)]
+
+
+def invert_by_fractions(matrix):
+    """rational.invert_exact with the Fraction back-substitution."""
+    n = len(matrix)
+    aug = [[int(v) for v in matrix[i]] + [int(i == j) for j in range(n)] for i in range(n)]
+    _, red = _bareiss(aug, n)
+    columns = [fraction_back_substitute(red, n, n + col) for col in range(n)]
+    return [list(row) for row in zip(*columns)]
 
 
 def scalar_sample_vector(dists, seed):

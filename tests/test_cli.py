@@ -36,14 +36,19 @@ def test_singularity_orders_match(capsys):
     assert "5/8" in out_both
 
 
-def test_singularity_too_large_is_invalid(capsys):
+def test_singularity_over_budget_exits_3_without_enumerating(capsys, monkeypatch):
+    # bernoulli n=9: C(263, 8) prefix multisets, refused before any cofactor
+    def cofactors(*args):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(experiments, "_cofactors", cofactors)
     code, _, err = run(capsys, "singularity", "--n", "9")
-    assert code == 2
-    assert "error:" in err
+    assert code == 3
+    assert "budget" in err
 
 
 def test_singularity_budget_exceeded(capsys):
-    # 7 atoms at n=4 needs 7^16 enumeration states
+    # 17 atoms at n=4: C(1203, 3) prefix multisets of 1201 row classes
     code, _, err = run(capsys, "singularity", "--n", "4", "--dist", "discretized_gaussian")
     assert code == 3
     assert "budget" in err

@@ -15,6 +15,7 @@ from perturblab import (
     classify_rich,
     discretized_gaussian,
     exact_concentration,
+    exact_point_mass,
     fourier_bound,
     lazy_coin,
     parse_query,
@@ -93,9 +94,10 @@ def test_exact_matches_brute_force(n, seed):
     shift = tuple(int(x) for x in rng.integers(-2, 3, size=n)) if seed % 2 else None
     q = ConcentrationQuery(dists=dists, shift=shift)
     out = exact_concentration(q, v)
-    want_sup, want_arg = oracles.brute_force_concentration(dists, v, shift)
+    want_sup, want_arg, want_at_zero = oracles.brute_force_concentration(dists, v, shift)
     assert out.sup == want_sup
     assert out.argmax == want_arg
+    assert exact_point_mass(q, v) == want_at_zero
 
 
 def test_exact_concentration_budget():

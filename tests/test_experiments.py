@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from perturblab import (
+    DiscreteDistribution,
     ExperimentConfig,
     IntegerMatrix,
     ResourceError,
@@ -15,6 +16,7 @@ from perturblab import (
     condition_tail,
     derive_seed,
     determinant,
+    discretized_gaussian,
     format_records_csv,
     format_summary_json,
     frozen_entries_experiment,
@@ -118,7 +120,7 @@ def test_singularity_bernoulli_2_is_half():
 
 
 def test_singularity_bernoulli_3_frozen():
-    # frozen via the cofactor-determinant oracle (320 of 512)
+    # frozen via the Leibniz-determinant oracle (320 of 512)
     assert singularity_probability(3, bernoulli()) == Fraction(5, 8)
     assert oracles.singularity_by_enumeration(3, (1, -1)) == Fraction(5, 8)
 
@@ -149,10 +151,59 @@ def test_singularity_nonuniform_law():
 
 
 def test_singularity_size_budget():
-    with pytest.raises(ValidationError):
-        singularity_probability(6, bernoulli())
+    # bernoulli n=7 needs C(69, 6) prefix multisets, over the default budget
+    with pytest.raises(ResourceError, match="budget"):
+        singularity_probability(7, bernoulli())
     with pytest.raises(ResourceError):
         singularity_probability(4, lazy_coin(Fraction(1, 2)), budget=1000)
+
+
+SKEWED = DiscreteDistribution("skewed", ((-1, Fraction(1, 5)), (0, Fraction(1, 2)), (2, Fraction(3, 10))))
+ZERO_ONE = DiscreteDistribution("zero-one", ((0, Fraction(1, 3)), (1, Fraction(2, 3))))
+SINGULARITY_LAWS = {
+    "bernoulli": bernoulli(),
+    "lazy_coin:1/2": lazy_coin(Fraction(1, 2)),
+    "lazy_coin:1/10": lazy_coin(Fraction(1, 10)),
+    "discretized_gaussian": discretized_gaussian(),
+    "skewed": SKEWED,
+    "zero-one": ZERO_ONE,
+}
+
+
+@pytest.mark.parametrize(
+    "law, n",
+    [(law, n) for law in SINGULARITY_LAWS for n in (1, 2, 3) if (law, n) != ("discretized_gaussian", 3)],
+)
+def test_singularity_matches_enumeration_oracle(law, n):
+    dist = SINGULARITY_LAWS[law]
+    # the oracle fills rows at even n and columns at odd n: both fill orders run
+    want = oracles.singularity_by_enumeration(n, dist, order=("rows", "cols")[n % 2])
+    assert singularity_probability(n, dist, "rows") == want
+    assert singularity_probability(n, dist, "cols") == want
+
+
+def test_singularity_wide_entries_take_the_rational_fallback(monkeypatch):
+    # |minor| can reach 2 * 10^12 at n=3, whose square overflows int64
+    wide = DiscreteDistribution("wide", ((-(10**6), Fraction(1, 4)), (1, Fraction(1, 4)), (10**6, Fraction(1, 2))))
+    calls = []
+    exact_det = experiments.rational.determinant
+
+    def counted(matrix):
+        calls.append(matrix)
+        return exact_det(matrix)
+
+    monkeypatch.setattr(experiments.rational, "determinant", counted)
+    got = singularity_probability(3, wide)
+    assert calls
+    assert got == oracles.singularity_by_enumeration(3, wide)
+
+
+def test_singularity_pinned_values():
+    # n=4 and n=5 agree with brute force; n=6 is 43,090,149,376 of the 2^36 sign matrices
+    assert singularity_probability(4, bernoulli(), "rows") == Fraction(169, 256)
+    assert singularity_probability(4, bernoulli(), "cols") == Fraction(169, 256)
+    assert singularity_probability(5, bernoulli()) == Fraction(1343, 2048)
+    assert singularity_probability(6, bernoulli()) == Fraction(1315007, 2097152)
 
 
 def test_singularity_bad_order():

@@ -69,6 +69,17 @@ def test_solve_exact_fraction_rhs():
     assert x == [Fraction(1, 6), Fraction(0)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_back_substitution_matches_fraction_oracle(n):
+    rng = np.random.Generator(np.random.PCG64(300 + n))
+    for _ in range(5):
+        a = rng.integers(-9, 10, size=(n, n)).tolist()
+        b = [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-9, 10, size=n), rng.integers(1, 7, size=n))]
+        assert solve_exact(a, b) == oracles.solve_by_fractions(a, b)
+        if determinant(a) != 0:
+            assert invert_exact(a) == oracles.invert_by_fractions(a)
+
+
 def test_invert_exact_identity_product():
     rng = np.random.Generator(np.random.PCG64(17))
     done = 0

@@ -100,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", default="bernoulli")
     p.add_argument(
-        "--order", choices=["rows", "cols", "both"], default="both",
-        help="side the n-1 prefix lines come from; 'both' runs rows and cols and insists they agree",
+        "--order", choices=["rows", "cols", "both"], default="rows",
+        help="side the n-1 prefix lines come from (default rows); 'both' runs rows and cols "
+        "and insists they agree, at twice the cost",
     )
     p.set_defaults(run=_run_singularity)
 

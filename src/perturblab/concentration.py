@@ -46,7 +46,7 @@ def _weights(v) -> tuple[int, ...]:
     return weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcentrationQuery:
     """Everything a concentration question needs.
 
@@ -106,7 +106,7 @@ class ConcentrationQuery:
         return len(self.dists)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcentrationValue:
     sup: Fraction
     argmax: int
@@ -218,7 +218,7 @@ def cosine_average(freqs: Sequence[int], mu: float, budget: int = AVERAGING_BUDG
     return float(acc.mean())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DominanceReport:
     ok: bool
     exact: Fraction
@@ -255,7 +255,7 @@ def check_dominance(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NondegeneracyReport:
     estimate: float
     ci_low: float
@@ -307,7 +307,7 @@ def check_nondegeneracy(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RichnessReport:
     label: Literal["rich", "poor"]
     sup: Fraction
@@ -357,7 +357,7 @@ def classify_rich(
 #   k_exponent 1.0          optional lcm cap exponent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedQuery:
     query: ConcentrationQuery
     v: tuple[int, ...]

@@ -29,7 +29,7 @@ def default_b_exponent(c_exponent: float, k_exponent: float) -> float:
     return 6.0 * (float(c_exponent) + float(k_exponent) + 2.0) + 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     kind: str
     sizes: tuple[int, ...] = (50,)

@@ -167,7 +167,7 @@ def _exceedance(values: Sequence[float], thresholds: Sequence[float]) -> list[tu
 # tail of the inverse norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TailCurve:
     n: int
     grid: tuple[float, ...]
@@ -179,7 +179,7 @@ class TailCurve:
     slope_points: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TailResult:
     config: ExperimentConfig
     records: list[ExperimentRecord]
@@ -261,7 +261,7 @@ def tail_curve(cfg: ExperimentConfig) -> TailResult:
 # condition number tail
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExceedanceRow:
     b: float
     threshold: float
@@ -272,7 +272,7 @@ class ExceedanceRow:
     comparable_to_gaussian: bool | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CondTailResult:
     config: ExperimentConfig
     records: list[ExperimentRecord]
@@ -526,7 +526,7 @@ def _ge_solve(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray | None:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeTrial:
     trial: int
     seed: int
@@ -536,7 +536,7 @@ class GeTrial:
     singular: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeResult:
     config: ExperimentConfig
     records: list[ExperimentRecord]
@@ -615,7 +615,7 @@ def ge_error_experiment(cfg: ExperimentConfig) -> GeResult:
 # leading principal minors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinorsResult:
     config: ExperimentConfig
     records: list[ExperimentRecord]
@@ -667,7 +667,7 @@ def minors_experiment(cfg: ExperimentConfig) -> MinorsResult:
 # frozen entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrozenResult:
     config: ExperimentConfig
     records: list[ExperimentRecord]  # masked run

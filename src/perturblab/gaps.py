@@ -31,7 +31,7 @@ ENUMERATION_CAP = 10_000_000
 SEARCH_WORK_BUDGET = 20_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gap:
     """Symmetric progression: generators and box radii, dimensionwise."""
 
@@ -127,7 +127,7 @@ def sumset(p: Gap, q: Gap) -> Gap:
 # discretization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscretizationResult:
     """A coarse/fine split of a progression near a requested scale.
 
@@ -153,7 +153,7 @@ class DiscretizationResult:
             raise ValidationError("d_exponent must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClauseReport:
     scale: bool
     smallness: bool
@@ -295,19 +295,34 @@ def discretize_rank1(p: Gap, r0: int, s: int) -> DiscretizationResult:
 # inverse search: from high concentration to a structured cover
 
 
-@dataclass(frozen=True)
+# the one excluded set of every cover that excludes nothing
+NO_EXCLUSIONS: frozenset[int] = frozenset()
+
+
+@dataclass(frozen=True, slots=True)
 class GapCover:
     gap: Gap
     excluded: frozenset[int]
     multiplier_s: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchOutcome:
     found: GapCover | None
     hypothesis_holds: bool
     hypothesis_value: float
     counterexample_candidate: bool
+
+
+def _box_radius_pairs(volume_cap: int) -> list[tuple[int, int]]:
+    """Rank-2 box radii 1 <= n1 <= n2 with (2 n1 + 1)(2 n2 + 1) <= volume_cap,
+    n1 then n2 ascending: the order the search tries them in."""
+    n_max = (volume_cap - 1) // 2
+    return [
+        (n1, n2)
+        for n1 in range(1, n_max + 1)
+        for n2 in range(n1, min(n_max, (volume_cap // (2 * n1 + 1) - 1) // 2) + 1)
+    ]
 
 
 def inverse_lo_search(
@@ -343,17 +358,21 @@ def inverse_lo_search(
         return SearchOutcome(found=found, hypothesis_holds=holds, hypothesis_value=hyp_value,
                              counterexample_candidate=candidate)
 
+    def cover(gap: Gap, misses: list[int], s: int) -> SearchOutcome:
+        return outcome(GapCover(gap=gap, excluded=frozenset(misses) if misses else NO_EXCLUSIONS,
+                                multiplier_s=s))
+
     if hyp_value < float(n) ** (-float(a_exponent)):
         return outcome(None, holds=False)
 
     nonzero = sorted({abs(x) for x in v if x != 0})
     if not nonzero:
-        return outcome(GapCover(gap=Gap((Fraction(1),), (0,)), excluded=frozenset(), multiplier_s=1))
+        return cover(Gap((Fraction(1),), (0,)), [], 1)
 
     n_max = (volume_cap - 1) // 2
     work = 0
 
-    def rank1_try(u: Fraction) -> tuple[frozenset[int], int] | None:
+    def rank1_try(u: Fraction) -> tuple[list[int], int] | None:
         nonlocal work
         misses = []
         radius = 0
@@ -365,9 +384,10 @@ def inverse_lo_search(
             else:
                 misses.append(j)
         if len(misses) <= except_cap:
-            return frozenset(misses), radius
+            return misses, radius
         return None
 
+    dim_pairs = _box_radius_pairs(volume_cap)
     for s in range(1, volume_cap + 1):
         cands = sorted({Fraction(a, s) for a in nonzero})
         for u in cands:
@@ -375,15 +395,9 @@ def inverse_lo_search(
                 raise ResourceError(f"search work exceeded budget {work_budget}")
             hit = rank1_try(u)
             if hit is not None:
-                excluded, radius = hit
-                return outcome(GapCover(gap=Gap((u,), (radius,)), excluded=excluded, multiplier_s=s))
+                misses, radius = hit
+                return cover(Gap((u,), (radius,)), misses, s)
         if rank_cap >= 2:
-            dim_pairs = [
-                (n1, n2)
-                for n1 in range(1, n_max + 1)
-                for n2 in range(n1, n_max + 1)
-                if (2 * n1 + 1) * (2 * n2 + 1) <= volume_cap
-            ]
             for u1, u2 in itertools.combinations(cands, 2):
                 for n1, n2 in dim_pairs:
                     if work > work_budget:
@@ -397,7 +411,7 @@ def inverse_lo_search(
                         if len(misses) > except_cap:
                             break
                     if len(misses) <= except_cap:
-                        return outcome(GapCover(gap=gap, excluded=frozenset(misses), multiplier_s=s))
+                        return cover(gap, misses, s)
 
     logger.warning(
         "counterexample candidate: concentration %.3e >= n^-%s but no rank<=%d cover "

@@ -33,7 +33,7 @@ MAX_SWEEPS = 60
 COLUMN_FLOOR2 = 1e-200  # squared column norm under this times ||A||_F^2 is noise
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegerMatrix:
     """Square integer matrix; entry_bound is its largest |entry|."""
 
@@ -62,7 +62,7 @@ class IntegerMatrix:
         return [[int(x) for x in row] for row in self.entries]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealMatrix:
     """Square float matrix; every entry must be finite."""
 
@@ -88,7 +88,7 @@ def _as_real_array(m) -> np.ndarray:
     return RealMatrix(np.asarray(m, dtype=float)).entries.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingularSpectrum:
     """All singular values, descending, plus the final Jacobi residual."""
 

@@ -63,7 +63,7 @@ def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
     return -frac if sign else frac
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscreteDistribution:
     """Finite integer-supported law with exact rational probabilities.
 
@@ -138,7 +138,7 @@ def char_magnitude(dist: DiscreteDistribution, t: float | np.ndarray) -> float |
     return np.hypot(re, im)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundednessCertificate:
     """Claim: |phi(t)| <= (1 - mu) + mu * cos(2 pi k t) for all real t.
 
@@ -166,7 +166,7 @@ def mu_float(mu) -> float:
     return mu_f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateCheck:
     ok: bool
     worst_margin: float

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,7 +20,7 @@ CSV_SCHEMA_LINE = "# perturblab-records schema=1"
 CSV_HEADER = "trial,seed,n,sigma_max,sigma_min,kappa,singular,tail_hit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentRecord:
     trial: int
     seed: int
@@ -81,5 +80,7 @@ def run_trials(fn: Callable[[int], object], count: int, threads: int) -> list:
     """
     if threads <= 1:
         return [fn(i) for i in range(count)]
+    from concurrent.futures import ThreadPoolExecutor  # only pooled runs pay for loading it
+
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, range(count)))

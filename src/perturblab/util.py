@@ -4,7 +4,6 @@ reader behind every line-based text format, and the one grammar of
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -36,6 +35,8 @@ def derive_seed(master_seed: int, *parts) -> int:
     Uses a keyed hash rather than Python's hash() so the stream is
     identical across processes, platforms, and worker counts.
     """
+    import hashlib  # here, not at the top: it loads OpenSSL (about 3.5 MB resident)
+
     h = hashlib.blake2b(digest_size=8)
     h.update(str(int(master_seed)).encode())
     for part in parts:

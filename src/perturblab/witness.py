@@ -33,7 +33,7 @@ class WitnessClass(enum.Enum):
     UNCLASSIFIED = "unclassified"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessVector:
     values: tuple[int, ...]
     norm: float
@@ -121,7 +121,7 @@ def label_witness(
 # greedy nets on the unit sphere
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpsilonNet:
     """Maximal-by-construction separated point set on S^(l-1).
 
@@ -270,7 +270,7 @@ def embed_zero_padded(net: EpsilonNet, n: int) -> np.ndarray:
 # the small-image event
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmallImageReport:
     estimate: float
     ci_low: float

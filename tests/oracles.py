@@ -7,8 +7,9 @@ expansion or the Leibniz sum, the singularity probability by summing
 over every entry assignment, and the normal law by mpmath's ncdf.  The
 scalar sampler, the Jacobi SVD, the scalar Fourier-side grid checks and
 the term-by-term Fraction back-substitution (on the library's own
-Bareiss reduction) below are the straightforward loops that the faster
-library versions must reproduce exactly.  Slow and simple on purpose;
+Bareiss reduction) and the inverse search that filters every box-radius
+pair afresh for each multiplier below are the straightforward loops that
+the faster library versions must reproduce exactly.  Slow and simple on purpose;
 the tests compare the fast implementations against these.
 """
 
@@ -16,14 +17,22 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import mpmath
 import numpy as np
 from scipy import integrate
 
+from perturblab.concentration import cosine_average
+from perturblab.errors import ResourceError, ValidationError
+from perturblab.gaps import SEARCH_WORK_BUDGET, Gap, GapCover, SearchOutcome
+from perturblab.noise import mu_float
 from perturblab.rational import _bareiss
+
+logger = logging.getLogger("perturblab.gaps")
 
 
 def brute_force_concentration(dists, v, shift=None):
@@ -267,3 +276,116 @@ def scalar_chain_margins(dist, s, grid_size):
         worst1 = min(worst1, mid - scalar_char_magnitude(dist, t))
         worst2 = min(worst2, top - mid)
     return worst1, worst2
+
+
+def filtered_box_radius_pairs(volume_cap):
+    """Every (n1, n2) with 1 <= n1 <= n2 <= (volume_cap - 1) // 2, kept when
+    its box (2 n1 + 1)(2 n2 + 1) fits the cap."""
+    n_max = (volume_cap - 1) // 2
+    return [
+        (n1, n2)
+        for n1 in range(1, n_max + 1)
+        for n2 in range(n1, n_max + 1)
+        if (2 * n1 + 1) * (2 * n2 + 1) <= volume_cap
+    ]
+
+
+def inverse_lo_search_reference(
+    v: Sequence[int],
+    mu,
+    rank_cap: int = 2,
+    volume_cap: int = 2001,
+    except_cap: int = 0,
+    a_exponent: float = 1.0,
+    work_budget: int = SEARCH_WORK_BUDGET,
+) -> SearchOutcome:
+    """gaps.inverse_lo_search as it was before its box radii were built once
+    per call: the (n1, n2) list is re-filtered from all n1 <= n2 <= n_max
+    for every multiplier s.  The rest is the library's search unchanged.
+
+    Search for a small progression covering almost all weights.
+
+    Triggered only when the unit-multiplier cosine average reaches
+    n^-a_exponent (high concentration).  Generators are drawn from
+    {v_i / s : 1 <= s <= volume_cap}; ranks 1 and 2 are searched in a
+    fixed deterministic order (s ascending, generators ascending, box
+    radii ascending).  A trigger with no cover found is logged as a
+    counterexample candidate and reported in the outcome, never dropped.
+    """
+    v = [int(x) for x in v]
+    n = len(v)
+    if n == 0 or n > 16:
+        raise ValidationError(f"search supports 1 <= n <= 16, got {n}")
+    if rank_cap not in (1, 2):
+        raise ValidationError(f"rank_cap must be 1 or 2, got {rank_cap}")
+    if volume_cap < 1 or except_cap < 0:
+        raise ValidationError("volume_cap must be >= 1 and except_cap >= 0")
+    mu_f = mu_float(mu)
+    hyp_value = cosine_average(v, mu_f)
+
+    def outcome(found: GapCover | None, holds: bool = True, candidate: bool = False) -> SearchOutcome:
+        return SearchOutcome(found=found, hypothesis_holds=holds, hypothesis_value=hyp_value,
+                             counterexample_candidate=candidate)
+
+    if hyp_value < float(n) ** (-float(a_exponent)):
+        return outcome(None, holds=False)
+
+    nonzero = sorted({abs(x) for x in v if x != 0})
+    if not nonzero:
+        return outcome(GapCover(gap=Gap((Fraction(1),), (0,)), excluded=frozenset(), multiplier_s=1))
+
+    n_max = (volume_cap - 1) // 2
+    work = 0
+
+    def rank1_try(u: Fraction) -> tuple[frozenset[int], int] | None:
+        nonlocal work
+        misses = []
+        radius = 0
+        for j, vj in enumerate(v):
+            work += 1
+            q = Fraction(vj) / u
+            if q.denominator == 1 and abs(q) <= n_max:
+                radius = max(radius, abs(int(q)))
+            else:
+                misses.append(j)
+        if len(misses) <= except_cap:
+            return frozenset(misses), radius
+        return None
+
+    for s in range(1, volume_cap + 1):
+        cands = sorted({Fraction(a, s) for a in nonzero})
+        for u in cands:
+            if work > work_budget:
+                raise ResourceError(f"search work exceeded budget {work_budget}")
+            hit = rank1_try(u)
+            if hit is not None:
+                excluded, radius = hit
+                return outcome(GapCover(gap=Gap((u,), (radius,)), excluded=excluded, multiplier_s=s))
+        if rank_cap >= 2:
+            dim_pairs = [
+                (n1, n2)
+                for n1 in range(1, n_max + 1)
+                for n2 in range(n1, n_max + 1)
+                if (2 * n1 + 1) * (2 * n2 + 1) <= volume_cap
+            ]
+            for u1, u2 in itertools.combinations(cands, 2):
+                for n1, n2 in dim_pairs:
+                    if work > work_budget:
+                        raise ResourceError(f"search work exceeded budget {work_budget}")
+                    gap = Gap((u1, u2), (n1, n2))
+                    misses = []
+                    for j, vj in enumerate(v):
+                        work += 2 * n1 + 1
+                        if not gap.contains(Fraction(vj)):
+                            misses.append(j)
+                        if len(misses) > except_cap:
+                            break
+                    if len(misses) <= except_cap:
+                        return outcome(GapCover(gap=gap, excluded=frozenset(misses), multiplier_s=s))
+
+    logger.warning(
+        "counterexample candidate: concentration %.3e >= n^-%s but no rank<=%d cover "
+        "of volume <= %d found for v=%s",
+        hyp_value, a_exponent, rank_cap, volume_cap, v,
+    )
+    return outcome(None, candidate=True)

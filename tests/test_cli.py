@@ -36,6 +36,21 @@ def test_singularity_orders_match(capsys):
     assert "5/8" in out_both
 
 
+def test_singularity_default_order_computes_once(capsys, monkeypatch):
+    orders = []
+    real = experiments.singularity_probability
+
+    def counted(n, dist, order="rows", *args, **kwargs):
+        orders.append(order)
+        return real(n, dist, order, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "singularity_probability", counted)
+    code, out, _ = run(capsys, "singularity", "--n", "3")
+    assert code == 0
+    assert "5/8" in out
+    assert orders == ["rows"]
+
+
 def test_singularity_over_budget_exits_3_without_enumerating(capsys, monkeypatch):
     # bernoulli n=9: C(263, 8) prefix multisets, refused before any cofactor
     def cofactors(*args):

@@ -1,0 +1,67 @@
+"""What importing perturblab costs in resident memory, and the pieces kept
+small to hold it down: no OpenSSL or executor machinery until a caller
+needs it, and no per-instance __dict__ on the frozen records."""
+
+import dataclasses
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import perturblab
+from perturblab.gaps import NO_EXCLUSIONS
+from perturblab.util import derive_seed
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(perturblab.__file__)))
+
+
+def test_inverse_search_loads_neither_openssl_nor_executors():
+    # hashlib loads OpenSSL (_hashlib, about 3.5 MB resident); derive_seed
+    # and the threaded trial runner import what they need when called
+    script = (
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "import perturblab\n"
+        "perturblab.inverse_lo_search((3, 5, 8, -2), Fraction(1, 4), a_exponent=4.0)\n"
+        "print(json.dumps([m for m in ('_hashlib', 'concurrent.futures') if m in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("args, seed", [
+    ((0,), 9523843951405948789),
+    ((20260818, "cond-tail", 100, 7), 1015074345390643081),
+    ((1, "tail-gaussian", 50, 0), 12867843340617309194),
+    ((-5, "x", 2.5, None), 8644428285217308067),
+    ((2**70, "", "ü"), 17271396516800703850),
+])
+def test_derive_seed_is_pinned(args, seed):
+    assert derive_seed(*args) == seed
+
+
+def _frozen_dataclasses():
+    for info in pkgutil.iter_modules(perturblab.__path__):
+        module = importlib.import_module(f"perturblab.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen):
+                yield obj
+
+
+def test_every_frozen_dataclass_has_slots():
+    classes = list(_frozen_dataclasses())
+    assert len(classes) > 20
+    assert [c.__qualname__ for c in classes if "__slots__" not in vars(c)] == []
+
+
+def test_covers_that_exclude_nothing_share_one_empty_set():
+    for v in ((5, 5, 5), (3, 5, 8, -2), (0, 0)):
+        assert perturblab.inverse_lo_search(v, Fraction(1, 4), a_exponent=4.0).found.excluded is NO_EXCLUSIONS

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,10 @@ from perturblab import (
     sumset,
     verify_discretization,
 )
+from perturblab.gaps import _box_radius_pairs
+from perturblab.noise import bernoulli, certificate_from_symmetric, discretized_gaussian, lazy_coin
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +315,93 @@ def test_search_exclusion_budget():
     covered = [x for i, x in enumerate(v) if i not in out.found.excluded]
     for x in covered:
         assert out.found.gap.contains(x)
+
+
+def _search(fn, *args, **kwargs):
+    """The outcome of a search, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ResourceError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def _battery_vector(rng, n, rank):
+    """A weight vector in the exact-small-ball benchmark's style: multiples
+    of one step, or small combinations of two steps with both steps present."""
+    if rank == 1 or n == 1:
+        step = rng.randint(1, 3)
+        ks = [rng.randint(-3, 3) for _ in range(n)]
+        ks[rng.randrange(n)] = rng.choice((-1, 1))
+        return tuple(step * k for k in ks)
+    g1, g2 = rng.choice(((3, 5), (4, 7), (5, 8)))
+    v = [g1 * rng.randint(-1, 1) + g2 * rng.randint(-1, 1) for _ in range(n)]
+    a, b = rng.sample(range(n), 2)
+    v[a], v[b] = g1, g2
+    return tuple(v)
+
+
+def test_box_radius_pairs_equal_the_filter():
+    for cap in [*range(1, 401), 2001]:
+        assert _box_radius_pairs(cap) == oracles.filtered_box_radius_pairs(cap), cap
+
+
+def test_search_equals_reference_on_a_seeded_battery():
+    rng = random.Random(20090611)
+    mus = [certificate_from_symmetric(d).mu
+           for d in (bernoulli(), lazy_coin(Fraction(1, 2)), discretized_gaussian())]
+    outcomes = []
+    for n in range(1, 17):
+        for rank in (1, 2):
+            v = _battery_vector(rng, n, rank)
+            mu = rng.choice(mus)
+            a_exponent = rng.choice((0.5, 1.0, 4.0))
+            for except_cap, rank_cap, volume_cap in itertools.product((0, 1), (1, 2), (1, 3, 9, 25, 2001)):
+                kwargs = dict(rank_cap=rank_cap, volume_cap=volume_cap, except_cap=except_cap,
+                              a_exponent=a_exponent)
+                got = _search(inverse_lo_search, v, mu, **kwargs)
+                want = _search(oracles.inverse_lo_search_reference, v, mu, **kwargs)
+                assert got == want, (v, mu, kwargs)
+                outcomes.append(got)
+    # the battery reaches covers of both ranks, with and without exclusions,
+    # untriggered searches and counterexample candidates
+    found = [o.found for o in outcomes if o.found is not None]
+    assert {c.gap.rank for c in found} == {1, 2}
+    assert any(c.excluded for c in found) and any(not c.excluded for c in found)
+    assert any(not o.hypothesis_holds for o in outcomes)
+    assert any(o.counterexample_candidate for o in outcomes)
+
+
+def _least_budget(v, mu, **kwargs):
+    """The smallest work budget under which the search returns."""
+    lo, hi = 0, 1
+    while isinstance(_search(inverse_lo_search, v, mu, work_budget=hi, **kwargs), tuple):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if isinstance(_search(inverse_lo_search, v, mu, work_budget=mid, **kwargs), tuple):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("v, kwargs", [
+    ((3, 5, 8, -2, 3, 5, -8, 0), dict(a_exponent=4.0)),  # rank-2 cover at s = 1
+    ((3, 5, 7, 11), dict(rank_cap=1, a_exponent=6.0)),  # rank-1 cover at s = 3
+    ((1, 2, 4, 8, 16, 32), dict(volume_cap=25, except_cap=1, a_exponent=8.0)),  # no cover
+])
+def test_search_work_budget_equals_reference(v, kwargs):
+    # the reference raises ResourceError one unit of work below the least
+    # budget at which the library returns, and returns at it: both count the
+    # same work in the same order
+    mu = Fraction(1, 4)
+    least = _least_budget(v, mu, **kwargs)
+    assert least > 1
+    below = _search(oracles.inverse_lo_search_reference, v, mu, work_budget=least - 1, **kwargs)
+    assert below == (ResourceError, f"search work exceeded budget {least - 1}")
+    assert below == _search(inverse_lo_search, v, mu, work_budget=least - 1, **kwargs)
+    at = _search(oracles.inverse_lo_search_reference, v, mu, work_budget=least, **kwargs)
+    assert at == inverse_lo_search(v, mu, work_budget=least, **kwargs)
 
 
 # ---------------------------------------------------------------------------

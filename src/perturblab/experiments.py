@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -34,7 +34,7 @@ from .linalg import (
     svd,
 )
 from .noise import NOISE_ARGS, DiscreteDistribution, distribution_from_spec, sample_iid_matrix
-from .records import ExperimentRecord, json_safe_float, run_trials
+from .records import ExperimentRecord, run_trials
 from . import rational
 from .util import derive_seed, parse_spec, wilson_interval
 
@@ -192,12 +192,12 @@ class TailResult:
             "noise": self.config.noise,
             "curves": {
                 str(n): {
-                    "grid": [json_safe_float(x) for x in c.grid],
-                    "counts": list(c.counts),
-                    "fractions": [json_safe_float(x) for x in c.fractions],
-                    "ci_low": [json_safe_float(x) for x in c.ci_low],
-                    "ci_high": [json_safe_float(x) for x in c.ci_high],
-                    "loglog_slope": json_safe_float(c.slope) if c.slope is not None else None,
+                    "grid": c.grid,
+                    "counts": c.counts,
+                    "fractions": c.fractions,
+                    "ci_low": c.ci_low,
+                    "ci_high": c.ci_high,
+                    "loglog_slope": c.slope,
                     "slope_points": c.slope_points,
                 }
                 for n, c in self.curves.items()
@@ -301,18 +301,10 @@ def _tables_json(tables: dict[int, list[ExceedanceRow]], threshold: bool = True)
     carried the threshold column."""
 
     def row(r: ExceedanceRow) -> dict:
-        out = {
-            "b": r.b,
-            "count": r.count,
-            "fraction": json_safe_float(r.fraction),
-            "ci_low": json_safe_float(r.ci_low),
-            "ci_high": json_safe_float(r.ci_high),
+        return {
+            k: v for k, v in asdict(r).items()
+            if v is not None and (threshold or k != "threshold")
         }
-        if threshold:
-            out["threshold"] = json_safe_float(r.threshold)
-        if r.comparable_to_gaussian is not None:
-            out["comparable_to_gaussian"] = r.comparable_to_gaussian
-        return out
 
     return {str(n): [row(r) for r in table] for n, table in tables.items()}
 
@@ -556,13 +548,11 @@ class GeResult:
             "eps_machine": self.eps_machine,
             "trials": len(self.trials),
             "singular_draws": sum(1 for t in self.trials if t.singular),
-            "ratio_median": json_safe_float(ratios[len(ratios) // 2]) if ratios else None,
-            "ratio_p90": json_safe_float(ratios[int(0.9 * (len(ratios) - 1))]) if ratios else None,
-            "ratio_max": json_safe_float(ratios[-1]) if ratios else None,
+            "ratio_median": ratios[len(ratios) // 2] if ratios else None,
+            "ratio_p90": ratios[int(0.9 * (len(ratios) - 1))] if ratios else None,
+            "ratio_max": ratios[-1] if ratios else None,
             "well_conditioned_count": len(well),
-            "fraction_ratio_le_100_well_conditioned": json_safe_float(frac_small)
-            if frac_small is not None
-            else None,
+            "fraction_ratio_le_100_well_conditioned": frac_small,
         }
 
 
@@ -628,11 +618,10 @@ class MinorsResult:
             "trials": self.config.trials,
             "b": self.config.b_grid[0],
             "per_minor_max_kappa": {
-                str(n): {str(k): json_safe_float(v) for k, v in ks.items()}
-                for n, ks in self.per_k.items()
+                str(n): {str(k): v for k, v in ks.items()} for n, ks in self.per_k.items()
             },
             "fraction_all_minors_below_threshold": {
-                str(n): json_safe_float(f) for n, f in self.fraction_all_below.items()
+                str(n): f for n, f in self.fraction_all_below.items()
             },
         }
 

@@ -184,8 +184,6 @@ def verify_certificate(
     envelope's k and the law's largest support value); both sides then
     vary too slowly between grid points to cross undetected.
     """
-    if cert.mu > Fraction(1, 2):
-        raise ValidationError("certificate mu exceeds 1/2")
     min_grid = 4 * (cert.k + dist.max_abs_value)
     if grid_size is None:
         grid_size = max(DEFAULT_GRID, min_grid)

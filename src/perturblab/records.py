@@ -56,7 +56,9 @@ def write_records_csv(path: str, records: Sequence[ExperimentRecord]) -> None:
 
 
 def format_summary_json(summary: dict) -> str:
-    return json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Sorted, indented JSON; +-inf anywhere in the summary is written as
+    "inf" / "-inf" (an exactly singular draw has kappa = inf), NaN is refused."""
+    return json.dumps(_json_safe(summary), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_summary_json(path: str, summary: dict) -> None:
@@ -66,9 +68,17 @@ def write_summary_json(path: str, summary: dict) -> None:
 
 def json_safe_float(x: float) -> float | str:
     """JSON has no inf; encode it as a string marker."""
-    if math.isinf(x) or math.isnan(x):
-        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
-    return float(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
+def _json_safe(value):
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return json_safe_float(value) if isinstance(value, float) else value
 
 
 def run_trials(fn: Callable[[int], object], count: int, threads: int) -> list:

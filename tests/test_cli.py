@@ -28,12 +28,15 @@ def test_singularity_n2_exact(capsys):
 
 
 def test_singularity_orders_match(capsys):
-    # --order both runs rows and cols and insists they agree
+    # the transpose of an iid matrix has its law: row and column prefixes agree
     code_rows, out_rows, _ = run(capsys, "singularity", "--n", "3", "--order", "rows")
-    code_both, out_both, _ = run(capsys, "singularity", "--n", "3", "--order", "both")
-    assert code_rows == code_both == 0
-    assert out_rows == out_both
-    assert "5/8" in out_both
+    code_cols, out_cols, _ = run(capsys, "singularity", "--n", "3", "--order", "cols")
+    assert code_rows == code_cols == 0
+    assert out_rows == out_cols
+    assert "5/8" in out_cols
+    with pytest.raises(SystemExit) as exc:
+        main(["singularity", "--n", "3", "--order", "both"])
+    assert exc.value.code == 2
 
 
 def test_singularity_default_order_computes_once(capsys, monkeypatch):
@@ -91,6 +94,15 @@ def test_lo_check_without_mu_derives_certificate(tmp_path, capsys):
     code, out, _ = run(capsys, "lo-check", str(query))
     assert code == 0
     assert out.strip().splitlines()[1].endswith(",1")
+
+
+def test_lo_check_bound_violated_exits_1(tmp_path, capsys):
+    # mu = 1/2 claims more than bernoulli's |cos| envelope gives at frequency 1
+    query = tmp_path / "q.txt"
+    query.write_text("dist bernoulli\nv 1 1\nmu 1/2\n")
+    code, out, _ = run(capsys, "lo-check", str(query))
+    assert code == 1
+    assert out.strip().splitlines() == ["exact,bound,gap,ok", "0.5,0.375,-0.125,0"]
 
 
 def test_lo_check_bad_file(tmp_path, capsys):

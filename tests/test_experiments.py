@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -377,6 +378,13 @@ def test_minors_tracks_leading_blocks():
     assert per_k[1] == pytest.approx(1.0)
     assert 0.0 <= out.fraction_all_below[6] <= 1.0
     assert len(out.records) == 25
+
+
+def test_minors_summary_writes_a_singular_minor_as_inf():
+    # bernoulli n=2: P(singular) = 1/2, so 8 trials all but surely hit kappa = inf
+    cfg = ExperimentConfig(kind="minors", sizes=(2,), trials=8, seed=1, b_grid=(1.0,))
+    text = format_summary_json(minors_experiment(cfg).summary())
+    assert json.loads(text)["per_minor_max_kappa"] == {"2": {"1": 1.0, "2": "inf"}}
 
 
 def test_minors_size_cap():

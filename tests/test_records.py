@@ -87,6 +87,15 @@ def test_summary_json_rejects_raw_nan():
         format_summary_json({"x": float("nan")})
 
 
+def test_summary_json_writes_nested_infinities_as_strings():
+    text = format_summary_json(
+        {"d": {"k": math.inf}, "l": [1.5, -math.inf], "t": (math.inf, 0.1, 2), "x": 1e300}
+    )
+    assert json.loads(text) == {
+        "d": {"k": "inf"}, "l": [1.5, "-inf"], "t": ["inf", 0.1, 2], "x": 1e300,
+    }
+
+
 def test_json_safe_float_passthrough():
     assert json_safe_float(1.5) == 1.5
     assert json_safe_float(math.inf) == "inf"

@@ -351,7 +351,7 @@ def classify_rich(
 #   dist bernoulli          required; one law for all coordinates
 #   v 1 1 2                 required
 #   z 0 0 1                 optional shift
-#   a 2 2 2                 optional multipliers
+#   a 2 2 2                 optional multipliers; needs a mu line
 #   exclude 2               optional excluded coordinate indices
 #   mu 1/4                  optional envelope mu for the bound
 #   k_exponent 1.0          optional lcm cap exponent
@@ -372,6 +372,9 @@ def parse_query(text: str) -> ParsedQuery:
     fields = keyed_lines(content_lines(text), _QUERY_KEYS)
     if "v" not in fields or "dist" not in fields:
         raise ValidationError("query file needs 'dist' and 'v' lines")
+    if "a" in fields and "mu" not in fields:
+        raise ValidationError(f"line {fields['a'][0]}: an 'a' line needs a 'mu' line "
+                              "(without one, the multipliers come from the laws' certificates)")
     dist = distribution_from_spec(" ".join(fields.pop("dist")[1]))
     got = {}
     for key, (lineno, values) in fields.items():

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .concentration import cosine_average
 from .errors import ConstructionError, ResourceError, ValidationError
@@ -29,6 +30,19 @@ logger = logging.getLogger("perturblab.gaps")
 
 ENUMERATION_CAP = 10_000_000
 SEARCH_WORK_BUDGET = 20_000_000
+
+
+def _least_coefficient(x: int, a: int, b: int, n1: int) -> int | float:
+    """The least |x2| over integer solutions of x = x1 a + x2 b with |x1| <= n1
+    (b != 0), or inf when there is none.  So x lies in the progression of
+    generators a, b and box radii n1, n2 exactly when this is at most n2;
+    with n1 = 0 it is the rank-1 rule, |x / b| when b divides x."""
+    least = math.inf
+    for x1 in range(-n1, n1 + 1):
+        q, r = divmod(x - x1 * a, b)
+        if r == 0 and abs(q) < least:
+            least = abs(q)
+    return least
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,34 +93,20 @@ class Gap:
         return Gap(tuple(g * k for g in self.generators), self.dims)
 
     def contains(self, x, cap: int = ENUMERATION_CAP) -> bool:
-        """Exact membership.  Rank 1 and 2 solve for coefficients directly;
-        higher ranks fall back to enumeration under the cap."""
+        """Exact membership.  Rank 1 and 2 solve for coefficients in integers
+        (see _least_coefficient); higher ranks fall back to enumeration under
+        the cap."""
         x = _as_fraction(x)
-        if self.rank == 1:
-            g = self.generators[0]
-            n = self.dims[0]
-            if g == 0:
-                return x == 0
-            q = x / g
-            return q.denominator == 1 and abs(q) <= n
-        if self.rank == 2:
-            g1, g2 = self.generators
-            n1, n2 = self.dims
-            if g1 == 0 and g2 == 0:
-                return x == 0
-            if g1 == 0:
-                return Gap((g2,), (n2,)).contains(x)
-            if g2 == 0:
-                return Gap((g1,), (n1,)).contains(x)
-            # loop the smaller box, solve the other coordinate
-            if n2 < n1:
-                g1, g2, n1, n2 = g2, g1, n2, n1
-            for x1 in range(-n1, n1 + 1):
-                q = (x - x1 * g1) / g2
-                if q.denominator == 1 and abs(q) <= n2:
-                    return True
-            return False
-        return x in set(self.elements(cap))
+        if self.rank > 2:
+            return x in set(self.elements(cap))
+        # zero generators drop out; loop the smaller box, solve the other one
+        terms = sorted((d, g) for g, d in zip(self.generators, self.dims) if g != 0)
+        if not terms:
+            return x == 0
+        (n1, g1), (n2, g2) = ([(0, Fraction(0))] + terms)[-2:]
+        scale = math.lcm(x.denominator, g1.denominator, g2.denominator)
+        x, a, b = (int(t * scale) for t in (x, g1, g2))
+        return _least_coefficient(x, a, b, n1) <= n2
 
     def contains_quotient(self, x, a_bound: int, cap: int = ENUMERATION_CAP) -> bool:
         """Membership in {p / a : p in gap, 1 <= a <= a_bound} (symmetry makes
@@ -314,15 +314,16 @@ class SearchOutcome:
     counterexample_candidate: bool
 
 
-def _box_radius_pairs(volume_cap: int) -> list[tuple[int, int]]:
+def _box_radius_pairs(volume_cap: int) -> Iterator[tuple[int, int]]:
     """Rank-2 box radii 1 <= n1 <= n2 with (2 n1 + 1)(2 n2 + 1) <= volume_cap,
-    n1 then n2 ascending: the order the search tries them in."""
-    n_max = (volume_cap - 1) // 2
-    return [
+    n1 then n2 ascending: the order the search tries them in.  The smaller
+    side fits the cap twice over, so 2 n1 + 1 <= isqrt(volume_cap).  Lazy,
+    since a search mostly stops at one of the first few boxes."""
+    return (
         (n1, n2)
-        for n1 in range(1, n_max + 1)
-        for n2 in range(n1, min(n_max, (volume_cap // (2 * n1 + 1) - 1) // 2) + 1)
-    ]
+        for n1 in range(1, (math.isqrt(volume_cap) - 1) // 2 + 1)
+        for n2 in range(n1, (volume_cap // (2 * n1 + 1) - 1) // 2 + 1)
+    )
 
 
 def inverse_lo_search(
@@ -342,6 +343,11 @@ def inverse_lo_search(
     fixed deterministic order (s ascending, generators ascending, box
     radii ascending).  A trigger with no cover found is logged as a
     counterexample candidate and reported in the outcome, never dropped.
+
+    Membership is tested in integers: at multiplier s the weights become
+    v_j s and the generators a / s become a.  Work counts coefficients
+    tried, one per weight at rank 1 and 2 n1 + 1 per weight and box at
+    rank 2, and the search raises ResourceError once it passes the budget.
     """
     v = [int(x) for x in v]
     n = len(v)
@@ -371,47 +377,36 @@ def inverse_lo_search(
 
     n_max = (volume_cap - 1) // 2
     work = 0
-
-    def rank1_try(u: Fraction) -> tuple[list[int], int] | None:
-        nonlocal work
-        misses = []
-        radius = 0
-        for j, vj in enumerate(v):
-            work += 1
-            q = Fraction(vj) / u
-            if q.denominator == 1 and abs(q) <= n_max:
-                radius = max(radius, abs(int(q)))
-            else:
-                misses.append(j)
-        if len(misses) <= except_cap:
-            return misses, radius
-        return None
-
-    dim_pairs = _box_radius_pairs(volume_cap)
     for s in range(1, volume_cap + 1):
-        cands = sorted({Fraction(a, s) for a in nonzero})
-        for u in cands:
+        scaled = [vj * s for vj in v]
+        for a in nonzero:
             if work > work_budget:
                 raise ResourceError(f"search work exceeded budget {work_budget}")
-            hit = rank1_try(u)
-            if hit is not None:
-                misses, radius = hit
-                return cover(Gap((u,), (radius,)), misses, s)
-        if rank_cap >= 2:
-            for u1, u2 in itertools.combinations(cands, 2):
-                for n1, n2 in dim_pairs:
-                    if work > work_budget:
-                        raise ResourceError(f"search work exceeded budget {work_budget}")
-                    gap = Gap((u1, u2), (n1, n2))
-                    misses = []
-                    for j, vj in enumerate(v):
-                        work += 2 * n1 + 1
-                        if not gap.contains(Fraction(vj)):
-                            misses.append(j)
+            work += n
+            radii = [_least_coefficient(x, 0, a, 0) for x in scaled]
+            misses = [j for j, r in enumerate(radii) if r > n_max]
+            if len(misses) <= except_cap:
+                radius = max((r for r in radii if r <= n_max), default=0)
+                return cover(Gap((Fraction(a, s),), (radius,)), misses, s)
+        if rank_cap == 1:
+            continue
+        for a1, a2 in itertools.combinations(nonzero, 2):
+            n1_at = 0
+            for n1, n2 in _box_radius_pairs(volume_cap):
+                if work > work_budget:
+                    raise ResourceError(f"search work exceeded budget {work_budget}")
+                if n1 != n1_at:
+                    # each weight's least second coefficient, for every n2 at this n1
+                    n1_at, least = n1, [_least_coefficient(x, a1, a2, n1) for x in scaled]
+                misses = []
+                for j, x2 in enumerate(least):
+                    work += 2 * n1 + 1
+                    if x2 > n2:
+                        misses.append(j)
                         if len(misses) > except_cap:
                             break
-                    if len(misses) <= except_cap:
-                        return cover(gap, misses, s)
+                if len(misses) <= except_cap:
+                    return cover(Gap((Fraction(a1, s), Fraction(a2, s)), (n1, n2)), misses, s)
 
     logger.warning(
         "counterexample candidate: concentration %.3e >= n^-%s but no rank<=%d cover "

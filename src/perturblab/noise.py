@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import ValidationError
@@ -54,8 +53,8 @@ def _as_fraction(x) -> Fraction:
     raise ValidationError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    """Exact rational value of a binary float (denominator a power of two)."""
+def _mpf_to_fraction(x) -> Fraction:
+    """Exact rational value of an mpmath binary float (denominator a power of two)."""
     sign, man, exp, _ = x._mpf_
     if man == 0:
         return Fraction(0)
@@ -279,6 +278,7 @@ def discretized_gaussian(truncation_radius: int = 8) -> DiscreteDistribution:
     radius = int(truncation_radius)
     if radius < 6:
         raise ValidationError(f"truncation radius {radius} < 6 standard deviations")
+    import mpmath  # about 35 ms to import, and only this law needs it
     # a private context: the global mpmath.mp precision is shared by every thread
     ctx = mpmath.MPContext()
     ctx.dps = 40

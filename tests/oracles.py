@@ -8,9 +8,10 @@ over every entry assignment, and the normal law by mpmath's ncdf.  The
 scalar sampler, the Jacobi SVD, the scalar Fourier-side grid checks and
 the term-by-term Fraction back-substitution (on the library's own
 Bareiss reduction) and the inverse search that filters every box-radius
-pair afresh for each multiplier below are the straightforward loops that
-the faster library versions must reproduce exactly.  Slow and simple on purpose;
-the tests compare the fast implementations against these.
+pair afresh for each multiplier and tests membership in Fractions below
+are the straightforward loops that the faster library versions must
+reproduce exactly.  Slow and simple on purpose; the tests compare the
+fast implementations against these.
 """
 
 from __future__ import annotations
@@ -290,6 +291,17 @@ def filtered_box_radius_pairs(volume_cap):
     ]
 
 
+def fraction_rank2_contains(gap: Gap, x: Fraction) -> bool:
+    """x in a rank-2 progression with nonzero generators, in Fraction
+    arithmetic: try every first coefficient, solve for the second."""
+    (g1, g2), (n1, n2) = gap.generators, gap.dims
+    for x1 in range(-n1, n1 + 1):
+        q = (x - x1 * g1) / g2
+        if q.denominator == 1 and abs(q) <= n2:
+            return True
+    return False
+
+
 def inverse_lo_search_reference(
     v: Sequence[int],
     mu,
@@ -300,8 +312,9 @@ def inverse_lo_search_reference(
     work_budget: int = SEARCH_WORK_BUDGET,
 ) -> SearchOutcome:
     """gaps.inverse_lo_search as it was before its box radii were built once
-    per call: the (n1, n2) list is re-filtered from all n1 <= n2 <= n_max
-    for every multiplier s.  The rest is the library's search unchanged.
+    per call and its membership moved to integers: the (n1, n2) list is
+    re-filtered from all n1 <= n2 <= n_max for every multiplier s, and each
+    weight is tested against a Gap in Fractions.
 
     Search for a small progression covering almost all weights.
 
@@ -376,7 +389,7 @@ def inverse_lo_search_reference(
                     misses = []
                     for j, vj in enumerate(v):
                         work += 2 * n1 + 1
-                        if not gap.contains(Fraction(vj)):
+                        if not fraction_rank2_contains(gap, Fraction(vj)):
                             misses.append(j)
                         if len(misses) > except_cap:
                             break

@@ -105,6 +105,17 @@ def test_lo_check_bound_violated_exits_1(tmp_path, capsys):
     assert out.strip().splitlines() == ["exact,bound,gap,ok", "0.5,0.375,-0.125,0"]
 
 
+def test_lo_check_refuses_multipliers_without_mu(tmp_path, capsys):
+    # without a mu line the multipliers come from the laws' certificates, so
+    # an 'a' line would have no effect
+    query = tmp_path / "q.txt"
+    query.write_text("dist bernoulli\nv 1 1 1\na 3 3 3\n")
+    code, out, err = run(capsys, "lo-check", str(query))
+    assert code == 2
+    assert out == ""
+    assert "line 3: an 'a' line needs a 'mu' line" in err
+
+
 def test_lo_check_bad_file(tmp_path, capsys):
     query = tmp_path / "q.txt"
     query.write_text("v 1 2 3\n")  # missing dist line

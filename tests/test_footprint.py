@@ -1,6 +1,7 @@
-"""What importing perturblab costs in resident memory, and the pieces kept
-small to hold it down: no OpenSSL or executor machinery until a caller
-needs it, and no per-instance __dict__ on the frozen records."""
+"""What importing perturblab costs in resident memory and start-up time,
+and the pieces kept small to hold it down: no OpenSSL, executor machinery
+or mpmath until a caller needs it, and no per-instance __dict__ on the
+frozen records."""
 
 import dataclasses
 import importlib
@@ -34,6 +35,21 @@ def test_inverse_search_loads_neither_openssl_nor_executors():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+def test_bernoulli_condition_tail_never_imports_mpmath():
+    # mpmath (about 35 ms to import) serves only the discretized Gaussian
+    script = (
+        "import sys\n"
+        "import perturblab\n"
+        "perturblab.condition_tail(perturblab.ExperimentConfig(\n"
+        "    kind='cond-tail', sizes=(8,), trials=5, noise='bernoulli'))\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("args, seed", [

@@ -85,10 +85,21 @@ def test_contains_rank1():
 
 
 def test_contains_rank2_matches_enumeration():
-    g = Gap(generators=(Fraction(2), Fraction(7)), dims=(3, 2))
-    elems = set(g.elements())
-    for x in range(-25, 26):
-        assert g.contains(x) == (Fraction(x) in elems)
+    # negative generators, denominators that differ, the larger box first,
+    # and zero generators, probed on fractions as well as integers
+    for generators, dims in [
+        ((Fraction(2), Fraction(7)), (3, 2)),
+        ((Fraction(-3, 4), Fraction(5, 6)), (3, 2)),
+        ((Fraction(-2, 3), Fraction(-7, 5)), (2, 4)),
+        ((Fraction(1, 2), Fraction(-1, 3)), (0, 5)),
+        ((Fraction(-5, 2), Fraction(3, 7)), (4, 1)),
+        ((Fraction(0), Fraction(-4, 9)), (3, 2)),
+        ((Fraction(-6), Fraction(0)), (2, 5)),
+    ]:
+        g = Gap(generators=generators, dims=dims)
+        elems = set(g.elements())
+        for x in {Fraction(p, q) for q in range(1, 13) for p in range(-80, 81)} | elems:
+            assert g.contains(x) == (x in elems), (g, x)
 
 
 def test_contains_fractional_generators():
@@ -317,6 +328,13 @@ def test_search_exclusion_budget():
         assert out.found.gap.contains(x)
 
 
+def test_search_without_a_cover_refuses_at_the_work_budget():
+    # weights three orders of magnitude apart leave no cover of volume <= 2001;
+    # the search must run out of budget, not hang
+    with pytest.raises(ResourceError, match=r"^search work exceeded budget 20000000$"):
+        inverse_lo_search((1, 1000, 10**6), Fraction(1, 4), a_exponent=20.0)
+
+
 def _search(fn, *args, **kwargs):
     """The outcome of a search, or the type and message of what it raised."""
     try:
@@ -341,8 +359,8 @@ def _battery_vector(rng, n, rank):
 
 
 def test_box_radius_pairs_equal_the_filter():
-    for cap in [*range(1, 401), 2001]:
-        assert _box_radius_pairs(cap) == oracles.filtered_box_radius_pairs(cap), cap
+    for cap in [*range(1, 401), 2001, 10_001]:
+        assert list(_box_radius_pairs(cap)) == oracles.filtered_box_radius_pairs(cap), cap
 
 
 def test_search_equals_reference_on_a_seeded_battery():
@@ -389,6 +407,8 @@ def _least_budget(v, mu, **kwargs):
     ((3, 5, 8, -2, 3, 5, -8, 0), dict(a_exponent=4.0)),  # rank-2 cover at s = 1
     ((3, 5, 7, 11), dict(rank_cap=1, a_exponent=6.0)),  # rank-1 cover at s = 3
     ((1, 2, 4, 8, 16, 32), dict(volume_cap=25, except_cap=1, a_exponent=8.0)),  # no cover
+    # rank-2 cover at s = 2 on generators 5/2 and 6, reduced denominators 2 and 1
+    ((12, 5, 7, 11), dict(volume_cap=25, a_exponent=8.0)),
 ])
 def test_search_work_budget_equals_reference(v, kwargs):
     # the reference raises ResourceError one unit of work below the least

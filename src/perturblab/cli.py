@@ -57,7 +57,7 @@ def _emit(result, cfg: ExperimentConfig) -> None:
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file (single-section ini)")
+    p.add_argument("--config", help="config file: [kind] sections of key = value lines")
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--sizes", type=int, nargs="+")
@@ -99,10 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", default="bernoulli")
-    p.add_argument(
-        "--order", choices=["rows", "cols"], default="rows",
-        help="side the n-1 prefix lines come from (default rows); both give the same value",
-    )
     p.set_defaults(run=_run_singularity)
 
     p = sub.add_parser("lo-check", help="exact concentration vs its cosine product bound")
@@ -138,7 +134,7 @@ def _run_experiment(args: argparse.Namespace) -> int:
 
 def _run_singularity(args: argparse.Namespace) -> int:
     dist = distribution_from_spec(args.dist)
-    value = experiments.singularity_probability(args.n, dist, args.order)
+    value = experiments.singularity_probability(args.n, dist)
     print(f"P(singular) = {value} = {float(value):.10g}")
     return 0
 

@@ -1,19 +1,19 @@
-"""Experiment configuration: a flat dataclass with a lossless INI form.
+"""Experiment configuration: a flat dataclass with a lossless text form.
 
-One config drives one experiment kind.  The file format is a single
-[kind] section of key = value lines; parsing a dumped config reproduces
-the dataclass exactly (floats travel as repr, tuples as comma lists).
+One config drives one experiment kind.  A config file has [kind] header
+lines and key = value lines, split at the first '=', under the rule of
+every input format ('#' starts a comment, blank lines are skipped, a bad
+line is refused by its number).  Parsing a dumped config reproduces the
+dataclass exactly (floats travel as repr, tuples as comma lists).
 """
 
 from __future__ import annotations
 
-import configparser
-import re
 import typing
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError
-from .util import content_lines, parse_file, token
+from .util import content_lines, keyed_lines, parse_file, token
 
 KINDS = (
     "tail",
@@ -87,57 +87,51 @@ def _format_value(value) -> str:
 def config_to_text(cfg: ExperimentConfig) -> str:
     lines = [f"[{cfg.kind}]"]
     for f in fields(cfg):
-        if f.name == "kind":
-            continue
         value = getattr(cfg, f.name)
-        if value is None:
+        if f.name == "kind" or value is None:
             continue
+        # the reader drops comments and collapses whitespace
+        if isinstance(value, str) and ("#" in value or value != " ".join(value.split())):
+            raise ValidationError(
+                f"{f.name} = {value!r} would not read back: no '#', line break, or"
+                " leading, trailing or repeated whitespace"
+            )
         lines.append(f"{f.name} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
 def config_from_text(text: str, kind: str | None = None) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(text)
-        sections = parser.sections()
-        if not sections:
-            raise ValidationError("config has no [section]")
-        if kind is None:
-            if len(sections) > 1:
-                raise ValidationError(f"config has several sections {sections}; pick a kind")
-            kind = sections[0]
-        elif kind not in sections:
-            raise ValidationError(f"config has no [{kind}] section (found {sections})")
-        section = dict(parser[kind])  # interpolates every value
-    except configparser.Error as exc:
-        raise ValidationError(str(exc)) from None
-    unknown = set(section) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    lines = _key_lines(text, kind)
-    kwargs: dict = {"kind": kind}
-    for f in fields(ExperimentConfig):
-        if f.name != "kind" and f.name in section:
-            kwargs[f.name] = _parse_field(f.name, section[f.name].strip(), lines.get(f.name))
-    return ExperimentConfig(**kwargs)
-
-
-def _key_lines(text: str, kind: str) -> dict[str, int]:
-    """The line of each key that section [kind] reads: its own, else the
-    [DEFAULT] one (configparser keeps no line numbers)."""
-    out: dict[str, int] = {}
+    """The config of section [kind], or of the only section when kind is None."""
+    sections: dict[str, list[tuple[int, list[str]]]] = {}
     section = None
-    for lineno, (head, *_) in content_lines(text):
-        if head.startswith("["):
-            section = head[1:].partition("]")[0]
-        elif section in (kind, configparser.DEFAULTSECT):
-            key = re.split("[=:]", head)[0].lower()
-            out[key] = lineno if section == kind else out.get(key, lineno)
-    return out
+    for lineno, tokens in content_lines(text):
+        line = " ".join(tokens)
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if name not in KINDS or name in sections:
+                why = "repeated" if name in sections else f"unknown (known: {', '.join(KINDS)})"
+                raise ValidationError(f"line {lineno}: section [{name}] {why}")
+            section = sections[name] = []
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValidationError(f"line {lineno}: expected [kind] or key = value, got {line!r}")
+        if section is None:
+            raise ValidationError(f"line {lineno}: key {key.strip()!r} before any [kind] header")
+        section.append((lineno, [key.strip(), value.strip()]))
+    if kind is None:
+        if len(sections) != 1:
+            raise ValidationError(f"config needs exactly one [kind] section, found {list(sections)}")
+        (kind,) = sections
+    elif kind not in sections:
+        raise ValidationError(f"config has no [{kind}] section (found {list(sections)})")
+    keyed = keyed_lines(sections[kind], [name for name in _FIELD_TYPES if name != "kind"])
+    return ExperimentConfig(
+        kind=kind, **{name: _parse_field(name, raw, lineno) for name, (lineno, (raw,)) in keyed.items()}
+    )
 
 
-def _parse_field(name: str, raw: str, lineno: int | None):
+def _parse_field(name: str, raw: str, lineno: int):
     """The value of field `name` parsed from raw by its annotated type."""
     kind = _FIELD_TYPES[name]
     if kind in (tuple[int, ...], tuple[float, ...]):
@@ -158,5 +152,6 @@ def load_config(path: str, kind: str | None = None) -> ExperimentConfig:
 
 
 def save_config(path: str, cfg: ExperimentConfig) -> None:
+    text = config_to_text(cfg)  # a config that would not read back writes no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(cfg))
+        fh.write(text)

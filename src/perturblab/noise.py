@@ -17,6 +17,7 @@ a dense grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,8 +198,10 @@ def verify_certificate(
     return CertificateCheck(ok=worst >= -GRID_TOLERANCE, worst_margin=worst, grid_size=grid_size)
 
 
+@functools.lru_cache(maxsize=None)
 def certificate_from_symmetric(dist: DiscreteDistribution) -> BoundednessCertificate:
-    """Constructive certificate for a symmetric law with a positive atom.
+    """Constructive certificate for a symmetric law with a positive atom,
+    derived and grid-checked once per law.
 
     If the law is symmetric and puts mass eps on some positive integer s,
     then |phi(t)| <= (1 - 2 eps) + 2 eps |cos(2 pi s t)|, and

@@ -4,11 +4,12 @@ import argparse
 import dataclasses
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from perturblab import ExperimentConfig, concentration, experiments, matrix_from_spec
+from perturblab import ExperimentConfig, bernoulli, concentration, experiments, matrix_from_spec
 from perturblab.cli import build_parser, main
 
 
@@ -27,15 +28,13 @@ def test_singularity_n2_exact(capsys):
     assert "P(singular) = 1/2 = 0.5" in out
 
 
-def test_singularity_orders_match(capsys):
-    # the transpose of an iid matrix has its law: row and column prefixes agree
-    code_rows, out_rows, _ = run(capsys, "singularity", "--n", "3", "--order", "rows")
-    code_cols, out_cols, _ = run(capsys, "singularity", "--n", "3", "--order", "cols")
-    assert code_rows == code_cols == 0
-    assert out_rows == out_cols
-    assert "5/8" in out_cols
+def test_singularity_orders_match():
+    # the transpose of an iid matrix has its law: row and column prefixes
+    # agree, so the command takes no --order
+    rows = experiments.singularity_probability(3, bernoulli(), order="rows")
+    assert rows == experiments.singularity_probability(3, bernoulli(), order="cols") == Fraction(5, 8)
     with pytest.raises(SystemExit) as exc:
-        main(["singularity", "--n", "3", "--order", "both"])
+        main(["singularity", "--n", "3", "--order", "rows"])
     assert exc.value.code == 2
 
 
@@ -389,6 +388,11 @@ MALFORMED = {
     "discretization-token": ("discretization", DISC_TEXT.replace("S 2", "S x"), 2),
     "witness-token": ("witness", "1 2 3\n4 x 6\n", 2),
     "config-token": ("config", "[tail]\ntrials = abc\n", 2),
+    "config-unknown-key": ("config", "[tail]\nsizes = 6\nbogus = 1\n", 3),
+    "config-repeated-key": ("config", "[tail]\nsizes = 6\ntrials = 100\nSizes = 7\n", 4),
+    "config-key-before-header": ("config", "# a run\ntrials = 100\n[tail]\n", 2),
+    "config-no-equals": ("config", "[tail]\nsizes = 6\ntrials 100\n", 3),
+    "config-default-section": ("config", "[DEFAULT]\ntrials = 100\n[tail]\nsizes = 6\n", 1),
 }
 
 

@@ -135,3 +135,37 @@ def test_config_is_frozen():
     cfg = ExperimentConfig(kind="tail")
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.trials = 5
+
+
+def test_file_round_trip_keeps_punctuation_literal(tmp_path):
+    # '%', ';', ':' and '=' carry no meaning inside a value
+    cfg = ExperimentConfig(kind="tail", out="runs/50%;a:b=c", noise="lazy_coin:1/2")
+    path = tmp_path / "cfg.ini"
+    save_config(str(path), cfg)
+    assert load_config(str(path)) == cfg
+
+
+@pytest.mark.parametrize("out", ["a#b", " a", "a ", "a  b", "a\nb", "a\tb"])
+def test_save_refuses_a_value_that_would_not_read_back(tmp_path, out):
+    path = tmp_path / "cfg.ini"
+    with pytest.raises(ValidationError, match="would not read back"):
+        save_config(str(path), ExperimentConfig(kind="tail", out=out))
+    assert not path.exists()
+
+
+def test_inline_comment_ends_a_value():
+    cfg = config_from_text("[tail]  # the gaussian baseline\ntrials = 100  # note\n\nnoise = gaussian\n")
+    assert cfg == ExperimentConfig(kind="tail", trials=100, noise="gaussian")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("[tail]\nkind = tail\n", 2),
+    ("[tail]\n[Tail]\n", 2),
+    ("[tail]\n[tail]\n", 2),
+    ("[tail]\ntrials: 5\n", 2),
+    ("[tail]\n; a comment\n", 2),
+    ("[tail]\nnoise =\n  gaussian\n", 3),
+])
+def test_refused_lines_are_named(text, lineno):
+    with pytest.raises(ValidationError, match=f"^line {lineno}: "):
+        config_from_text(text)

@@ -37,6 +37,15 @@ def test_inverse_search_loads_neither_openssl_nor_executors():
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
 
+def test_import_leaves_configparser_out():
+    # config files go through the shared line reader of perturblab.util
+    script = "import sys\nimport perturblab\nprint('configparser' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_bernoulli_condition_tail_never_imports_mpmath():
     # mpmath (about 35 ms to import) serves only the discretized Gaussian
     script = (

@@ -212,6 +212,23 @@ def test_verify_scale_violation_detected():
     assert not rep.scale
 
 
+@pytest.mark.parametrize("small, sparse, covers", [
+    (((1,), (2,)), ((5,), (2,)), True),  # [-2, 2] + 5 * [-2, 2] = [-12, 12]
+    (((1,), (1,)), ((7,), (4,)), False),  # [-1, 1] + 7 * [-4, 4] misses 2
+])
+def test_verify_covering_without_enumerating_the_sumset(small, sparse, covers):
+    # at cap 21 the sumset (volume 25 or 27) is past the cap, so covering is
+    # checked per element of p by membership; the report must not change
+    p = Gap((1,), (10,))
+    split = DiscretizationResult(
+        p_small=Gap(*small), p_sparse=Gap(*sparse), scale_R=Fraction(3), S=1, R0=3, d_exponent=0
+    )
+    assert sumset(split.p_small, split.p_sparse).volume > 21 >= p.volume
+    rep = verify_discretization(p, split)
+    assert rep == verify_discretization(p, split, cap=21)
+    assert rep.covering is covers
+
+
 # ---------------------------------------------------------------------------
 # rank-1 constructor
 

@@ -256,6 +256,26 @@ def test_certificate_needs_a_nonzero_atom():
         certificate_from_symmetric(point)
 
 
+def test_certificate_is_checked_once_per_law(monkeypatch):
+    from perturblab import noise
+
+    checks = []
+    real = noise.verify_certificate
+
+    def counted(dist, cert, grid_size=None):
+        checks.append(dist)
+        return real(dist, cert, grid_size)
+
+    monkeypatch.setattr(noise, "verify_certificate", counted)
+    certificate_from_symmetric.cache_clear()
+    first = [certificate_from_symmetric(lazy_coin(Fraction(1, 3))) for _ in range(5)]
+    second = [certificate_from_symmetric(bernoulli()) for _ in range(3)]
+    assert len(checks) == 2  # equal laws built separately share one check
+    assert all(c is first[0] for c in first) and all(c is second[0] for c in second)
+    assert first[0].mu == Fraction(1, 12) and second[0].mu == Fraction(1, 4)
+    certificate_from_symmetric.cache_clear()
+
+
 @pytest.mark.parametrize("alpha", [Fraction(1, 10), Fraction(1, 2), Fraction(1)])
 def test_two_step_chain_lazy_coins(alpha):
     d = lazy_coin(alpha)

@@ -69,6 +69,7 @@ from .linalg import (
     perturb,
     save_integer_matrix,
     svd,
+    svd_stack,
 )
 from .noise import (
     BoundednessCertificate,

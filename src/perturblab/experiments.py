@@ -9,7 +9,9 @@ baseline is reproducible from the seed alone as well.
 
 `tail`, `cond-tail` and `frozen` share one trial: the singular values of
 base + noise.  `frozen` is the cond-tail measurement run twice, masked and
-unmasked, on matched per-trial seeds.
+unmasked, on matched per-trial seeds.  Trials run in chunks of consecutive
+indices, and a chunk's matrices go through one `svd_stack` call, which
+gives each of them the spectrum `svd` alone would.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .linalg import (
     matrix_from_spec,
     perturb,
     svd,
+    svd_stack,
 )
 from .noise import NOISE_ARGS, DiscreteDistribution, distribution_from_spec, sample_iid_matrix
 from .records import ExperimentRecord, run_trials
@@ -39,6 +42,11 @@ from . import rational
 from .util import derive_seed, parse_spec, wilson_interval
 
 SINGULARITY_BUDGET = 10_000_000
+# Matrix entries per svd_stack call: a chunk of trials stacks max(1, this // n^2)
+# matrices (6 at n = 50, 1 at n >= 128).  A bigger stack pays numpy's per-call
+# cost over more matrices, but every pool thread holds its stack and the
+# sweep's temporaries at once, and they show in the peak resident set.
+STACK_ENTRIES = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +116,21 @@ def _sizes(cfg: ExperimentConfig) -> Iterator[tuple[int, IntegerMatrix, np.ndarr
 
 
 def _trials(
-    cfg: ExperimentConfig, n: int, trial: Callable[[int, int], object], suffix: str = ""
+    cfg: ExperimentConfig, n: int, chunk: Callable[[range, list[int]], list], suffix: str = ""
 ) -> list:
-    """trial(index, seed) for every trial index, in index order; each seed is
-    derived from (master seed, cfg.kind + suffix, n, index) alone."""
+    """chunk(indices, seeds) over chunks of consecutive trial indices, one result
+    per trial, flattened in index order.  A chunk holds max(1, STACK_ENTRIES // n^2)
+    trials, and each seed is derived from (master seed, cfg.kind + suffix, n,
+    index) alone, so neither the chunk size nor the thread count moves a result."""
     label = cfg.kind + suffix
-    return run_trials(
-        lambda index: trial(index, derive_seed(cfg.seed, label, n, index)), cfg.trials, cfg.threads
-    )
+    size = max(1, STACK_ENTRIES // (n * n))
+    starts = range(0, cfg.trials, size)
+
+    def run(k: int) -> list:
+        indices = range(starts[k], min(starts[k] + size, cfg.trials))
+        return chunk(indices, [derive_seed(cfg.seed, label, n, i) for i in indices])
+
+    return [out for part in run_trials(run, len(starts), cfg.threads) for out in part]
 
 
 def _matrix(
@@ -148,13 +163,14 @@ def _svd_trials(
     cfg: ExperimentConfig, n: int, base: IntegerMatrix, law: DiscreteDistribution | None,
     mask: np.ndarray | None, hit: Callable[[SingularSpectrum], bool], suffix: str = "",
 ) -> list[ExperimentRecord]:
-    """One record per trial of svd(base + noise), tail-flagged by hit."""
+    """One record per trial of svd(base + noise), tail-flagged by hit; each
+    chunk of trials goes through one svd_stack call."""
 
-    def one(trial: int, seed: int) -> ExperimentRecord:
-        spectrum = svd(_matrix(base, law, seed, mask))
-        return _record(trial, seed, spectrum, hit(spectrum))
+    def chunk(indices: range, seeds: list[int]) -> list[ExperimentRecord]:
+        spectra = svd_stack([_matrix(base, law, seed, mask) for seed in seeds])
+        return [_record(i, seed, s, hit(s)) for i, seed, s in zip(indices, seeds, spectra)]
 
-    return _trials(cfg, n, one, suffix)
+    return _trials(cfg, n, chunk, suffix)
 
 
 def _exceedance(values: Sequence[float], thresholds: Sequence[float]) -> list[tuple]:
@@ -573,12 +589,12 @@ def ge_error_experiment(cfg: ExperimentConfig) -> GeResult:
     trials: list[GeTrial] = []
     for n, base, mask in _sizes(cfg):
 
-        def one(trial: int, seed: int) -> tuple[ExperimentRecord, GeTrial]:
-            system = _matrix(base, law, seed, mask)
+        def one(
+            trial: int, seed: int, system: IntegerMatrix, spectrum: SingularSpectrum
+        ) -> tuple[ExperimentRecord, GeTrial]:
             rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "ge-rhs", n, trial)))
             b = rng.integers(-9, 10, size=n)
             exact = rational.solve_exact(system.rows(), [int(x) for x in b])
-            spectrum = svd(system)
             singular = exact is None  # the exact half decides, not the spectrum
             kappa = math.inf if singular else spectrum.kappa
             rel = ratio = math.inf
@@ -595,7 +611,11 @@ def ge_error_experiment(cfg: ExperimentConfig) -> GeResult:
                 trial=trial, seed=seed, kappa=kappa, rel_error=rel, ratio=ratio, singular=singular
             )
 
-        rows = _trials(cfg, n, one)
+        def chunk(indices: range, seeds: list[int]) -> list[tuple[ExperimentRecord, GeTrial]]:
+            systems = [_matrix(base, law, seed, mask) for seed in seeds]
+            return list(map(one, indices, seeds, systems, svd_stack(systems)))
+
+        rows = _trials(cfg, n, chunk)
         records.extend(r for r, _ in rows)
         trials.extend(t for _, t in rows)
     return GeResult(config=cfg, records=records, trials=trials, eps_machine=eps)
@@ -645,7 +665,7 @@ def minors_experiment(cfg: ExperimentConfig) -> MinorsResult:
             kappas = [spectrum.kappa for spectrum in spectra]
             return _record(trial, seed, spectra[-1], max(kappas) > threshold), kappas
 
-        rows = _trials(cfg, n, one)
+        rows = _trials(cfg, n, lambda indices, seeds: list(map(one, indices, seeds)))
         records.extend(r for r, _ in rows)
         per_k[n] = {k: max(kappas[k - 1] for _, kappas in rows) for k in range(1, n + 1)}
         frac_ok[n] = sum(max(kappas) <= threshold for _, kappas in rows) / cfg.trials

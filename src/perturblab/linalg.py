@@ -5,7 +5,9 @@ pairs are rotated until all pairwise column inner products vanish, at
 which point the column norms are the singular values.  One-sided Jacobi
 computes small singular values to high *relative* accuracy (the stopping
 rule is relative per pair), which matters because the quantities under
-study are tail events of 1/sigma_min.
+study are tail events of 1/sigma_min.  `svd_stack` sweeps many matrices
+of one size together, so that numpy's per-call cost, which dominates at
+the sizes studied here, is paid once per stack; `svd` is a stack of one.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -83,17 +86,19 @@ class RealMatrix:
 
 
 def _as_real_array(m) -> np.ndarray:
+    """The entries as floats; read-only unless converted from integers."""
     if isinstance(m, (IntegerMatrix, RealMatrix)):
-        return m.entries.astype(float)
-    return RealMatrix(np.asarray(m, dtype=float)).entries.copy()
+        return m.entries.astype(float, copy=False)
+    return RealMatrix(np.asarray(m, dtype=float)).entries
 
 
 @dataclass(frozen=True, slots=True)
 class SingularSpectrum:
-    """All singular values, descending, plus the final Jacobi residual."""
+    """All singular values, descending, plus the final Jacobi residual and sweep count."""
 
     sigma: tuple[float, ...]
     convergence_residual: float
+    sweeps: int = 0  # sweeps run, the last (rotation-free) one included; 0 for the zero matrix
 
     def __post_init__(self):
         sig = tuple(float(s) for s in self.sigma)
@@ -148,66 +153,114 @@ def _round_robin_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def svd(m) -> SingularSpectrum:
-    """Full singular spectrum by one-sided Jacobi rotations.
+    """Full singular spectrum by one-sided Jacobi rotations: `svd_stack` of one matrix."""
+    return svd_stack([m])[0]
+
+
+def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
+    """Full singular spectra of equal-size square matrices by one-sided
+    Jacobi rotations, swept together over a (B, n, n) stack.
 
     Sweeps run in a fixed round-robin order; each round rotates a set of
-    disjoint column pairs simultaneously (the rotations commute).  The
-    iteration stops once a full sweep performs no rotation, i.e. all
-    column pairs are orthogonal to relative tolerance PAIR_TOL, which
-    drives the off-diagonal Gram residual below RESIDUAL_TOL * ||A||_F^2.
+    disjoint column pairs simultaneously (the rotations commute), in every
+    matrix of the stack at once.  A matrix is done once a full sweep
+    performs no rotation in it, i.e. all its column pairs are orthogonal
+    to relative tolerance PAIR_TOL, which drives its off-diagonal Gram
+    residual below RESIDUAL_TOL * ||A||_F^2; it then leaves the stack.
+
+    Each matrix keeps its own rotated flag, off-diagonal sum, dead-column
+    floor and sweep count.  Every reduction runs over one matrix's rows
+    (einsum) or one matrix's pairs (np.add.reduce along the last axis) in
+    the order a stack of one takes, and a pair that does not rotate gets
+    c = 1, s = 0, which changes at most the sign of a zero entry, so each
+    spectrum is the same, bit for bit, whatever else is stacked with it.
+    A matrix still rotating after MAX_SWEEPS sweeps raises ConvergenceError
+    with its residual (the first such matrix in `ms`).
     """
-    a = _as_real_array(m)
-    n = a.shape[0]
-    frob2 = float(np.sum(a * a))
-    if frob2 == 0.0:
-        return SingularSpectrum(tuple([0.0] * n), 0.0)
+    arrays = [_as_real_array(m) for m in ms]
+    if not arrays:
+        return []
+    n = arrays[0].shape[0]
+    if any(x.shape != (n, n) for x in arrays):
+        sizes = sorted({x.shape[0] for x in arrays})
+        raise ValidationError(f"svd_stack needs matrices of one size, got sizes {sizes}")
+    a = np.stack(arrays)
+    frob2 = np.add.reduce((a * a).reshape(len(a), n * n), axis=1)
+    spectra: list[SingularSpectrum | None] = [
+        SingularSpectrum(tuple([0.0] * n), 0.0) if f == 0.0 else None for f in frob2
+    ]
+    live = np.flatnonzero(frob2 != 0.0)  # index in ms of each matrix left in the stack
+    if len(live) < len(a):
+        a, frob2 = a[live], frob2[live]
     rounds = _round_robin_rounds(n)
-    off2 = 0.0
+    off2 = np.zeros(len(live))
     for sweep in range(MAX_SWEEPS):
+        if not len(live):
+            break
         # columns squeezed this far below ||A||_F are pure roundoff debris
         # (their true singular value is 0 at this precision); zeroing them
         # stops the rotation pair test from chasing denormal residue.
-        norms2 = np.einsum("ij,ij->j", a, a)
-        dead = norms2 <= COLUMN_FLOOR2 * frob2
+        dead = np.einsum("bij,bij->bj", a, a) <= COLUMN_FLOOR2 * frob2[:, None]
         if dead.any():
-            a[:, dead] = 0.0
-        rotated = False
+            a.transpose(0, 2, 1)[dead] = 0.0
+        # `rotated` is kept per matrix until every matrix has rotated this sweep
+        rotated = np.zeros(len(live), dtype=bool)
+        every = False
         # off2 is reported only by a sweep with no rotation, or by the last
-        # sweep when the budget runs out; other sweeps stop summing it
+        # sweep when the budget runs out; once every matrix has rotated,
+        # the sweep stops summing it
         last = sweep == MAX_SWEEPS - 1
-        off2 = 0.0
+        off2 = np.zeros(len(live))
         for ps, qs in rounds:
-            ap = a[:, ps]
-            aq = a[:, qs]
-            app = np.einsum("ij,ij->j", ap, ap)
-            aqq = np.einsum("ij,ij->j", aq, aq)
-            apq = np.einsum("ij,ij->j", ap, aq)
-            if last or not rotated:
-                off2 += float(np.sum(apq * apq))
+            ap = a[:, :, ps]
+            aq = a[:, :, qs]
+            app = np.einsum("bij,bij->bj", ap, ap)
+            aqq = np.einsum("bij,bij->bj", aq, aq)
+            apq = np.einsum("bij,bij->bj", ap, aq)
+            if last or not every:
+                off2 += np.add.reduce(apq * apq, axis=1)
             mask = np.abs(apq) > PAIR_TOL * np.sqrt(app * aqq)
-            if not mask.any():
+            count = np.count_nonzero(mask)
+            if not count:
                 continue
-            rotated = True
-            if not mask.all():
-                # gather again only the pairs that rotate
-                ps, qs = ps[mask], qs[mask]
-                ap, aq = a[:, ps], a[:, qs]
-                app, aqq, apq = app[mask], aqq[mask], apq[mask]
+            partial = count < mask.size
+            if not partial:
+                every = True
+            else:  # the pairs that fail the test get t = 0: c = 1, s = 0
+                if not every:
+                    rotated |= np.logical_or.reduce(mask, axis=1)
+                    every = bool(np.logical_and.reduce(rotated))
+                apq = np.where(mask, apq, 1.0)  # keeps theta finite where t is zeroed
             theta = (aqq - app) / (2.0 * apq)
             sgn = np.where(theta >= 0.0, 1.0, -1.0)
             t = sgn / (np.abs(theta) + np.hypot(1.0, theta))
+            if partial:
+                t = np.where(mask, t, 0.0)
             c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            a[:, ps] = c * ap - s * aq
-            a[:, qs] = s * ap + c * aq
-        if not rotated:
-            residual = math.sqrt(off2) / frob2
-            sigma = np.sort(np.linalg.norm(a, axis=0))[::-1]
-            return SingularSpectrum(tuple(float(x) for x in sigma), residual)
-    raise ConvergenceError(
-        f"Jacobi sweep budget exhausted (residual {math.sqrt(off2) / frob2:.3e})",
-        residual=math.sqrt(off2) / frob2,
-    )
+            s = (t * c)[:, None, :]
+            c = c[:, None, :]
+            # in place, the same products and sums as c ap - s aq and s ap + c aq
+            sp = s * ap
+            ap *= c
+            ap -= s * aq
+            aq *= c
+            aq += sp
+            a[:, :, ps] = ap
+            a[:, :, qs] = aq
+        if every:
+            continue
+        for b in np.flatnonzero(~rotated):
+            sigma = np.sort(np.linalg.norm(a[b], axis=0))[::-1]
+            spectra[live[b]] = SingularSpectrum(
+                tuple(float(x) for x in sigma), math.sqrt(off2[b]) / float(frob2[b]), sweep + 1
+            )
+        live, a, frob2, off2 = live[rotated], a[rotated], frob2[rotated], off2[rotated]
+    if len(live):
+        residual = math.sqrt(off2[0]) / float(frob2[0])
+        raise ConvergenceError(
+            f"Jacobi sweep budget exhausted (residual {residual:.3e})", residual=residual
+        )
+    return spectra
 
 
 def operator_norm(m, tol: float = 1e-15, max_iter: int = 100_000) -> float:

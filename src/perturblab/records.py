@@ -84,9 +84,11 @@ def _json_safe(value):
 def run_trials(fn: Callable[[int], object], count: int, threads: int) -> list:
     """Run fn(0..count-1), optionally on a thread pool.
 
-    Results come back ordered by trial index, so aggregation does not
-    depend on the worker count; each fn call must derive its own seed
-    from the trial index alone.
+    The experiments call it once per size with fn over chunks of
+    consecutive trials (`experiments._trials`), so a call here is a chunk
+    and one pool task sweeps a whole stack.  Results come back ordered by
+    index, so aggregation does not depend on the worker count; each fn
+    call must derive its seeds from its index alone.
     """
     if threads <= 1:
         return [fn(i) for i in range(count)]

@@ -197,14 +197,20 @@ def jacobi_svd(a, max_sweeps=60, pair_tol=1e-14, column_floor2=1e-200):
 
     Returns (descending singular values, residual, converged); when the
     sweep budget runs out, the residual is that of the last sweep."""
+    return jacobi_sweeps(a, max_sweeps, pair_tol, column_floor2)[:3]
+
+
+def jacobi_sweeps(a, max_sweeps=60, pair_tol=1e-14, column_floor2=1e-200):
+    """jacobi_svd's loop, also returning the number of sweeps it ran: the
+    last, rotation-free sweep counts, and the zero matrix runs none."""
     a = np.array(a, dtype=float)
     n = a.shape[0]
     frob2 = float(np.sum(a * a))
     if frob2 == 0.0:
-        return tuple([0.0] * n), 0.0, True
+        return tuple([0.0] * n), 0.0, True, 0
     rounds = _round_robin_pairs(n)
     off2 = 0.0
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps):
         norms2 = np.einsum("ij,ij->j", a, a)
         dead = norms2 <= column_floor2 * frob2
         if dead.any():
@@ -236,9 +242,9 @@ def jacobi_svd(a, max_sweeps=60, pair_tol=1e-14, column_floor2=1e-200):
             a[:, qm] = s * apm + c * aqm
         if not rotated:
             sigma = np.sort(np.linalg.norm(a, axis=0))[::-1]
-            return tuple(float(x) for x in sigma), math.sqrt(off2) / frob2, True
+            return tuple(float(x) for x in sigma), math.sqrt(off2) / frob2, True, sweep + 1
     sigma = np.sort(np.linalg.norm(a, axis=0))[::-1]
-    return tuple(float(x) for x in sigma), math.sqrt(off2) / frob2, False
+    return tuple(float(x) for x in sigma), math.sqrt(off2) / frob2, False, max_sweeps
 
 
 def scalar_char_magnitude(dist, t):

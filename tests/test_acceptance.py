@@ -136,7 +136,6 @@ def test_criterion_04_svd_against_exact_inverse(capsys):
             done += 1
 
 
-@pytest.mark.slow
 def test_criterion_05_gaussian_tail_slope(capsys):
     with criterion(capsys, 5, "gaussian inverse-norm tail slope in [-1.3, -0.7]"):
         t0 = time.time()

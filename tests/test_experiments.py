@@ -434,6 +434,39 @@ def test_frozen_masked_run_actually_freezes():
 
 
 # ---------------------------------------------------------------------------
+# chunks of trials swept as one svd_stack
+
+
+@pytest.mark.parametrize("kind", ["tail", "ge-check"])
+def test_stacked_runs_equal_trials_one_at_a_time(kind):
+    n = 50 if kind == "tail" else 20
+    size = max(1, experiments.STACK_ENTRIES // (n * n))
+    trials = 3 * size + size // 2 if kind == "ge-check" else 100
+    assert trials // size >= 3 and trials % size  # three full chunks or more, then a short one
+    cfg = ExperimentConfig(
+        kind=kind, sizes=(n,), trials=trials, seed=29, mask="random:2",
+        noise="gaussian" if kind == "tail" else "bernoulli",
+    )
+    run = tail_curve if kind == "tail" else ge_error_experiment
+    records = run(cfg).records
+    assert run(replace(cfg, threads=3)).records == records
+    base = matrix_from_spec(cfg.matrix, n)
+    mask = build_mask(cfg.mask, base, cfg.seed)
+    law = experiments._law(cfg.noise)
+    assert [r.trial for r in records] == list(range(trials))
+    for record in records:
+        seed = derive_seed(cfg.seed, kind, n, record.trial)
+        spectrum = svd(experiments._matrix(base, law, seed, mask))
+        if kind == "tail":
+            hit = spectrum.sigma_min == 0.0 or 1.0 / spectrum.sigma_min >= 10.0 * math.sqrt(n)
+            assert record == experiments._record(record.trial, seed, spectrum, hit)
+        else:  # the exact solve decides singularity, and the tail flag from its error
+            assert (record.seed, record.sigma_max, record.sigma_min) == (
+                seed, spectrum.sigma_max, spectrum.sigma_min)
+            assert record.singular or record.kappa == spectrum.kappa
+
+
+# ---------------------------------------------------------------------------
 # every experiment kind
 
 

@@ -23,6 +23,7 @@ from perturblab import (
     sample_iid_matrix,
     save_integer_matrix,
     svd,
+    svd_stack,
 )
 from perturblab import linalg
 
@@ -178,6 +179,44 @@ def test_convergence_error_reports_the_last_full_sweep(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         svd(RealMatrix(a))
     assert info.value.residual == residual
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 50])
+def test_svd_stack_entries_equal_lone_svd_and_reference(n):
+    # the all-zero draws, the duplicated-column bases and noisy matrices that
+    # converge at different sweeps, swept in one stack
+    stack = list(_jacobi_inputs(n))
+    spectra = svd_stack(stack)
+    assert len(spectra) == len(stack)
+    for a, spec in zip(stack, spectra):
+        sigma, residual, converged, sweeps = oracles.jacobi_sweeps(a)
+        assert converged
+        lone = svd(RealMatrix(a))
+        assert spec.sigma == lone.sigma == sigma
+        assert spec.convergence_residual == lone.convergence_residual == residual
+        assert spec.sweeps == lone.sweeps == sweeps
+    assert spectra[0].sigma == (0.0,) * n and spectra[0].sweeps == 0
+    if n >= 3:
+        assert len({spec.sweeps for spec in spectra if spec.sweeps}) >= 3
+
+
+def test_svd_stack_convergence_error_names_the_failing_matrix(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(8))
+    first, second = rng.standard_normal((7, 7)), rng.standard_normal((7, 7))
+    _, residual, converged = oracles.jacobi_svd(first, max_sweeps=1)
+    assert not converged and residual != oracles.jacobi_svd(second, max_sweeps=1)[1]
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+    done_in_one = np.diag(np.arange(1.0, 8.0))  # orthogonal columns: one rotation-free sweep
+    assert svd(RealMatrix(done_in_one)).sweeps == 1
+    with pytest.raises(ConvergenceError) as info:
+        svd_stack([done_in_one, np.zeros((7, 7)), first, second])
+    assert info.value.residual == residual
+
+
+def test_svd_stack_refuses_mixed_sizes():
+    with pytest.raises(ValidationError):
+        svd_stack([np.eye(3), np.eye(4)])
+    assert svd_stack([]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .util import derive_seed, parse_spec, wilson_interval
 
 SINGULARITY_BUDGET = 10_000_000
 # Matrix entries per svd_stack call: a chunk of trials stacks max(1, this // n^2)
-# matrices (6 at n = 50, 1 at n >= 128).  A bigger stack pays numpy's per-call
+# matrices (6 at n = 50, 1 from n = 91).  A bigger stack pays numpy's per-call
 # cost over more matrices, but every pool thread holds its stack and the
 # sweep's temporaries at once, and they show in the peak resident set.
 STACK_ENTRIES = 2**14

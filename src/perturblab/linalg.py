@@ -98,7 +98,7 @@ class SingularSpectrum:
 
     sigma: tuple[float, ...]
     convergence_residual: float
-    sweeps: int = 0  # sweeps run, the last (rotation-free) one included; 0 for the zero matrix
+    sweeps: int  # sweeps run, the last (rotation-free) one included; 0 for the zero matrix
 
     def __post_init__(self):
         sig = tuple(float(s) for s in self.sigma)
@@ -187,7 +187,7 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     a = np.stack(arrays)
     frob2 = np.add.reduce((a * a).reshape(len(a), n * n), axis=1)
     spectra: list[SingularSpectrum | None] = [
-        SingularSpectrum(tuple([0.0] * n), 0.0) if f == 0.0 else None for f in frob2
+        SingularSpectrum(tuple([0.0] * n), 0.0, 0) if f == 0.0 else None for f in frob2
     ]
     live = np.flatnonzero(frob2 != 0.0)  # index in ms of each matrix left in the stack
     if len(live) < len(a):
@@ -203,7 +203,10 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
         dead = np.einsum("bij,bij->bj", a, a) <= COLUMN_FLOOR2 * frob2[:, None]
         if dead.any():
             a.transpose(0, 2, 1)[dead] = 0.0
-        # `rotated` is kept per matrix until every matrix has rotated this sweep
+        # `rotated` is kept per matrix until every matrix has rotated this
+        # sweep (`every`).  Rounds where every pair rotates are the common
+        # case and skip the flags and the t = 0 masking; without these short
+        # cuts a stack of one (n >= 91) runs about 11% slower at n = 100.
         rotated = np.zeros(len(live), dtype=bool)
         every = False
         # off2 is reported only by a sweep with no rotation, or by the last

@@ -22,7 +22,6 @@ from .concentration import (
 )
 from .config import KINDS, ExperimentConfig, default_b_exponent, load_config, save_config
 from .errors import (
-    ConstructionError,
     ConvergenceError,
     PerturbLabError,
     ResourceError,

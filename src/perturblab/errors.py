@@ -24,14 +24,3 @@ class ConvergenceError(PerturbLabError):
         super().__init__(message)
         self.residual = residual
 
-
-class ConstructionError(PerturbLabError):
-    """A constructive search exhausted its candidates.
-
-    ``failing_clause`` names the first clause that could not be satisfied,
-    for diagnostics.
-    """
-
-    def __init__(self, message: str, failing_clause: str | None = None):
-        super().__init__(message)
-        self.failing_clause = failing_clause

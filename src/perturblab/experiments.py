@@ -364,8 +364,8 @@ def condition_tail(cfg: ExperimentConfig) -> CondTailResult:
                 for r, g in zip(table, gtable)
             ]
         tables[n] = table
-        hit = [r.b for r in table if r.fraction <= cfg.target_exceedance]
-        smallest[n] = min(hit) if hit else None
+        sufficient = [r.b for r in table if r.fraction <= cfg.target_exceedance]
+        smallest[n] = min(sufficient) if sufficient else None
     return CondTailResult(
         config=cfg, records=records, tables=tables,
         gaussian_tables=gauss_tables, smallest_sufficient_b=smallest,

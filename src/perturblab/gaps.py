@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .concentration import cosine_average
-from .errors import ConstructionError, ResourceError, ValidationError
+from .errors import ResourceError, ValidationError
 from .noise import _as_fraction, mu_float
 from .util import content_lines, keyed_lines, token
 
@@ -214,29 +214,16 @@ def verify_discretization(
     )
 
 
-def _smallest_scale_exponent(r: Fraction, s: int, volume: int, r0: int) -> int:
-    base = Fraction(s * volume)
-    target = Fraction(r, r0)
-    e = 0
-    acc = Fraction(1)
-    while acc < target:
-        if base <= 1:
-            raise ConstructionError("scale exponent diverges (S * V <= 1)", "scale")
-        acc *= base
-        e += 1
-        if e > 64:
-            raise ConstructionError("scale exponent exceeds 64", "scale")
-    return e
-
-
 def discretize_rank1(p: Gap, r0: int, s: int) -> DiscretizationResult:
-    """Split a rank-1 integer progression into coarse + small parts.
+    """Split a rank-1 integer progression p = {k g : |k| <= N} in closed form.
 
-    Writing each coefficient a = q m + r with |r| <= q // 2 gives
-    p_small on the original generator and p_sparse on the q-fold coarse
-    generator; q is the smallest choice for which all four clauses pass.
-    When the whole progression already fits inside [-R0/S, R0/S], it is
-    itself the small part and the sparse part degenerates to {0}.
+    If N g S <= R0, p is the small part and {0} the sparse part, at R = R0;
+    else {0} is the small part and p the sparse part, at R = min(R0, g).
+    Scale:      R <= R0, so d = 0.
+    Smallness:  {0} always; p only when N g <= R0 / S.
+    Sparseness: {0} always; p since its elements are multiples of g, so S p
+                is S g-separated, and S g >= R S.
+    Covering:   {0} + p = p.
     """
     if p.rank != 1:
         raise ValidationError(f"constructor handles rank 1, got rank {p.rank}")
@@ -249,46 +236,10 @@ def discretize_rank1(p: Gap, r0: int, s: int) -> DiscretizationResult:
     s = int(s)
     if r0 < 1 or s < 1:
         raise ValidationError("R0 and S must be positive integers")
-    v = p.volume
-
-    # whole progression small enough: coarse part degenerates
-    if Fraction(n * g * s) <= r0:
-        trivial = DiscretizationResult(
-            p_small=p,
-            p_sparse=Gap((Fraction(g),), (0,)),
-            scale_R=Fraction(r0),
-            S=s,
-            R0=r0,
-            d_exponent=0,
-        )
-        if verify_discretization(p, trivial).ok:
-            return trivial
-
-    last_failure = "covering"
-    for q in range(1, 2 * n + 2):
-        half = min(q // 2, n)
-        rest = n - half
-        m_dim = -(-rest // q) if rest > 0 else 0  # ceil
-        p_small = Gap((Fraction(g),), (half,))
-        p_sparse = Gap((Fraction(q * g),), (m_dim,))
-        lo = max(Fraction(1), Fraction(s * g * half))
-        hi = Fraction(q * g) if m_dim >= 1 else None
-        if hi is not None and lo > hi:
-            last_failure = "sparseness"
-            continue
-        scale = min(max(Fraction(r0), lo), hi) if hi is not None else max(Fraction(r0), lo)
-        d_exp = _smallest_scale_exponent(scale, s, v, r0)
-        candidate = DiscretizationResult(
-            p_small=p_small, p_sparse=p_sparse, scale_R=scale, S=s, R0=r0, d_exponent=d_exp
-        )
-        report = verify_discretization(p, candidate)
-        if report.ok:
-            return candidate
-        last_failure = report.failing() or last_failure
-    raise ConstructionError(
-        f"no coefficient split passed all four clauses (last failure: {last_failure})",
-        last_failure,
-    )
+    zero = Gap((g_frac,), (0,))
+    if n * g * s <= r0:
+        return DiscretizationResult(p_small=p, p_sparse=zero, scale_R=r0, S=s, R0=r0, d_exponent=0)
+    return DiscretizationResult(p_small=zero, p_sparse=p, scale_R=min(r0, g), S=s, R0=r0, d_exponent=0)
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,21 @@ class IntegerMatrix:
         arr = np.asarray(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == np.round(arr)):
+        if arr.dtype != np.int64:
+            # checked in Python numbers: a cast would wrap uint64 past 2^63 - 1,
+            # floats and Python ints outside [-2^63, 2^63), and infinities
+            values = arr.ravel().tolist()
+            try:
+                whole = [math.floor(x) for x in values]
+            except OverflowError:
+                raise ValidationError("an entry overflows the 64-bit range") from None
+            except (TypeError, ValueError):
+                raise ValidationError("entries are not integers") from None
+            if whole != values:
                 raise ValidationError("entries are not integers")
-            arr = arr.astype(np.int64)
+            if any(not -(2**63) <= x < 2**63 for x in whole):
+                raise ValidationError("an entry overflows the 64-bit range")
+            arr = np.array(whole, dtype=np.int64).reshape(arr.shape)
         arr = arr.astype(np.int64, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -389,9 +400,7 @@ def _parse_integer_matrix(text: str) -> IntegerMatrix:
     values = [token(lineno, tok) for lineno, row in rows for tok in row]
     if len(values) != n * n:
         raise ValidationError(f"expected {n * n} entries, found {len(values)}")
-    if any(not -(2**63) <= v < 2**63 for v in values):
-        raise ValidationError("an entry overflows the 64-bit range")
-    return IntegerMatrix(np.array(values, dtype=np.int64).reshape(n, n))
+    return IntegerMatrix(np.array(values).reshape(n, n))
 
 
 def load_integer_matrix(path: str) -> IntegerMatrix:

@@ -7,11 +7,12 @@ expansion or the Leibniz sum, the singularity probability by summing
 over every entry assignment, and the normal law by mpmath's ncdf.  The
 scalar sampler, the Jacobi SVD, the scalar Fourier-side grid checks and
 the term-by-term Fraction back-substitution (on the library's own
-Bareiss reduction) and the inverse search that filters every box-radius
-pair afresh for each multiplier and tests membership in Fractions below
-are the straightforward loops that the faster library versions must
-reproduce exactly.  Slow and simple on purpose; the tests compare the
-fast implementations against these.
+Bareiss reduction), the rank-1 discretization searched over coefficient
+splits and checked clause by clause, and the inverse search that filters
+every box-radius pair afresh for each multiplier and tests membership in
+Fractions below are the straightforward loops that the faster library
+versions must reproduce exactly.  Slow and simple on purpose; the tests
+compare the fast implementations against these.
 """
 
 from __future__ import annotations
@@ -29,7 +30,14 @@ from scipy import integrate
 
 from perturblab.concentration import cosine_average
 from perturblab.errors import ResourceError, ValidationError
-from perturblab.gaps import SEARCH_WORK_BUDGET, Gap, GapCover, SearchOutcome
+from perturblab.gaps import (
+    SEARCH_WORK_BUDGET,
+    DiscretizationResult,
+    Gap,
+    GapCover,
+    SearchOutcome,
+    verify_discretization,
+)
 from perturblab.noise import mu_float
 from perturblab.rational import _bareiss
 
@@ -283,6 +291,65 @@ def scalar_chain_margins(dist, s, grid_size):
         worst1 = min(worst1, mid - scalar_char_magnitude(dist, t))
         worst2 = min(worst2, top - mid)
     return worst1, worst2
+
+
+def _search_scale_exponent(r: Fraction, s: int, volume: int, r0: int) -> int:
+    """The least e with r <= (s volume)^e r0, found by multiplying up."""
+    base = Fraction(s * volume)
+    target = Fraction(r, r0)
+    e = 0
+    acc = Fraction(1)
+    while acc < target:
+        assert base > 1, "scale exponent diverges (S * V <= 1)"
+        acc *= base
+        e += 1
+        assert e <= 64, "scale exponent exceeds 64"
+    return e
+
+
+def discretize_rank1_search(p: Gap, r0: int, s: int) -> DiscretizationResult:
+    """The rank-1 split found by search: the whole progression when it fits
+    inside [-R0/S, R0/S], else the least q = 1 .. 2N + 1 whose coefficient
+    split a = q m + r, |r| <= q // 2 (p_small on g, p_sparse on q g) passes
+    all four clauses by exact enumeration."""
+    g = int(p.generators[0])
+    n = p.dims[0]
+    v = p.volume
+
+    if Fraction(n * g * s) <= r0:
+        trivial = DiscretizationResult(
+            p_small=p,
+            p_sparse=Gap((Fraction(g),), (0,)),
+            scale_R=Fraction(r0),
+            S=s,
+            R0=r0,
+            d_exponent=0,
+        )
+        if verify_discretization(p, trivial).ok:
+            return trivial
+
+    last_failure = "covering"
+    for q in range(1, 2 * n + 2):
+        half = min(q // 2, n)
+        rest = n - half
+        m_dim = -(-rest // q) if rest > 0 else 0  # ceil
+        p_small = Gap((Fraction(g),), (half,))
+        p_sparse = Gap((Fraction(q * g),), (m_dim,))
+        lo = max(Fraction(1), Fraction(s * g * half))
+        hi = Fraction(q * g) if m_dim >= 1 else None
+        if hi is not None and lo > hi:
+            last_failure = "sparseness"
+            continue
+        scale = min(max(Fraction(r0), lo), hi) if hi is not None else max(Fraction(r0), lo)
+        d_exp = _search_scale_exponent(scale, s, v, r0)
+        candidate = DiscretizationResult(
+            p_small=p_small, p_sparse=p_sparse, scale_R=scale, S=s, R0=r0, d_exponent=d_exp
+        )
+        report = verify_discretization(p, candidate)
+        if report.ok:
+            return candidate
+        last_failure = report.failing() or last_failure
+    raise AssertionError(f"no coefficient split passed all four clauses (last failure: {last_failure})")
 
 
 def filtered_box_radius_pairs(volume_cap):

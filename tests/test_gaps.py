@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perturblab import (
-    ConstructionError,
     DiscretizationResult,
     Gap,
     ResourceError,
@@ -22,7 +21,7 @@ from perturblab import (
     sumset,
     verify_discretization,
 )
-from perturblab.gaps import _box_radius_pairs
+from perturblab.gaps import ENUMERATION_CAP, _box_radius_pairs
 from perturblab.noise import bernoulli, certificate_from_symmetric, discretized_gaussian, lazy_coin
 
 import oracles
@@ -274,6 +273,55 @@ def test_discretize_random_instances_all_verify():
         cover = set(sumset(out.p_small, out.p_sparse).elements())
         for x in p.elements():
             assert x in cover, (g, n, r0, s, x)
+
+
+def _random_instances(seed, count):
+    """(g, n, r0, s) drawn as criterion 8 and the test above draw them."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [
+        (int(rng.integers(1, 51)), int(rng.integers(1, 501)), int(rng.integers(1, 101)),
+         int(rng.integers(1, 11)))
+        for _ in range(count)
+    ]
+
+
+def _edge_instances():
+    """n = 0 and tiny n, g = 1, and r0 on both sides of g and of n g S."""
+    return [
+        (g, n, r0, s)
+        for n, g, s in itertools.product((0, 1, 2, 500), (1, 3, 50), (1, 2, 10))
+        for r0 in sorted({1, g - 1, g, n * g * s, n * g * s + 1})
+        if r0 >= 1
+    ]
+
+
+@pytest.mark.parametrize("instances", [
+    _random_instances(808, 100),
+    _random_instances(1234, 40),
+    _edge_instances(),
+], ids=["criterion-8", "random-instances", "edge-grid"])
+def test_discretize_equals_the_former_search(instances):
+    for g, n, r0, s in instances:
+        p = Gap(generators=(Fraction(g),), dims=(n,))
+        assert discretize_rank1(p, r0=r0, s=s) == oracles.discretize_rank1_search(p, r0, s), (g, n, r0, s)
+
+
+def test_discretize_past_the_enumeration_cap_enumerates_nothing(monkeypatch):
+    # N g S = 7 * 10^8 * 3 > R0, so p is the sparse part at R = min(R0, g) = 7:
+    # S p is 21-separated and R S = 21, {0} is small, {0} + p = p, and R <= R0
+    # gives d = 0.  verify_discretization refuses this volume, so the fields are
+    # checked by hand
+    p = Gap(generators=(Fraction(7),), dims=(10**8,))
+    assert p.volume > ENUMERATION_CAP
+
+    def refuse(self, cap=ENUMERATION_CAP):
+        raise AssertionError("the constructor enumerated a progression")
+
+    monkeypatch.setattr(Gap, "elements", refuse)
+    out = discretize_rank1(p, r0=100, s=3)
+    assert out.p_small == Gap(generators=(Fraction(7),), dims=(0,))
+    assert out.p_sparse == p
+    assert (out.scale_R, out.S, out.R0, out.d_exponent) == (7, 3, 100, 0)
 
 
 # ---------------------------------------------------------------------------

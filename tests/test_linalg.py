@@ -55,6 +55,29 @@ def test_integer_matrix_rejects_non_square():
         IntegerMatrix([[1, 2, 3], [4, 5, 6]])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entries", [
+    [[2**64 - 1]],  # uint64, would wrap to -1
+    [[2**63]],  # uint64, would wrap to -2^63
+    np.array([[1e30]]),
+    [[np.inf]],
+    [[9.3e18]],  # just past 2^63 ~ 9.22e18
+    np.array([[2**63, 0], [0, 1]], dtype=object),
+], ids=["uint64-max", "uint64-2^63", "float-1e30", "float-inf", "float-9.3e18", "object-2^63"])
+def test_integer_matrix_refuses_entries_a_cast_would_wrap(entries):
+    with pytest.raises(ValidationError, match="an entry overflows the 64-bit range"):
+        IntegerMatrix(entries)
+
+
+@pytest.mark.filterwarnings("error")
+def test_integer_matrix_keeps_entries_inside_the_64_bit_range():
+    assert IntegerMatrix(np.array([[2**63 - 1]], dtype=np.uint64)).entries[0, 0] == 2**63 - 1
+    assert IntegerMatrix(np.array([[-(2.0**63)]])).entry_bound == 2**63
+    assert IntegerMatrix(np.array([[1, -2], [3, 4]], dtype=object)).rows() == [[1, -2], [3, 4]]
+    with pytest.raises(ValidationError, match="entries are not integers"):
+        IntegerMatrix([[0.5]])
+
+
 def test_real_matrix_rejects_nan():
     with pytest.raises(ValidationError):
         RealMatrix([[1.0, float("nan")], [0.0, 1.0]])

@@ -9,6 +9,7 @@ dataclass exactly (floats travel as repr, tuples as comma lists).
 
 from __future__ import annotations
 
+import operator
 import typing
 from dataclasses import dataclass, fields
 
@@ -50,6 +51,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown experiment kind {self.kind!r} (choices: {KINDS})")
+        for name in ("sizes", "trials", "seed", "threads", "grid_points"):  # Python or numpy ints
+            value = getattr(self, name)
+            try:
+                whole = tuple(map(operator.index, value)) if name == "sizes" else operator.index(value)
+            except TypeError:
+                raise ValidationError(f"{name} takes integers only, got {value!r}") from None
+            object.__setattr__(self, name, whole)
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if not self.sizes or any(n < 1 for n in self.sizes):
@@ -67,7 +75,6 @@ class ExperimentConfig:
         # the documented range; values outside are almost certainly typos
         if not (0.0 <= self.c_exponent <= 5.0):
             raise ValidationError(f"c_exponent = {self.c_exponent} outside [0.0, 5.0]")
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "b_grid", tuple(float(b) for b in self.b_grid))
 
 

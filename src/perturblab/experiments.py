@@ -7,11 +7,11 @@ for byte.  Gaussian baseline noise is generated by Box-Muller from the
 same seeded uniform stream rather than a library normal sampler, so the
 baseline is reproducible from the seed alone as well.
 
-`tail`, `cond-tail` and `frozen` share one trial: the singular values of
-base + noise.  `frozen` is the cond-tail measurement run twice, masked and
-unmasked, on matched per-trial seeds.  Trials run in chunks of consecutive
-indices, and a chunk's matrices go through one `svd_stack` call, which
-gives each of them the spectrum `svd` alone would.
+Every Monte Carlo kind runs one trial loop: chunks of consecutive
+trials, each chunk's base + noise matrices through one `svd_stack` call
+(which gives each of them the spectrum `svd` alone would), then one row
+per trial.  `frozen` is the cond-tail measurement run twice, masked and
+unmasked, on matched per-trial seeds.
 """
 
 from __future__ import annotations
@@ -115,24 +115,6 @@ def _sizes(cfg: ExperimentConfig) -> Iterator[tuple[int, IntegerMatrix, np.ndarr
         yield n, base, build_mask(cfg.mask, base, cfg.seed)
 
 
-def _trials(
-    cfg: ExperimentConfig, n: int, chunk: Callable[[range, list[int]], list], suffix: str = ""
-) -> list:
-    """chunk(indices, seeds) over chunks of consecutive trial indices, one result
-    per trial, flattened in index order.  A chunk holds max(1, STACK_ENTRIES // n^2)
-    trials, and each seed is derived from (master seed, cfg.kind + suffix, n,
-    index) alone, so neither the chunk size nor the thread count moves a result."""
-    label = cfg.kind + suffix
-    size = max(1, STACK_ENTRIES // (n * n))
-    starts = range(0, cfg.trials, size)
-
-    def run(k: int) -> list:
-        indices = range(starts[k], min(starts[k] + size, cfg.trials))
-        return chunk(indices, [derive_seed(cfg.seed, label, n, i) for i in indices])
-
-    return [out for part in run_trials(run, len(starts), cfg.threads) for out in part]
-
-
 def _matrix(
     base: IntegerMatrix, law: DiscreteDistribution | None, seed: int, mask: np.ndarray | None
 ) -> IntegerMatrix | RealMatrix:
@@ -146,31 +128,41 @@ def _matrix(
     return perturb(base, IntegerMatrix(sample_iid_matrix(law, base.n, seed)), mask)
 
 
-def _record(trial: int, seed: int, spectrum: SingularSpectrum, tail_hit: bool) -> ExperimentRecord:
+def _record(
+    trial: int, seed: int, spectrum: SingularSpectrum, tail_hit: bool, singular: bool | None = None
+) -> ExperimentRecord:
+    """One trial's record; ge-check passes its exact `singular` verdict."""
     return ExperimentRecord(
         trial=trial,
         seed=seed,
         n=len(spectrum.sigma),
         sigma_max=spectrum.sigma_max,
         sigma_min=spectrum.sigma_min,
-        kappa=spectrum.kappa,
-        singular=spectrum.singular,
+        singular=spectrum.singular if singular is None else singular,
         tail_hit=bool(tail_hit),
     )
 
 
 def _svd_trials(
     cfg: ExperimentConfig, n: int, base: IntegerMatrix, law: DiscreteDistribution | None,
-    mask: np.ndarray | None, hit: Callable[[SingularSpectrum], bool], suffix: str = "",
-) -> list[ExperimentRecord]:
-    """One record per trial of svd(base + noise), tail-flagged by hit; each
-    chunk of trials goes through one svd_stack call."""
+    mask: np.ndarray | None, row: Callable[..., object], suffix: str = "",
+) -> list:
+    """row(trial, seed, matrix, spectrum) for every trial of base + noise, in
+    trial order.  A chunk of max(1, STACK_ENTRIES // n^2) consecutive trials
+    goes through one svd_stack call, and each seed is derived from (master
+    seed, cfg.kind + suffix, n, index) alone, so neither the chunk size nor
+    the thread count moves a result."""
+    label = cfg.kind + suffix
+    size = max(1, STACK_ENTRIES // (n * n))
+    starts = range(0, cfg.trials, size)
 
-    def chunk(indices: range, seeds: list[int]) -> list[ExperimentRecord]:
-        spectra = svd_stack([_matrix(base, law, seed, mask) for seed in seeds])
-        return [_record(i, seed, s, hit(s)) for i, seed, s in zip(indices, seeds, spectra)]
+    def run(k: int) -> list:
+        indices = range(starts[k], min(starts[k] + size, cfg.trials))
+        seeds = [derive_seed(cfg.seed, label, n, i) for i in indices]
+        matrices = [_matrix(base, law, seed, mask) for seed in seeds]
+        return list(map(row, indices, seeds, matrices, svd_stack(matrices)))
 
-    return _trials(cfg, n, chunk, suffix)
+    return [out for part in run_trials(run, len(starts), cfg.threads) for out in part]
 
 
 def _exceedance(values: Sequence[float], thresholds: Sequence[float]) -> list[tuple]:
@@ -252,8 +244,8 @@ def _tail_curve_from(inv_norms: list[float], n: int, grid_points: int) -> TailCu
     )
 
 
-def _inverse_norm(sigma_min: float) -> float:
-    return math.inf if sigma_min == 0.0 else 1.0 / sigma_min
+def _inverse_norm(x: SingularSpectrum | ExperimentRecord) -> float:
+    return math.inf if x.singular else 1.0 / x.sigma_min
 
 
 def tail_curve(cfg: ExperimentConfig) -> TailResult:
@@ -265,11 +257,11 @@ def tail_curve(cfg: ExperimentConfig) -> TailResult:
     curves: dict[int, TailCurve] = {}
     for n, base, mask in _sizes(cfg):
         x_ref = 10.0 * math.sqrt(n)  # record-level tail flag reference
-        rows = _svd_trials(cfg, n, base, law, mask, lambda s: _inverse_norm(s.sigma_min) >= x_ref)
-        records.extend(rows)
-        curves[n] = _tail_curve_from(
-            [_inverse_norm(r.sigma_min) for r in rows], n, cfg.grid_points
+        rows = _svd_trials(
+            cfg, n, base, law, mask, lambda i, seed, _, s: _record(i, seed, s, _inverse_norm(s) >= x_ref)
         )
+        records.extend(rows)
+        curves[n] = _tail_curve_from([_inverse_norm(r) for r in rows], n, cfg.grid_points)
     return TailResult(config=cfg, records=records, curves=curves)
 
 
@@ -349,14 +341,14 @@ def condition_tail(cfg: ExperimentConfig) -> CondTailResult:
     for n, base, mask in _sizes(cfg):
         tail_ref = float(n) ** float(cfg.b_grid[0])
 
-        def hit(spectrum: SingularSpectrum) -> bool:
-            return spectrum.kappa >= tail_ref
+        def record(trial: int, seed: int, _, spectrum: SingularSpectrum) -> ExperimentRecord:
+            return _record(trial, seed, spectrum, spectrum.kappa >= tail_ref)
 
-        rows = _svd_trials(cfg, n, base, law, mask, hit)
+        rows = _svd_trials(cfg, n, base, law, mask, record)
         records.extend(rows)
         table = _exceedance_table([r.kappa for r in rows], n, cfg.b_grid)
         if cfg.compare_gaussian:
-            gaussian = _svd_trials(cfg, n, base, None, mask, hit, "-gaussian")
+            gaussian = _svd_trials(cfg, n, base, None, mask, record, "-gaussian")
             gtable = _exceedance_table([r.kappa for r in gaussian], n, cfg.b_grid)
             gauss_tables[n] = gtable
             table = [
@@ -606,16 +598,11 @@ def ge_error_experiment(cfg: ExperimentConfig) -> GeResult:
                     rel = float(np.linalg.norm(approx.astype(np.float64) - x_true)) / denom
                 if math.isfinite(kappa):
                     ratio = rel / (eps * kappa)
-            rec = _record(trial, seed, spectrum, not singular and ratio > 100.0)
-            return replace(rec, kappa=kappa, singular=singular), GeTrial(
+            return _record(trial, seed, spectrum, not singular and ratio > 100.0, singular), GeTrial(
                 trial=trial, seed=seed, kappa=kappa, rel_error=rel, ratio=ratio, singular=singular
             )
 
-        def chunk(indices: range, seeds: list[int]) -> list[tuple[ExperimentRecord, GeTrial]]:
-            systems = [_matrix(base, law, seed, mask) for seed in seeds]
-            return list(map(one, indices, seeds, systems, svd_stack(systems)))
-
-        rows = _trials(cfg, n, chunk)
+        rows = _svd_trials(cfg, n, base, law, mask, one)
         records.extend(r for r, _ in rows)
         trials.extend(t for _, t in rows)
     return GeResult(config=cfg, records=records, trials=trials, eps_machine=eps)
@@ -659,13 +646,12 @@ def minors_experiment(cfg: ExperimentConfig) -> MinorsResult:
     for n, base, mask in _sizes(cfg):
         threshold = float(n) ** float(b)
 
-        def one(trial: int, seed: int) -> tuple[ExperimentRecord, list[float]]:
-            full = _matrix(base, law, seed, mask).entries
-            spectra = [svd(RealMatrix(full[:k, :k])) for k in range(1, n + 1)]
-            kappas = [spectrum.kappa for spectrum in spectra]
-            return _record(trial, seed, spectra[-1], max(kappas) > threshold), kappas
+        def one(trial: int, seed: int, matrix, spectrum: SingularSpectrum) -> tuple[ExperimentRecord, list]:
+            # the full matrix's spectrum is the stacked one; each k < n block runs svd
+            kappas = [svd(matrix.entries[:k, :k]).kappa for k in range(1, n)] + [spectrum.kappa]
+            return _record(trial, seed, spectrum, max(kappas) > threshold), kappas
 
-        rows = _trials(cfg, n, lambda indices, seeds: list(map(one, indices, seeds)))
+        rows = _svd_trials(cfg, n, base, law, mask, one)
         records.extend(r for r, _ in rows)
         per_k[n] = {k: max(kappas[k - 1] for _, kappas in rows) for k in range(1, n + 1)}
         frac_ok[n] = sum(max(kappas) <= threshold for _, kappas in rows) / cfg.trials

@@ -164,12 +164,6 @@ class ClauseReport:
     def ok(self) -> bool:
         return self.scale and self.smallness and self.sparseness and self.covering
 
-    def failing(self) -> str | None:
-        for name in ("scale", "smallness", "sparseness", "covering"):
-            if not getattr(self, name):
-                return name
-        return None
-
 
 def verify_discretization(
     p: Gap, result: DiscretizationResult, cap: int = ENUMERATION_CAP

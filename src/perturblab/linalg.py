@@ -129,12 +129,12 @@ class SingularSpectrum:
 
     @property
     def singular(self) -> bool:
-        """Numerically singular: the zero matrix, or sigma_min < 1e-300 sigma_max.
+        """Numerically singular: sigma_min == 0 (the zero matrix included).
 
         `svd` zeroes every column whose squared norm is at most
-        COLUMN_FLOOR2 * ||A||_F^2, so on its output a nonzero sigma_min is
-        above 1e-100 sigma_max and this is the same as sigma_min == 0."""
-        return self.sigma_max == 0.0 or self.sigma_min < 1e-300 * self.sigma_max
+        COLUMN_FLOOR2 * ||A||_F^2, so any nonzero sigma_min it returns is
+        above 1e-100 sigma_max: no finer ratio test is needed."""
+        return self.sigma_min == 0.0
 
     @property
     def kappa(self) -> float:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import ValidationError
-
 CSV_SCHEMA_LINE = "# perturblab-records schema=1"
 CSV_HEADER = "trial,seed,n,sigma_max,sigma_min,kappa,singular,tail_hit"
 
@@ -27,17 +25,15 @@ class ExperimentRecord:
     n: int
     sigma_max: float
     sigma_min: float
-    kappa: float
     singular: bool
     tail_hit: bool
 
-    def __post_init__(self):
-        if math.isfinite(self.kappa) and self.sigma_min > 0.0:
-            expected = self.sigma_max / self.sigma_min
-            if abs(self.kappa - expected) > 1e-9 * max(1.0, abs(expected)):
-                raise ValidationError(
-                    f"kappa {self.kappa} inconsistent with sigma ratio {expected}"
-                )
+    @property
+    def kappa(self) -> float:
+        """sigma_max / sigma_min, the division `SingularSpectrum.kappa` does;
+        +inf when singular (ge-check's exact verdict may say so at
+        sigma_min > 0) or sigma_min = 0."""
+        return math.inf if self.singular or self.sigma_min == 0.0 else self.sigma_max / self.sigma_min
 
 
 def format_records_csv(records: Sequence[ExperimentRecord]) -> str:
@@ -85,7 +81,7 @@ def run_trials(fn: Callable[[int], object], count: int, threads: int) -> list:
     """Run fn(0..count-1), optionally on a thread pool.
 
     The experiments call it once per size with fn over chunks of
-    consecutive trials (`experiments._trials`), so a call here is a chunk
+    consecutive trials (`experiments._svd_trials`), so a call here is a chunk
     and one pool task sweeps a whole stack.  Results come back ordered by
     index, so aggregation does not depend on the worker count; each fn
     call must derive its seeds from its index alone.

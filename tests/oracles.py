@@ -348,7 +348,7 @@ def discretize_rank1_search(p: Gap, r0: int, s: int) -> DiscretizationResult:
         report = verify_discretization(p, candidate)
         if report.ok:
             return candidate
-        last_failure = report.failing() or last_failure
+        last_failure = report
     raise AssertionError(f"no coefficient split passed all four clauses (last failure: {last_failure})")
 
 

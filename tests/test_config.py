@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +49,21 @@ def test_misc_validation():
         ExperimentConfig(kind="tail", b_grid=())
     with pytest.raises(ValidationError):
         ExperimentConfig(kind="tail", grid_points=1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sizes", (5.7,)), ("trials", 20.5), ("seed", 7.9), ("threads", 2.0), ("grid_points", 3.5)],
+)
+def test_integer_fields_refuse_non_integers(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} takes integers only"):
+        ExperimentConfig(kind="tail", **{field: value})
+    with pytest.raises(ValidationError, match=f"^{field} takes integers only"):
+        ExperimentConfig(kind="tail", **{field: (np.float64(3.0),) if field == "sizes" else "3"})
+    whole = (np.int64(3),) if field == "sizes" else np.int64(3)  # numpy ints stay accepted
+    stored = getattr(ExperimentConfig(kind="tail", **{field: whole}), field)
+    assert stored == ((3,) if field == "sizes" else 3)
+    assert all(type(x) is int for x in (stored if field == "sizes" else (stored,)))
 
 
 def test_round_trip_defaults():

@@ -437,33 +437,42 @@ def test_frozen_masked_run_actually_freezes():
 # chunks of trials swept as one svd_stack
 
 
-@pytest.mark.parametrize("kind", ["tail", "ge-check"])
+@pytest.mark.parametrize("kind", ["tail", "ge-check", "minors"])
 def test_stacked_runs_equal_trials_one_at_a_time(kind):
-    n = 50 if kind == "tail" else 20
+    n = {"tail": 50, "ge-check": 20, "minors": 30}[kind]
     size = max(1, experiments.STACK_ENTRIES // (n * n))
-    trials = 3 * size + size // 2 if kind == "ge-check" else 100
-    assert trials // size >= 3 and trials % size  # three full chunks or more, then a short one
+    full_chunks = 1 if kind == "minors" else 3  # a minors trial runs n - 1 more svd calls
+    trials = 100 if kind == "tail" else full_chunks * size + size // 2
+    assert trials // size >= full_chunks and trials % size  # full chunks, then a short one
     cfg = ExperimentConfig(
         kind=kind, sizes=(n,), trials=trials, seed=29, mask="random:2",
         noise="gaussian" if kind == "tail" else "bernoulli",
     )
-    run = tail_curve if kind == "tail" else ge_error_experiment
-    records = run(cfg).records
+    run = {"tail": tail_curve, "ge-check": ge_error_experiment, "minors": minors_experiment}[kind]
+    out = run(cfg)
+    records = out.records
     assert run(replace(cfg, threads=3)).records == records
     base = matrix_from_spec(cfg.matrix, n)
     mask = build_mask(cfg.mask, base, cfg.seed)
     law = experiments._law(cfg.noise)
     assert [r.trial for r in records] == list(range(trials))
+    full_kappas = []
     for record in records:
         seed = derive_seed(cfg.seed, kind, n, record.trial)
         spectrum = svd(experiments._matrix(base, law, seed, mask))
         if kind == "tail":
             hit = spectrum.sigma_min == 0.0 or 1.0 / spectrum.sigma_min >= 10.0 * math.sqrt(n)
             assert record == experiments._record(record.trial, seed, spectrum, hit)
+        elif kind == "minors":  # the tail flag reads the k < n blocks too
+            assert record == experiments._record(record.trial, seed, spectrum, record.tail_hit)
+            full_kappas.append(spectrum.kappa)
         else:  # the exact solve decides singularity, and the tail flag from its error
             assert (record.seed, record.sigma_max, record.sigma_min) == (
                 seed, spectrum.sigma_max, spectrum.sigma_min)
             assert record.singular or record.kappa == spectrum.kappa
+    if kind == "minors":
+        assert out.per_k[n][n] == max(full_kappas)
+        assert out.fraction_all_below[n] == sum(not r.tail_hit for r in records) / trials
 
 
 # ---------------------------------------------------------------------------

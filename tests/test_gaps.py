@@ -166,7 +166,7 @@ def test_verify_smallness_violation_detected():
     p = Gap(generators=(Fraction(2),), dims=(30,))  # elements reach 60 > R/S = 10
     rep = verify_discretization(p, _trivial_result(p, 10))
     assert not rep.smallness
-    assert rep.failing() == "smallness"
+    assert (rep.scale, rep.smallness) == (True, False)
 
 
 def test_verify_covering_violation_detected():
@@ -246,7 +246,7 @@ def test_discretize_nontrivial_splits():
     p = Gap(generators=(Fraction(1),), dims=(500,))
     out = discretize_rank1(p, r0=100, s=10)
     rep = verify_discretization(p, out)
-    assert rep.ok, rep.failing()
+    assert rep.ok, rep
     # the small part must genuinely be at a finer scale than the spread
     assert max(abs(x) for x in out.p_small.elements()) <= out.scale_R / out.S
 
@@ -268,7 +268,7 @@ def test_discretize_random_instances_all_verify():
         p = Gap(generators=(Fraction(g),), dims=(n,))
         out = discretize_rank1(p, r0=r0, s=s)
         rep = verify_discretization(p, out)
-        assert rep.ok, (g, n, r0, s, rep.failing())
+        assert rep.ok, (g, n, r0, s, rep)
         # covering re-check by direct enumeration
         cover = set(sumset(out.p_small, out.p_sparse).elements())
         for x in p.elements():

@@ -5,7 +5,6 @@ import pytest
 
 from perturblab import (
     ExperimentRecord,
-    ValidationError,
     format_records_csv,
     format_summary_json,
     run_trials,
@@ -15,31 +14,37 @@ from perturblab.records import CSV_HEADER, CSV_SCHEMA_LINE, json_safe_float
 
 
 def _rec(trial=0, n=4, s_max=2.0, s_min=1.0, **kw):
-    if "kappa" in kw:
-        kappa = kw.pop("kappa")
-    else:
-        kappa = s_max / s_min if s_min else math.inf
     return ExperimentRecord(
         trial=trial,
         seed=kw.pop("seed", 42),
         n=n,
         sigma_max=s_max,
         sigma_min=s_min,
-        kappa=kappa,
         singular=kw.pop("singular", False),
         tail_hit=kw.pop("tail_hit", False),
         **kw,
     )
 
 
-def test_record_checks_kappa_ratio():
-    with pytest.raises(ValidationError):
-        _rec(s_max=4.0, s_min=1.0, kappa=2.0)
-
-
 def test_record_allows_inf_kappa():
-    r = _rec(s_min=0.0, kappa=math.inf, singular=True)
+    r = _rec(s_min=0.0, singular=True)
     assert r.kappa == math.inf
+
+
+@pytest.mark.parametrize(
+    "s_min, singular, kappa",
+    [
+        (0.0, True, math.inf),  # singular
+        (0.5, True, math.inf),  # ge-check's exact verdict at sigma_min > 0
+        (0.0, False, math.inf),  # sigma_min = 0
+        (0.5, False, 3.0 / 0.5),  # the ratio, as SingularSpectrum.kappa divides it
+    ],
+)
+def test_record_kappa_follows_singular_and_sigma(s_min, singular, kappa):
+    r = _rec(s_max=3.0, s_min=s_min, singular=singular)
+    assert r.kappa == kappa
+    with pytest.raises(TypeError):  # kappa is derived: a record cannot store another
+        ExperimentRecord(0, 42, 4, 3.0, s_min, singular, False, kappa=kappa)
 
 
 def test_csv_layout():
@@ -60,7 +65,7 @@ def test_csv_sorts_by_size_then_trial():
 
 
 def test_csv_floats_use_repr_and_inf():
-    r = _rec(s_max=1.0, s_min=0.0, kappa=math.inf, singular=True)
+    r = _rec(s_max=1.0, s_min=0.0, singular=True)
     text = format_records_csv([r])
     row = text.strip().split("\n")[-1]
     assert ",inf," in row

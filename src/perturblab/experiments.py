@@ -9,8 +9,9 @@ baseline is reproducible from the seed alone as well.
 
 Every Monte Carlo kind runs one trial loop: chunks of consecutive
 trials, each chunk's base + noise matrices through one `svd_stack` call
-(which gives each of them the spectrum `svd` alone would), then one row
-per trial.  `frozen` is the cond-tail measurement run twice, masked and
+(which gives each of them the spectrum and singular verdict `svd` alone
+would; minors adds one call per leading block size), then one row per
+trial.  `frozen` is the cond-tail measurement run twice, masked and
 unmasked, on matched per-trial seeds.
 """
 
@@ -33,7 +34,6 @@ from .linalg import (
     SingularSpectrum,
     matrix_from_spec,
     perturb,
-    svd,
     svd_stack,
 )
 from .noise import NOISE_ARGS, DiscreteDistribution, distribution_from_spec, sample_iid_matrix
@@ -128,39 +128,34 @@ def _matrix(
     return perturb(base, IntegerMatrix(sample_iid_matrix(law, base.n, seed)), mask)
 
 
-def _record(
-    trial: int, seed: int, spectrum: SingularSpectrum, tail_hit: bool, singular: bool | None = None
-) -> ExperimentRecord:
-    """One trial's record; ge-check passes its exact `singular` verdict."""
+def _record(trial: int, seed: int, spectrum: SingularSpectrum, tail_hit: bool) -> ExperimentRecord:
     return ExperimentRecord(
-        trial=trial,
-        seed=seed,
-        n=len(spectrum.sigma),
-        sigma_max=spectrum.sigma_max,
-        sigma_min=spectrum.sigma_min,
-        singular=spectrum.singular if singular is None else singular,
-        tail_hit=bool(tail_hit),
+        trial=trial, seed=seed, n=len(spectrum.sigma), sigma_max=spectrum.sigma_max,
+        sigma_min=spectrum.sigma_min, singular=spectrum.singular, tail_hit=bool(tail_hit),
     )
 
 
 def _svd_trials(
     cfg: ExperimentConfig, n: int, base: IntegerMatrix, law: DiscreteDistribution | None,
-    mask: np.ndarray | None, row: Callable[..., object], suffix: str = "",
+    mask: np.ndarray | None, row: Callable[..., object], suffix: str = "", blocks: range = range(0),
 ) -> list:
-    """row(trial, seed, matrix, spectrum) for every trial of base + noise, in
-    trial order.  A chunk of max(1, STACK_ENTRIES // n^2) consecutive trials
-    goes through one svd_stack call, and each seed is derived from (master
-    seed, cfg.kind + suffix, n, index) alone, so neither the chunk size nor
-    the thread count moves a result."""
+    """row(trial, seed, matrix, spectrum, *block spectra) for every trial of
+    base + noise, in trial order, with the spectra of its leading k x k
+    blocks for k in `blocks`.  A chunk of max(1, STACK_ENTRIES // n^2)
+    consecutive trials goes through one svd_stack call per matrix size, and
+    each seed is derived from (master seed, cfg.kind + suffix, n, index)
+    alone, so neither the chunk size nor the thread count moves a result."""
     label = cfg.kind + suffix
     size = max(1, STACK_ENTRIES // (n * n))
     starts = range(0, cfg.trials, size)
 
-    def run(k: int) -> list:
-        indices = range(starts[k], min(starts[k] + size, cfg.trials))
+    def run(chunk: int) -> list:
+        indices = range(starts[chunk], min(starts[chunk] + size, cfg.trials))
         seeds = [derive_seed(cfg.seed, label, n, i) for i in indices]
         matrices = [_matrix(base, law, seed, mask) for seed in seeds]
-        return list(map(row, indices, seeds, matrices, svd_stack(matrices)))
+        # each block keeps its matrix's type, so an integer block gets the exact verdict
+        stacks = [svd_stack([type(m)(m.entries[:k, :k]) for m in matrices]) for k in blocks]
+        return list(map(row, indices, seeds, matrices, svd_stack(matrices), *stacks))
 
     return [out for part in run_trials(run, len(starts), cfg.threads) for out in part]
 
@@ -245,7 +240,7 @@ def _tail_curve_from(inv_norms: list[float], n: int, grid_points: int) -> TailCu
 
 
 def _inverse_norm(x: SingularSpectrum | ExperimentRecord) -> float:
-    return math.inf if x.singular else 1.0 / x.sigma_min
+    return math.inf if x.singular or x.sigma_min == 0.0 else 1.0 / x.sigma_min
 
 
 def tail_curve(cfg: ExperimentConfig) -> TailResult:
@@ -368,59 +363,28 @@ def condition_tail(cfg: ExperimentConfig) -> CondTailResult:
 # exact singularity probability
 
 
-def _bareiss_steps(a: np.ndarray, steps: range, sign: np.ndarray, prev: np.ndarray) -> None:
-    """Bareiss steps on a stack of r x cols int64 matrices, stacked along
-    the last axis (so every update runs over the stack), in place.
-
-    Step k pivots on column k (the first nonzero entry at or below row k)
-    and updates the entries right of and below it, so every entry it
-    writes is a minor of its matrix and the caller guarantees that twice
-    the square of the largest minor fits in int64.  A zero pivot column
-    sets `sign` to 0 and zeroes the matrix, which then rides along.
-    """
-    for k in steps:
-        piv = k + np.argmax(a[k:, k] != 0, axis=0)
-        moved = np.flatnonzero(piv != k)
-        row_k = a[k, :, moved]
-        a[k, :, moved] = a[piv[moved], :, moved]
-        a[piv[moved], :, moved] = row_k
-        sign[moved] *= -1
-        dead = a[k, k] == 0
-        sign[dead] = 0
-        a[:, :, dead] = 0
-        pivot = np.where(dead, 1, a[k, k])
-        a[k + 1 :, k + 1 :] = (a[k + 1 :, k + 1 :] * pivot - a[k + 1 :, k, None] * a[k, k + 1 :]) // prev
-        prev[:] = pivot
-
-
-def _cofactors(prefixes: np.ndarray, entry_bound: int) -> np.ndarray:
+def _cofactors(prefixes: np.ndarray) -> np.ndarray:
     """c[b, j] = (-1)^(r+j) det(prefix b without column j) for a stack of
     r x (r + 1) integer prefixes, so that det([prefix; x]) = x . c.
 
-    int64 Bareiss over the whole stack when the Hadamard bound allows it
-    (|minor| <= (entry_bound^2 r)^(r/2)), else rational.determinant one
-    minor at a time, as Python ints.  Bareiss treats columns alike, so the
-    minors without column j share the first j steps: one elimination of
-    the whole prefix, and minor j branches off it before step j.
+    One `rational` Bareiss elimination over the whole stack (int64 while
+    no product can overflow, Python ints past that).  Bareiss treats
+    columns alike, so the minors without column j share the first j steps:
+    one elimination of the whole prefix, and minor j branches off it before
+    step j.
     """
     count, r, n = prefixes.shape
-    signs = np.array([(-1) ** (r + j) for j in range(n)], dtype=np.int64)
-    if 2 * (entry_bound * entry_bound * r) ** r >= 2**63:
-        drop = [[i for i in range(n) if i != j] for j in range(n)]
-        return np.array(
-            [[rational.determinant(p[:, d]) for d in drop] for p in prefixes], dtype=object
-        ) * signs
-    dets = np.empty((count, n), dtype=np.int64)
-    a = np.ascontiguousarray(prefixes.transpose(1, 2, 0))
+    a = rational._stack(prefixes)
     sign = np.ones(count, dtype=np.int64)
-    prev = np.ones(count, dtype=np.int64)
+    prev = np.ones(count, dtype=a.dtype)
+    dets = []
     for j in range(r):
         minor, minor_sign = np.delete(a, j, axis=1), sign.copy()
-        _bareiss_steps(minor, range(j, r), minor_sign, prev.copy())
-        dets[:, j] = minor_sign * minor[r - 1, r - 1]
-        _bareiss_steps(a, range(j, j + 1), sign, prev)
-    dets[:, r] = sign * a[r - 1, r - 1]
-    return dets * signs
+        minor, _ = rational._eliminate(minor, range(j, r), minor_sign, prev.copy())
+        dets.append(minor_sign * minor[r - 1, r - 1])
+        a, prev = rational._eliminate(a, range(j, j + 1), sign, prev)
+    dets.append(sign * a[r - 1, r - 1])
+    return np.stack(dets, axis=1) * np.array([(-1) ** (r + j) for j in range(n)])
 
 
 def singularity_probability(
@@ -488,7 +452,7 @@ def singularity_probability(
         weights = (math.factorial(n - 1) // repeats).astype(object)
         for i in range(n - 1):
             weights = weights * masses[picks[:, i]]
-        c = _cofactors(rows[picks], dist.max_abs_value)
+        c = _cofactors(rows[picks])
         keys = np.sort(np.abs(c) if symmetric else c, axis=1)
         for key, w in zip(map(tuple, keys.tolist()), weights):
             weight_by_key[key] = weight_by_key.get(key, 0) + w
@@ -570,7 +534,8 @@ def ge_error_experiment(cfg: ExperimentConfig) -> GeResult:
     Systems are integer (base + discrete noise, masked entries frozen,
     integer right-hand side), so the reference path is exact elimination;
     the reported ratio is rel_error / (eps_machine * kappa).  Singular
-    draws are recorded and excluded from the error statistics.
+    draws (the spectrum's exact verdict) are recorded, skip the solves and
+    are excluded from the error statistics.
     """
     law = _law(cfg.noise)
     if law is None:
@@ -584,22 +549,20 @@ def ge_error_experiment(cfg: ExperimentConfig) -> GeResult:
         def one(
             trial: int, seed: int, system: IntegerMatrix, spectrum: SingularSpectrum
         ) -> tuple[ExperimentRecord, GeTrial]:
-            rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "ge-rhs", n, trial)))
-            b = rng.integers(-9, 10, size=n)
-            exact = rational.solve_exact(system.rows(), [int(x) for x in b])
-            singular = exact is None  # the exact half decides, not the spectrum
-            kappa = math.inf if singular else spectrum.kappa
             rel = ratio = math.inf
-            if not singular:
+            if not spectrum.singular:
+                rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "ge-rhs", n, trial)))
+                b = rng.integers(-9, 10, size=n)
+                exact = rational.solve_exact(system.rows(), [int(x) for x in b])
                 approx = _ge_solve(system.entries.astype(np.float64), b.astype(np.float64), dtype)
                 x_true = np.array([float(x) for x in exact])
                 denom = float(np.linalg.norm(x_true))
                 if approx is not None and denom != 0.0:
                     rel = float(np.linalg.norm(approx.astype(np.float64) - x_true)) / denom
-                if math.isfinite(kappa):
-                    ratio = rel / (eps * kappa)
-            return _record(trial, seed, spectrum, not singular and ratio > 100.0, singular), GeTrial(
-                trial=trial, seed=seed, kappa=kappa, rel_error=rel, ratio=ratio, singular=singular
+                if math.isfinite(spectrum.kappa):
+                    ratio = rel / (eps * spectrum.kappa)
+            return _record(trial, seed, spectrum, not spectrum.singular and ratio > 100.0), GeTrial(
+                trial, seed, spectrum.kappa, rel, ratio, spectrum.singular
             )
 
         rows = _svd_trials(cfg, n, base, law, mask, one)
@@ -646,12 +609,11 @@ def minors_experiment(cfg: ExperimentConfig) -> MinorsResult:
     for n, base, mask in _sizes(cfg):
         threshold = float(n) ** float(b)
 
-        def one(trial: int, seed: int, matrix, spectrum: SingularSpectrum) -> tuple[ExperimentRecord, list]:
-            # the full matrix's spectrum is the stacked one; each k < n block runs svd
-            kappas = [svd(matrix.entries[:k, :k]).kappa for k in range(1, n)] + [spectrum.kappa]
+        def one(trial: int, seed: int, _, spectrum: SingularSpectrum, *blocks) -> tuple:
+            kappas = [s.kappa for s in (*blocks, spectrum)]
             return _record(trial, seed, spectrum, max(kappas) > threshold), kappas
 
-        rows = _svd_trials(cfg, n, base, law, mask, one)
+        rows = _svd_trials(cfg, n, base, law, mask, one, blocks=range(1, n))
         records.extend(r for r, _ in rows)
         per_k[n] = {k: max(kappas[k - 1] for _, kappas in rows) for k in range(1, n + 1)}
         frac_ok[n] = sum(max(kappas) <= threshold for _, kappas in rows) / cfg.trials

@@ -34,6 +34,9 @@ PAIR_TOL = 1e-14
 RESIDUAL_TOL = 1e-13
 MAX_SWEEPS = 60
 COLUMN_FLOOR2 = 1e-200  # squared column norm under this times ||A||_F^2 is noise
+# sigma_min > this * sigma_max clears an integer matrix: Jacobi's sigma are off by
+# about n eps sigma_max at most (Weyl), and this is over 200 n eps at n = 2000
+SINGULAR_RTOL = 1e-10
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,15 +53,10 @@ class IntegerMatrix:
         if arr.dtype != np.int64:
             # checked in Python numbers: a cast would wrap uint64 past 2^63 - 1,
             # floats and Python ints outside [-2^63, 2^63), and infinities
-            values = arr.ravel().tolist()
             try:
-                whole = [math.floor(x) for x in values]
+                whole = rational.whole_numbers(arr.ravel().tolist())
             except OverflowError:
                 raise ValidationError("an entry overflows the 64-bit range") from None
-            except (TypeError, ValueError):
-                raise ValidationError("entries are not integers") from None
-            if whole != values:
-                raise ValidationError("entries are not integers")
             if any(not -(2**63) <= x < 2**63 for x in whole):
                 raise ValidationError("an entry overflows the 64-bit range")
             arr = np.array(whole, dtype=np.int64).reshape(arr.shape)
@@ -105,11 +103,16 @@ def _as_real_array(m) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class SingularSpectrum:
-    """All singular values, descending, plus the final Jacobi residual and sweep count."""
+    """All singular values, descending, the final Jacobi residual and sweep
+    count, and the singular verdict `svd_stack` gives by input type: for an
+    IntegerMatrix exactly det = 0 (SINGULAR_RTOL clears most, the rational
+    elimination decides the rest), else sigma_min = 0, since the COLUMN_FLOOR2
+    floor puts every nonzero sigma_min above 1e-100 sigma_max."""
 
     sigma: tuple[float, ...]
     convergence_residual: float
     sweeps: int  # sweeps run, the last (rotation-free) one included; 0 for the zero matrix
+    singular: bool
 
     def __post_init__(self):
         sig = tuple(float(s) for s in self.sigma)
@@ -128,18 +131,9 @@ class SingularSpectrum:
         return self.sigma[-1]
 
     @property
-    def singular(self) -> bool:
-        """Numerically singular: sigma_min == 0 (the zero matrix included).
-
-        `svd` zeroes every column whose squared norm is at most
-        COLUMN_FLOOR2 * ||A||_F^2, so any nonzero sigma_min it returns is
-        above 1e-100 sigma_max: no finer ratio test is needed."""
-        return self.sigma_min == 0.0
-
-    @property
     def kappa(self) -> float:
-        """sigma_max / sigma_min; +inf when singular."""
-        return math.inf if self.singular else self.sigma_max / self.sigma_min
+        """sigma_max / sigma_min; +inf when singular or sigma_min = 0."""
+        return math.inf if self.singular or self.sigma_min == 0.0 else self.sigma_max / self.sigma_min
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,6 +181,8 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     spectrum is the same, bit for bit, whatever else is stacked with it.
     A matrix still rotating after MAX_SWEEPS sweeps raises ConvergenceError
     with its residual (the first such matrix in `ms`).
+    The integer matrices that SINGULAR_RTOL does not clear go through one
+    exact elimination together for their verdict (see SingularSpectrum).
     """
     arrays = [_as_real_array(m) for m in ms]
     if not arrays:
@@ -197,9 +193,8 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
         raise ValidationError(f"svd_stack needs matrices of one size, got sizes {sizes}")
     a = np.stack(arrays)
     frob2 = np.add.reduce((a * a).reshape(len(a), n * n), axis=1)
-    spectra: list[SingularSpectrum | None] = [
-        SingularSpectrum(tuple([0.0] * n), 0.0, 0) if f == 0.0 else None for f in frob2
-    ]
+    # (sigma, residual, sweeps) per matrix, the verdict comes last
+    spectra: list[tuple | None] = [((0.0,) * n, 0.0, 0) if f == 0.0 else None for f in frob2]
     live = np.flatnonzero(frob2 != 0.0)  # index in ms of each matrix left in the stack
     if len(live) < len(a):
         a, frob2 = a[live], frob2[live]
@@ -265,7 +260,7 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
             continue
         for b in np.flatnonzero(~rotated):
             sigma = np.sort(np.linalg.norm(a[b], axis=0))[::-1]
-            spectra[live[b]] = SingularSpectrum(
+            spectra[live[b]] = (
                 tuple(float(x) for x in sigma), math.sqrt(off2[b]) / float(frob2[b]), sweep + 1
             )
         live, a, frob2, off2 = live[rotated], a[rotated], frob2[rotated], off2[rotated]
@@ -274,7 +269,10 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
         raise ConvergenceError(
             f"Jacobi sweep budget exhausted (residual {residual:.3e})", residual=residual
         )
-    return spectra
+    exact = [i for i, (m, (sigma, _, _)) in enumerate(zip(ms, spectra))
+             if isinstance(m, IntegerMatrix) and not sigma[-1] > SINGULAR_RTOL * sigma[0]]
+    flags = dict(zip(exact, rational.singular_flags([ms[i].entries for i in exact])))
+    return [SingularSpectrum(*s, flags.get(i, s[0][-1] == 0.0)) for i, s in enumerate(spectra)]
 
 
 def operator_norm(m, tol: float = 1e-15, max_iter: int = 100_000) -> float:
@@ -325,7 +323,7 @@ def frobenius_norm(m) -> float:
 
 
 def condition_number(m) -> float:
-    """sigma_max / sigma_min; +inf when the matrix is numerically singular."""
+    """sigma_max / sigma_min; +inf when `svd` calls the matrix singular."""
     spec = svd(m)
     if spec.sigma_max == 0.0:
         raise ValidationError("condition number of the zero matrix is undefined")

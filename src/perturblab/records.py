@@ -30,9 +30,9 @@ class ExperimentRecord:
 
     @property
     def kappa(self) -> float:
-        """sigma_max / sigma_min, the division `SingularSpectrum.kappa` does;
-        +inf when singular (ge-check's exact verdict may say so at
-        sigma_min > 0) or sigma_min = 0."""
+        """sigma_max / sigma_min, +inf when singular or sigma_min = 0: the
+        rule of `SingularSpectrum.kappa`, whose verdict the record copies
+        (under discrete noise it is exactly det = 0, even at sigma_min > 0)."""
         return math.inf if self.singular or self.sigma_min == 0.0 else self.sigma_max / self.sigma_min
 
 

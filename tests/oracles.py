@@ -6,10 +6,11 @@ product integral by adaptive quadrature, determinants by cofactor
 expansion or the Leibniz sum, the singularity probability by summing
 over every entry assignment, and the normal law by mpmath's ncdf.  The
 scalar sampler, the Jacobi SVD, the scalar Fourier-side grid checks and
-the term-by-term Fraction back-substitution (on the library's own
-Bareiss reduction), the rank-1 discretization searched over coefficient
-splits and checked clause by clause, and the inverse search that filters
-every box-radius pair afresh for each multiplier and tests membership in
+the term-by-term Fraction back-substitution (on a Bareiss elimination
+over Python lists with largest-value pivots, not the library's stacked
+kernel), the rank-1 discretization searched over coefficient splits and
+checked clause by clause, and the inverse search that filters every
+box-radius pair afresh for each multiplier and tests membership in
 Fractions below are the straightforward loops that the faster library
 versions must reproduce exactly.  Slow and simple on purpose; the tests
 compare the fast implementations against these.
@@ -39,7 +40,6 @@ from perturblab.gaps import (
     verify_discretization,
 )
 from perturblab.noise import mu_float
-from perturblab.rational import _bareiss
 
 logger = logging.getLogger("perturblab.gaps")
 
@@ -137,6 +137,42 @@ def singularity_by_enumeration(n, law, order="rows"):
     return sum(
         (count * math.prod(atoms[v] for v in key) for key, count in singular.items()), Fraction(0)
     )
+
+
+def _bareiss(aug: list[list[int]], n: int) -> tuple[int, list[list[int]]]:
+    """Forward elimination on an n x m augmented integer matrix.
+
+    Pivots by largest absolute value in the column (ties to the lowest
+    row index).  Returns (sign from row swaps, reduced rows); the result
+    is upper triangular in its first n columns.  A zero pivot column
+    leaves sign = 0 (singular).
+    """
+    sign = 1
+    prev = 1
+    m = len(aug[0])
+    for k in range(n):
+        pivot_row = -1
+        pivot_val = 0
+        for r in range(k, n):
+            v = abs(aug[r][k])
+            if v > pivot_val:
+                pivot_val = v
+                pivot_row = r
+        if pivot_row < 0:
+            return 0, aug
+        if pivot_row != k:
+            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+            sign = -sign
+        pivot = aug[k][k]
+        for i in range(k + 1, n):
+            row_i = aug[i]
+            row_k = aug[k]
+            head = row_i[k]
+            for j in range(k + 1, m):
+                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign, aug
 
 
 def fraction_back_substitute(red, n, col):

@@ -186,16 +186,17 @@ def test_singularity_matches_enumeration_oracle(law, n):
 def test_singularity_wide_entries_take_the_rational_fallback(monkeypatch):
     # |minor| can reach 2 * 10^12 at n=3, whose square overflows int64
     wide = DiscreteDistribution("wide", ((-(10**6), Fraction(1, 4)), (1, Fraction(1, 4)), (10**6, Fraction(1, 2))))
-    calls = []
-    exact_det = experiments.rational.determinant
+    dtypes = set()
+    eliminate = experiments.rational._eliminate
 
-    def counted(matrix):
-        calls.append(matrix)
-        return exact_det(matrix)
+    def traced(*args):
+        reduced, prev = eliminate(*args)
+        dtypes.add(reduced.dtype)
+        return reduced, prev
 
-    monkeypatch.setattr(experiments.rational, "determinant", counted)
+    monkeypatch.setattr(experiments.rational, "_eliminate", traced)
     got = singularity_probability(3, wide)
-    assert calls
+    assert np.dtype(object) in dtypes
     assert got == oracles.singularity_by_enumeration(3, wide)
 
 
@@ -366,6 +367,43 @@ def test_ge_summary_fields():
 
 
 # ---------------------------------------------------------------------------
+# one singular verdict: det = 0 for every integer matrix
+
+
+# sizes where two equal or opposite lines make singular draws common, and
+# Jacobi alone leaves many of them with sigma_min > 0
+VERDICT_SIZES = {"lazy_coin:1/2": (3, 4, 5, 6, 7, 8), "bernoulli": (5, 6, 7, 8, 9, 10)}
+
+
+@pytest.mark.parametrize("noise", list(VERDICT_SIZES))
+@pytest.mark.parametrize("kind", ["cond-tail", "tail", "minors"])
+def test_singular_is_exactly_det_zero_under_discrete_noise(kind, noise, monkeypatch):
+    swept = []  # every matrix the run passes to svd_stack, with its spectrum
+    stack = experiments.svd_stack
+
+    def spy(matrices):
+        spectra = stack(matrices)
+        swept.extend(zip(matrices, spectra))
+        return spectra
+
+    monkeypatch.setattr(experiments, "svd_stack", spy)
+    cfg = ExperimentConfig(kind=kind, sizes=VERDICT_SIZES[noise], trials=200, seed=16, noise=noise)
+    out = {"cond-tail": condition_tail, "tail": tail_curve, "minors": minors_experiment}[kind](cfg)
+    law = experiments._law(noise)
+    for r in out.records:
+        matrix = sample_iid_matrix(law, r.n, r.seed)  # the base matrix is zero
+        assert r.singular == (determinant(matrix.tolist()) == 0)
+        assert (r.kappa == math.inf) == r.singular
+    # the draws Jacobi alone would have missed are there to be caught
+    assert any(r.singular and r.sigma_min > 0.0 for r in out.records)
+    # every spectrum the run read, each leading block of a minors draw included
+    assert len(swept) == (sum(cfg.sizes) if kind == "minors" else len(cfg.sizes)) * cfg.trials
+    for matrix, spectrum in swept:
+        assert isinstance(matrix, IntegerMatrix)
+        assert spectrum.singular == (determinant(matrix.rows()) == 0)
+
+
+# ---------------------------------------------------------------------------
 # minors
 
 
@@ -466,7 +504,7 @@ def test_stacked_runs_equal_trials_one_at_a_time(kind):
         elif kind == "minors":  # the tail flag reads the k < n blocks too
             assert record == experiments._record(record.trial, seed, spectrum, record.tail_hit)
             full_kappas.append(spectrum.kappa)
-        else:  # the exact solve decides singularity, and the tail flag from its error
+        else:  # the tail flag comes from the solve error
             assert (record.seed, record.sigma_max, record.sigma_min) == (
                 seed, spectrum.sigma_max, spectrum.sigma_min)
             assert record.singular or record.kappa == spectrum.kappa

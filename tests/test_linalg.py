@@ -85,9 +85,9 @@ def test_real_matrix_rejects_nan():
 
 def test_spectrum_orders_descending():
     with pytest.raises(ValidationError):
-        SingularSpectrum(sigma=(1.0, 2.0), convergence_residual=0.0, sweeps=1)
+        SingularSpectrum(sigma=(1.0, 2.0), convergence_residual=0.0, sweeps=1, singular=False)
     with pytest.raises(ValidationError):
-        SingularSpectrum(sigma=(1.0, -2.0), convergence_residual=0.0, sweeps=1)
+        SingularSpectrum(sigma=(1.0, -2.0), convergence_residual=0.0, sweeps=1, singular=False)
 
 
 # ---------------------------------------------------------------------------

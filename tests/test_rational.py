@@ -117,3 +117,18 @@ def test_large_entries_stay_exact():
     x = solve_exact(a, [1, 0])
     assert x is not None
     assert x[0] * (big * big - 1) == big
+
+
+@pytest.mark.parametrize("call", [
+    lambda: determinant([[1.5, 0], [0, 1]]),
+    lambda: solve_exact([[2.7]], [1]),
+], ids=["determinant-1.5", "solve-2.7"])
+def test_non_integral_entries_are_refused(call):
+    with pytest.raises(ValidationError, match="entries are not integers"):
+        call()
+
+
+def test_entries_at_the_int64_edge_stay_exact():
+    # -2^63 fits int64, but its absolute value wraps there; the product below does not fit
+    assert determinant([[-(2**63), 1], [1, 1]]) == -(2**63) - 1
+    assert determinant([[2**63 - 1, 2**62], [2**62, 2**63 - 1]]) == (2**63 - 1) ** 2 - 2**124

@@ -35,7 +35,7 @@ def test_record_allows_inf_kappa():
     "s_min, singular, kappa",
     [
         (0.0, True, math.inf),  # singular
-        (0.5, True, math.inf),  # ge-check's exact verdict at sigma_min > 0
+        (0.5, True, math.inf),  # an exact verdict at sigma_min > 0
         (0.0, False, math.inf),  # sigma_min = 0
         (0.5, False, 3.0 / 0.5),  # the ratio, as SingularSpectrum.kappa divides it
     ],

@@ -8,6 +8,8 @@ rule is relative per pair), which matters because the quantities under
 study are tail events of 1/sigma_min.  `svd_stack` sweeps many matrices
 of one size together, so that numpy's per-call cost, which dominates at
 the sizes studied here, is paid once per stack; `svd` is a stack of one.
+The stack is held column-major, in the current round's column order, so
+a round costs one contiguous gather and no scatter.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ class SingularSpectrum:
     singular: bool
 
     def __post_init__(self):
-        sig = tuple(float(s) for s in self.sigma)
+        sig = tuple(map(float, self.sigma))
         if any(s < 0 for s in sig):
             raise ValidationError("negative singular value")
         if any(sig[i] < sig[i + 1] for i in range(len(sig) - 1)):
@@ -136,9 +138,8 @@ class SingularSpectrum:
         return math.inf if self.singular or self.sigma_min == 0.0 else self.sigma_max / self.sigma_min
 
 
-@functools.lru_cache(maxsize=None)
 def _round_robin_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Deterministic all-pairs schedule: n-1 rounds of disjoint pairs, cached per n."""
+    """Deterministic all-pairs schedule: rounds of disjoint pairs (n-1 of them, n at odd n)."""
     m = n if n % 2 == 0 else n + 1
     idx = list(range(m))
     rounds = []
@@ -150,11 +151,29 @@ def _round_robin_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
                 ps.append(min(a, b))
                 qs.append(max(a, b))
         if ps:
-            pair = np.array([ps, qs])
-            pair.setflags(write=False)  # every svd call of this size shares the rows
-            rounds.append(tuple(pair))
+            rounds.append((np.array(ps), np.array(qs)))
         idx = [idx[0]] + [idx[-1]] + idx[1:-1]
     return tuple(rounds)
+
+
+@functools.lru_cache(maxsize=None)
+def _round_robin_gathers(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """`svd_stack`'s start order, the last round's, and per round the gather
+    from the previous round's order to this one's: its ps, its qs, then the
+    column left over at odd n.  Cached per n, read-only.  Built in Python:
+    numpy's set routines would add about 1.7 MB to every run's peak RSS."""
+    orders = []
+    for ps, qs in _round_robin_rounds(n):
+        paired = ps.tolist() + qs.tolist()
+        orders.append(paired + sorted(set(range(n)).difference(paired)))
+    start = np.array(orders[-1] if orders else range(n))
+    gathers = []
+    for prev, order in zip(orders[-1:] + orders, orders):
+        position = {col: i for i, col in enumerate(prev)}
+        gathers.append(np.array([position[col] for col in order]))
+    for index in [start] + gathers:
+        index.setflags(write=False)  # every svd call of this size shares them
+    return start, tuple(gathers)
 
 
 def svd(m) -> SingularSpectrum:
@@ -164,7 +183,7 @@ def svd(m) -> SingularSpectrum:
 
 def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     """Full singular spectra of equal-size square matrices by one-sided
-    Jacobi rotations, swept together over a (B, n, n) stack.
+    Jacobi rotations, swept together as one stack.
 
     Sweeps run in a fixed round-robin order; each round rotates a set of
     disjoint column pairs simultaneously (the rotations commute), in every
@@ -173,12 +192,20 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     to relative tolerance PAIR_TOL, which drives its off-diagonal Gram
     residual below RESIDUAL_TOL * ||A||_F^2; it then leaves the stack.
 
-    Each matrix keeps its own rotated flag, off-diagonal sum, dead-column
-    floor and sweep count.  Every reduction runs over one matrix's rows
-    (einsum) or one matrix's pairs (np.add.reduce along the last axis) in
-    the order a stack of one takes, and a pair that does not rotate gets
-    c = 1, s = 0, which changes at most the sign of a zero entry, so each
-    spectrum is the same, bit for bit, whatever else is stacked with it.
+    The stack is column-major, columns outermost: a[j, b] is a column of
+    matrix b, one contiguous row, in the round's column order, so the
+    round's ps and qs columns are two contiguous blocks; each round is one
+    gather (`_round_robin_gathers`) and a rotation in place.  Each matrix
+    keeps its own rotated flag, off-diagonal sum, dead-column floor and
+    sweep count.  Every reduction runs in the order a lone row-major matrix
+    takes: pair sums along one contiguous column (einsum; numpy lays out
+    the gathered columns a[:, ps] of a row-major matrix column-contiguous
+    too, so the sums are the same), the off-diagonal sum along one
+    matrix's row of pairs (the per-pair arrays are (B, pairs), row-major),
+    and column norms down the rows of a row-major copy.  A pair that does
+    not rotate gets c = 1, s = 0, which changes at most the sign of a zero
+    entry, so each spectrum is the same, bit for bit, whatever else is
+    stacked with it.
     A matrix still rotating after MAX_SWEEPS sweeps raises ConvergenceError
     with its residual (the first such matrix in `ms`).
     The integer matrices that SINGULAR_RTOL does not clear go through one
@@ -194,21 +221,23 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     a = np.stack(arrays)
     frob2 = np.add.reduce((a * a).reshape(len(a), n * n), axis=1)
     # (sigma, residual, sweeps) per matrix, the verdict comes last
-    spectra: list[tuple | None] = [((0.0,) * n, 0.0, 0) if f == 0.0 else None for f in frob2]
+    spectra: list[tuple | None] = [([0.0] * n, 0.0, 0) if f == 0.0 else None for f in frob2]
     live = np.flatnonzero(frob2 != 0.0)  # index in ms of each matrix left in the stack
-    if len(live) < len(a):
-        a, frob2 = a[live], frob2[live]
-    rounds = _round_robin_rounds(n)
+    start, gathers = _round_robin_gathers(n)
+    # column-major: a[j, b] is column start[j] of matrix live[b], one contiguous row
+    a, frob2 = a.transpose(2, 0, 1)[start[:, None], live], frob2[live]
+    half = n // 2
     off2 = np.zeros(len(live))
     for sweep in range(MAX_SWEEPS):
         if not len(live):
             break
         # columns squeezed this far below ||A||_F are pure roundoff debris
         # (their true singular value is 0 at this precision); zeroing them
-        # stops the rotation pair test from chasing denormal residue.
-        dead = np.einsum("bij,bij->bj", a, a) <= COLUMN_FLOOR2 * frob2[:, None]
+        # stops the rotation pair test from chasing denormal residue
+        rows = np.ascontiguousarray(a.transpose(1, 2, 0))
+        dead = np.einsum("bij,bij->bj", rows, rows) <= COLUMN_FLOOR2 * frob2[:, None]
         if dead.any():
-            a.transpose(0, 2, 1)[dead] = 0.0
+            a.transpose(1, 0, 2)[dead] = 0.0
         # `rotated` is kept per matrix until every matrix has rotated this
         # sweep (`every`).  Rounds where every pair rotates are the common
         # case and skip the flags and the t = 0 masking; without these short
@@ -220,12 +249,13 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
         # the sweep stops summing it
         last = sweep == MAX_SWEEPS - 1
         off2 = np.zeros(len(live))
-        for ps, qs in rounds:
-            ap = a[:, :, ps]
-            aq = a[:, :, qs]
-            app = np.einsum("bij,bij->bj", ap, ap)
-            aqq = np.einsum("bij,bij->bj", aq, aq)
-            apq = np.einsum("bij,bij->bj", ap, aq)
+        for gather in gathers:
+            a = np.take(a, gather, axis=0)
+            ap = a[:half]
+            aq = a[half:2 * half]
+            app = np.einsum("jbi,jbi->bj", ap, ap, order="C")
+            aqq = np.einsum("jbi,jbi->bj", aq, aq, order="C")
+            apq = np.einsum("jbi,jbi->bj", ap, aq, order="C")
             if last or not every:
                 off2 += np.add.reduce(apq * apq, axis=1)
             mask = np.abs(apq) > PAIR_TOL * np.sqrt(app * aqq)
@@ -246,24 +276,20 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
             if partial:
                 t = np.where(mask, t, 0.0)
             c = 1.0 / np.sqrt(1.0 + t * t)
-            s = (t * c)[:, None, :]
-            c = c[:, None, :]
+            s = (t * c).T[:, :, None]
+            c = c.T[:, :, None]
             # in place, the same products and sums as c ap - s aq and s ap + c aq
             sp = s * ap
             ap *= c
             ap -= s * aq
             aq *= c
             aq += sp
-            a[:, :, ps] = ap
-            a[:, :, qs] = aq
         if every:
             continue
         for b in np.flatnonzero(~rotated):
-            sigma = np.sort(np.linalg.norm(a[b], axis=0))[::-1]
-            spectra[live[b]] = (
-                tuple(float(x) for x in sigma), math.sqrt(off2[b]) / float(frob2[b]), sweep + 1
-            )
-        live, a, frob2, off2 = live[rotated], a[rotated], frob2[rotated], off2[rotated]
+            sigma = np.sort(np.linalg.norm(np.ascontiguousarray(a[:, b].T), axis=0))[::-1]
+            spectra[live[b]] = (sigma.tolist(), math.sqrt(off2[b]) / float(frob2[b]), sweep + 1)
+        live, a, frob2, off2 = live[rotated], a[:, rotated], frob2[rotated], off2[rotated]
     if len(live):
         residual = math.sqrt(off2[0]) / float(frob2[0])
         raise ConvergenceError(

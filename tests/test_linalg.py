@@ -156,22 +156,28 @@ def test_sum_of_squares_is_frobenius():
     assert sum(x * x for x in s.sigma) == pytest.approx(frobenius_norm(m) ** 2, rel=1e-12)
 
 
-def _jacobi_inputs(n):
+def _jacobi_inputs(n, kinds=("zero", "graded_diagonal", "duplicated_column"), laws=None):
     """Worst-case bases plus seeded noise of several laws, plus all-zero draws."""
     yield np.zeros((n, n))
-    for kind in ("zero", "graded_diagonal", "duplicated_column"):
+    for kind in kinds:
         base = matrix_from_spec(kind, n).entries
         yield base.astype(float)
-        for law in (bernoulli(), lazy_coin("1/10"), discretized_gaussian()):
+        for law in laws or (bernoulli(), lazy_coin("1/10"), discretized_gaussian()):
             for seed in (1, 2):
                 yield (base + sample_iid_matrix(law, n, seed)).astype(float)
         rng = np.random.Generator(np.random.PCG64(n))
         yield base + rng.standard_normal((n, n))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 50])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 9, 20, 50, 100])
 def test_svd_equals_reference_jacobi_bit_for_bit(n):
-    for a in _jacobi_inputs(n):
+    # n = 100 is the condition-tail benchmark's size: its graded base under
+    # bernoulli noise, and one gaussian draw
+    if n == 100:
+        inputs = _jacobi_inputs(n, ("graded_diagonal",), (bernoulli(),))
+    else:
+        inputs = _jacobi_inputs(n)
+    for a in inputs:
         sigma, residual, converged = oracles.jacobi_svd(a)
         assert converged
         spec = svd(RealMatrix(a))
@@ -182,15 +188,26 @@ def test_svd_equals_reference_jacobi_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 20])
 def test_round_robin_schedule(n):
     rounds = linalg._round_robin_rounds(n)
-    assert linalg._round_robin_rounds(n) is rounds
     seen = []
     for ps, qs in rounds:
-        assert not ps.flags.writeable and not qs.flags.writeable
         assert np.all(ps < qs)
         cols = np.concatenate([ps, qs])
         assert len(set(cols.tolist())) == len(cols)  # disjoint within a round
         seen.extend(zip(ps.tolist(), qs.tolist()))
     assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    # the cached gathers, not the rounds, are what every svd call shares
+    start, gathers = schedule = linalg._round_robin_gathers(n)
+    assert linalg._round_robin_gathers(n) is schedule
+    assert len(gathers) == len(rounds)
+    for index in (start,) + gathers:
+        assert not index.flags.writeable
+        assert sorted(index.tolist()) == list(range(n))
+    order = start
+    for _ in range(2):  # the second sweep starts where the first ended
+        for gather, (ps, qs) in zip(gathers, rounds):
+            order = order[gather]
+            rest = sorted(set(range(n)) - set(ps.tolist()) - set(qs.tolist()))
+            assert order.tolist() == ps.tolist() + qs.tolist() + rest
 
 
 def test_convergence_error_reports_the_last_full_sweep(monkeypatch):

@@ -43,10 +43,13 @@ from .util import derive_seed, parse_spec, wilson_interval
 
 SINGULARITY_BUDGET = 10_000_000
 # Matrix entries per svd_stack call: a chunk of trials stacks max(1, this // n^2)
-# matrices (6 at n = 50, 1 from n = 91).  A bigger stack pays numpy's per-call
-# cost over more matrices, but every pool thread holds its stack and the
-# sweep's temporaries at once, and they show in the peak resident set.
-STACK_ENTRIES = 2**14
+# matrices (163 at n = 20, 26 at n = 50, 6 at n = 100).  A bigger stack pays
+# numpy's per-call cost over more matrices, but every pool thread holds its
+# stack and svd_stack's idle buffer of the same size at once, and they show in
+# the peak resident set.  On the tail-gaussian-n50 benchmark, against one matrix
+# at a time, 2^14 gave 2.9x the throughput for +1.8% peak RSS, 2^15 3.8x for
+# +4.4% and 2^16 4.2x for +8.9%.
+STACK_ENTRIES = 2**16
 
 
 # ---------------------------------------------------------------------------

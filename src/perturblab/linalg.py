@@ -9,7 +9,9 @@ study are tail events of 1/sigma_min.  `svd_stack` sweeps many matrices
 of one size together, so that numpy's per-call cost, which dominates at
 the sizes studied here, is paid once per stack; `svd` is a stack of one.
 The stack is held column-major, in the current round's column order, so
-a round costs one contiguous gather and no scatter.
+a round costs one contiguous gather and no scatter.  It lives in one of two
+flat buffers allocated once per call, and every temporary as large as the
+stack is a view of the other, so a call holds about twice its stack's bytes.
 """
 
 from __future__ import annotations
@@ -96,11 +98,32 @@ class RealMatrix:
         return self.entries.shape[0]
 
 
+def _entries(m) -> np.ndarray:
+    """The entries as stored (int64 or float), read-only; anything else is
+    checked and converted to a RealMatrix's floats."""
+    if isinstance(m, (IntegerMatrix, RealMatrix)):
+        return m.entries
+    return RealMatrix(m).entries
+
+
 def _as_real_array(m) -> np.ndarray:
     """The entries as floats; read-only unless converted from integers."""
-    if isinstance(m, (IntegerMatrix, RealMatrix)):
-        return m.entries.astype(float, copy=False)
-    return RealMatrix(np.asarray(m, dtype=float)).entries
+    return _entries(m).astype(float, copy=False)
+
+
+def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first prod(shape) items of a flat buffer, as a C-contiguous view."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _views(buf: np.ndarray, n: int, count: int) -> tuple[np.ndarray, ...]:
+    """A sweep's views of one of `svd_stack`'s buffers: the buffer, a stack of
+    `count` in it with its ps and qs halves, and the two rotation products it
+    takes while the other buffer holds the stack."""
+    half = n // 2
+    a = _head(buf, (n, count, n))
+    sp, sq = _head(buf, (2, half, count, n))
+    return buf, a, a[:half], a[half:2 * half], sp, sq
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,46 +218,61 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     The stack is column-major, columns outermost: a[j, b] is a column of
     matrix b, one contiguous row, in the round's column order, so the
     round's ps and qs columns are two contiguous blocks; each round is one
-    gather (`_round_robin_gathers`) and a rotation in place.  Each matrix
-    keeps its own rotated flag, off-diagonal sum, dead-column floor and
-    sweep count.  Every reduction runs in the order a lone row-major matrix
-    takes: pair sums along one contiguous column (einsum; numpy lays out
-    the gathered columns a[:, ps] of a row-major matrix column-contiguous
-    too, so the sums are the same), the off-diagonal sum along one
-    matrix's row of pairs (the per-pair arrays are (B, pairs), row-major),
-    and column norms down the rows of a row-major copy.  A pair that does
-    not rotate gets c = 1, s = 0, which changes at most the sign of a zero
-    entry, so each spectrum is the same, bit for bit, whatever else is
-    stacked with it.
+    gather (`_round_robin_gathers`) and a rotation in place.  The stack
+    lives in one of two flat buffers allocated once per call, and every
+    array as large as it is a view of the other, idle one: the gather (the
+    buffers then swap), the two rotation products, the row-major copy for
+    the dead-column test and the compaction when matrices leave (it swaps
+    them too).  So a call holds about twice its stack's bytes, and the
+    views a round needs are built once a sweep (`_views`).  The inputs are
+    written straight into the first buffer in start-column order.
+    Each matrix keeps its own rotated flag, off-diagonal sum, dead-column
+    floor and sweep count.  Every reduction runs in the order a lone
+    row-major matrix takes: ||A||_F^2 along the matrix's rows, pair sums
+    along one contiguous column (einsum; numpy lays out the gathered
+    columns a[:, ps] of a row-major matrix column-contiguous too, so the
+    sums are the same), the off-diagonal sum along one matrix's row of
+    pairs (the per-pair arrays are (B, pairs), row-major), and column norms
+    down the rows of a row-major copy.  A pair that does not rotate gets
+    c = 1, s = 0, which changes at most the sign of a zero entry, so each
+    spectrum is the same, bit for bit, whatever else is stacked with it.
     A matrix still rotating after MAX_SWEEPS sweeps raises ConvergenceError
     with its residual (the first such matrix in `ms`).
     The integer matrices that SINGULAR_RTOL does not clear go through one
     exact elimination together for their verdict (see SingularSpectrum).
     """
-    arrays = [_as_real_array(m) for m in ms]
-    if not arrays:
+    if not len(ms):
         return []
-    n = arrays[0].shape[0]
-    if any(x.shape != (n, n) for x in arrays):
-        sizes = sorted({x.shape[0] for x in arrays})
-        raise ValidationError(f"svd_stack needs matrices of one size, got sizes {sizes}")
-    a = np.stack(arrays)
-    frob2 = np.add.reduce((a * a).reshape(len(a), n * n), axis=1)
+    n = _entries(ms[0]).shape[0]
+    start, gathers = _round_robin_gathers(n)
+    held, idle = np.empty(len(ms) * n * n), np.empty(len(ms) * n * n)
+    # column-major: a[j, b] is column start[j] of matrix b, one contiguous row
+    a = _head(held, (n, len(ms), n))
+    frob2 = np.empty(len(ms))
+    for b, m in enumerate(ms):
+        x = _entries(m)
+        if x.shape != (n, n):
+            sizes = sorted({_entries(m).shape[0] for m in ms})
+            raise ValidationError(f"svd_stack needs matrices of one size, got sizes {sizes}")
+        frob2[b] = np.add.reduce(np.square(x, dtype=float).ravel())
+        a[:, b] = x.T[start]
     # (sigma, residual, sweeps) per matrix, the verdict comes last
     spectra: list[tuple | None] = [([0.0] * n, 0.0, 0) if f == 0.0 else None for f in frob2]
     live = np.flatnonzero(frob2 != 0.0)  # index in ms of each matrix left in the stack
-    start, gathers = _round_robin_gathers(n)
-    # column-major: a[j, b] is column start[j] of matrix live[b], one contiguous row
-    a, frob2 = a.transpose(2, 0, 1)[start[:, None], live], frob2[live]
-    half = n // 2
+    if len(live) < len(ms):
+        a = np.take(a, live, axis=1, out=_head(idle, (n, len(live), n)), mode="clip")
+        held, idle, frob2 = idle, held, frob2[live]
     off2 = np.zeros(len(live))
     for sweep in range(MAX_SWEEPS):
         if not len(live):
             break
+        # this sweep's views of the buffer that holds the stack and of the idle one
+        here, there = _views(held, n, len(live)), _views(idle, n, len(live))
         # columns squeezed this far below ||A||_F are pure roundoff debris
         # (their true singular value is 0 at this precision); zeroing them
         # stops the rotation pair test from chasing denormal residue
-        rows = np.ascontiguousarray(a.transpose(1, 2, 0))
+        rows = _head(idle, (len(live), n, n))
+        np.copyto(rows, a.transpose(1, 2, 0))
         dead = np.einsum("bij,bij->bj", rows, rows) <= COLUMN_FLOOR2 * frob2[:, None]
         if dead.any():
             a.transpose(1, 0, 2)[dead] = 0.0
@@ -250,9 +288,9 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
         last = sweep == MAX_SWEEPS - 1
         off2 = np.zeros(len(live))
         for gather in gathers:
-            a = np.take(a, gather, axis=0)
-            ap = a[:half]
-            aq = a[half:2 * half]
+            np.take(a, gather, axis=0, out=there[1], mode="clip")
+            here, there = there, here
+            _, a, ap, aq, _, _ = here
             app = np.einsum("jbi,jbi->bj", ap, ap, order="C")
             aqq = np.einsum("jbi,jbi->bj", aq, aq, order="C")
             apq = np.einsum("jbi,jbi->bj", ap, aq, order="C")
@@ -279,17 +317,23 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
             s = (t * c).T[:, :, None]
             c = c.T[:, :, None]
             # in place, the same products and sums as c ap - s aq and s ap + c aq
-            sp = s * ap
+            sp, sq = there[4:]
+            np.multiply(s, ap, out=sp)
+            np.multiply(s, aq, out=sq)
             ap *= c
-            ap -= s * aq
+            ap -= sq
             aq *= c
             aq += sp
+        held, idle = here[0], there[0]
         if every:
             continue
         for b in np.flatnonzero(~rotated):
             sigma = np.sort(np.linalg.norm(np.ascontiguousarray(a[:, b].T), axis=0))[::-1]
             spectra[live[b]] = (sigma.tolist(), math.sqrt(off2[b]) / float(frob2[b]), sweep + 1)
-        live, a, frob2, off2 = live[rotated], a[:, rotated], frob2[rotated], off2[rotated]
+        keep = np.flatnonzero(rotated)
+        a = np.take(a, keep, axis=1, out=_head(idle, (n, len(keep), n)), mode="clip")
+        held, idle = idle, held
+        live, frob2, off2 = live[keep], frob2[keep], off2[keep]
     if len(live):
         residual = math.sqrt(off2[0]) / float(frob2[0])
         raise ConvergenceError(

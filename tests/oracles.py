@@ -48,21 +48,26 @@ def brute_force_concentration(dists, v, shift=None):
     """sup_a P(sum_i (z_i + x_i) v_i = a) over every outcome combination.
 
     dists: sequence of DiscreteDistribution-like objects with .atoms;
-    exponential in n, keep n small.  Returns (sup, argmax, mass at 0).
+    exponential in n, keep n small.  Each law's probabilities are put over
+    their common denominator, so a combination's mass is a product of
+    integers and one Fraction per sum is built at the end.  Returns (sup,
+    argmax, mass at 0).
     """
-    n = len(v)
-    z = shift if shift is not None else (0,) * n
+    z = shift if shift is not None else (0,) * len(v)
+    supports = []
+    denominator = 1
+    for dist, zi, vi in zip(dists, z, v):
+        common = math.lcm(*(prob.denominator for _, prob in dist.atoms))
+        denominator *= common
+        supports.append([((zi + x) * vi, int(prob * common)) for x, prob in dist.atoms])
     mass: dict = {}
-    supports = [d.atoms for d in dists]
     for combo in itertools.product(*supports):
-        s = sum((z[i] + combo[i][0]) * v[i] for i in range(n))
-        p = Fraction(1)
-        for _, prob in combo:
-            p *= prob
-        mass[s] = mass.get(s, Fraction(0)) + p
+        sums, weights = zip(*combo)
+        s = sum(sums)
+        mass[s] = mass.get(s, 0) + math.prod(weights)
     best = max(mass.values())
-    arg = min(k for k, p in mass.items() if p == best)
-    return best, arg, mass.get(0, Fraction(0))
+    arg = min(k for k, w in mass.items() if w == best)
+    return Fraction(best, denominator), arg, Fraction(mass.get(0, 0), denominator)
 
 
 def quad_cosine_product(freqs, mu, tol=1e-12):

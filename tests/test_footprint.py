@@ -1,7 +1,7 @@
 """What importing perturblab costs in resident memory and start-up time,
 and the pieces kept small to hold it down: no OpenSSL, executor machinery
-or mpmath until a caller needs it, and no per-instance __dict__ on the
-frozen records."""
+or mpmath until a caller needs it, no per-instance __dict__ on the
+frozen records, and a Jacobi stack that holds about two copies of itself."""
 
 import dataclasses
 import importlib
@@ -10,11 +10,13 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import perturblab
+from perturblab import RealMatrix, experiments, svd_stack
 from perturblab.gaps import NO_EXCLUSIONS
 from perturblab.util import derive_seed
 
@@ -90,3 +92,18 @@ def test_every_frozen_dataclass_has_slots():
 def test_covers_that_exclude_nothing_share_one_empty_set():
     for v in ((5, 5, 5), (3, 5, 8, -2), (0, 0)):
         assert perturblab.inverse_lo_search(v, Fraction(1, 4), a_exponent=4.0).found.excluded is NO_EXCLUSIONS
+
+
+def test_svd_stack_holds_about_two_copies_of_its_stack():
+    # the stack and one idle buffer of its size, of which every large
+    # temporary of a sweep is a view
+    n = 50
+    count = experiments.STACK_ENTRIES // (n * n)
+    matrices = [RealMatrix(experiments.gaussian_matrix(n, seed)) for seed in range(count)]
+    tracemalloc.start()
+    try:
+        svd_stack(matrices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * count * n * n * 8

@@ -241,6 +241,30 @@ def test_svd_stack_entries_equal_lone_svd_and_reference(n):
         assert len({spec.sweeps for spec in spectra if spec.sweeps}) >= 3
 
 
+@pytest.mark.parametrize("n", [2, 7, 20])
+def test_integer_stack_equals_real_stack_and_reference(n):
+    # integer draws go into the float buffers with no float copy of their
+    # own: the zero draw, the duplicated-column base and noisy draws, which
+    # converge at different sweeps
+    draws = [IntegerMatrix(np.zeros((n, n), dtype=np.int64))]
+    for kind in ("duplicated_column", "graded_diagonal"):
+        base = matrix_from_spec(kind, n)
+        draws.append(base)
+        for law in (bernoulli(), lazy_coin("1/10"), discretized_gaussian()):
+            draws.append(perturb(base, IntegerMatrix(sample_iid_matrix(law, n, 1))))
+    spectra = svd_stack(draws)
+    reals = svd_stack([RealMatrix(m.entries) for m in draws])
+    for m, spec, real in zip(draws, spectra, reals):
+        sigma, residual, converged, sweeps = oracles.jacobi_sweeps(m.entries)
+        assert converged
+        assert spec.sigma == real.sigma == sigma
+        assert spec.convergence_residual == real.convergence_residual == residual
+        assert spec.sweeps == real.sweeps == sweeps
+        assert spec.singular == real.singular
+    assert {spec.singular for spec in spectra} == {True, False}
+    assert len({spec.sweeps for spec in spectra}) >= 3
+
+
 def test_svd_stack_convergence_error_names_the_failing_matrix(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(8))
     first, second = rng.standard_normal((7, 7)), rng.standard_normal((7, 7))

@@ -227,9 +227,10 @@ def _tail_curve_from(inv_norms: list[float], n: int, grid_points: int) -> TailCu
     pts = [(math.log10(x), math.log10(f)) for x, f in zip(grid, fracs) if 0.0 < f < 1.0]
     slope = None
     if len(pts) >= 3:
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        slope = float(np.polyfit(xs, ys, 1)[0])
+        # least-squares slope in closed form: elementwise numpy only, so it does
+        # not depend on which BLAS kernel runs (np.polyfit goes through LAPACK)
+        dx, dy = (z - np.add.reduce(z) / len(z) for z in np.array(pts).T)
+        slope = float(np.add.reduce(dx * dy) / np.add.reduce(dx * dx))
     return TailCurve(
         n=n,
         grid=tuple(grid),

@@ -15,7 +15,6 @@ clause below is checked on the dilate S*P_sparse.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,8 +24,6 @@ from .concentration import cosine_average
 from .errors import ResourceError, ValidationError
 from .noise import _as_fraction, mu_float
 from .util import content_lines, keyed_lines, token
-
-logger = logging.getLogger("perturblab.gaps")
 
 ENUMERATION_CAP = 10_000_000
 SEARCH_WORK_BUDGET = 20_000_000
@@ -353,7 +350,9 @@ def inverse_lo_search(
                 if len(misses) <= except_cap:
                     return cover(Gap((Fraction(a1, s), Fraction(a2, s)), (n1, n2)), misses, s)
 
-    logger.warning(
+    import logging  # only this warning needs it: importing perturblab does not load it
+
+    logging.getLogger("perturblab.gaps").warning(
         "counterexample candidate: concentration %.3e >= n^-%s but no rank<=%d cover "
         "of volume <= %d found for v=%s",
         hyp_value, a_exponent, rank_cap, volume_cap, v,

@@ -5,13 +5,24 @@ pairs are rotated until all pairwise column inner products vanish, at
 which point the column norms are the singular values.  One-sided Jacobi
 computes small singular values to high *relative* accuracy (the stopping
 rule is relative per pair), which matters because the quantities under
-study are tail events of 1/sigma_min.  `svd_stack` sweeps many matrices
-of one size together, so that numpy's per-call cost, which dominates at
-the sizes studied here, is paid once per stack; `svd` is a stack of one.
-The stack is held column-major, in the current round's column order, so
-a round costs one contiguous gather and no scatter.  It lives in one of two
-flat buffers allocated once per call, and every temporary as large as the
-stack is a view of the other, so a call holds about twice its stack's bytes.
+study are tail events of 1/sigma_min.  `jacobi_svd_stack` sweeps many
+matrices of one size together, so that numpy's per-call cost, which
+dominates at the sizes studied here, is paid once per stack.  The stack is
+held column-major, in the current round's column order, so a round costs
+one contiguous gather and no scatter.  It lives in one of two flat buffers
+allocated once per call, and every temporary as large as the stack is a
+view of the other, so a call holds about twice its stack's bytes.
+
+`svd_stack` (and `svd`, a stack of one) runs that kernel on preconditioned
+matrices.  It sweeps x V instead of x, V the eigenbasis of x^T x from
+LAPACK rounded to multiples of 2^-26 and made orthogonal again by one
+Newton-Schulz step in einsum, so x V does not depend on the BLAS kernel
+that computed V.  Its columns are orthogonal up to that rounding, and the
+sweeps end after two or three instead of about ten.  The route rule keeps
+x itself, swept exactly as the kernel sweeps it, when lambda_min(x^T x) <= 0
+(the zero matrix, singular integer draws), when n eps kappa-hat > ROUTE_TOL
+(kappa-hat = sqrt(lambda_max / lambda_min), the ill-conditioned tail) or
+when two eigenvalues lie so close that roundoff can move V by a grid step.
 """
 
 from __future__ import annotations
@@ -41,6 +52,10 @@ COLUMN_FLOOR2 = 1e-200  # squared column norm under this times ||A||_F^2 is nois
 # sigma_min > this * sigma_max clears an integer matrix: Jacobi's sigma are off by
 # about n eps sigma_max at most (Weyl), and this is over 200 n eps at n = 2000
 SINGULAR_RTOL = 1e-10
+# svd_stack's preconditioner and its route rule (see _preconditioned)
+EIGENBASIS_GRID = 2.0**26
+ROUTE_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,7 +147,10 @@ class SingularSpectrum:
     count, and the singular verdict `svd_stack` gives by input type: for an
     IntegerMatrix exactly det = 0 (SINGULAR_RTOL clears most, the rational
     elimination decides the rest), else sigma_min = 0, since the COLUMN_FLOOR2
-    floor puts every nonzero sigma_min above 1e-100 sigma_max."""
+    floor puts every nonzero sigma_min above 1e-100 sigma_max.  The residual
+    and sweep count are those of the Jacobi run that produced sigma: on x V
+    when `svd_stack` preconditioned the matrix, on x when its route rule kept
+    x, relative to the Frobenius norm of what was swept."""
 
     sigma: tuple[float, ...]
     convergence_residual: float
@@ -204,9 +222,57 @@ def svd(m) -> SingularSpectrum:
     return svd_stack([m])[0]
 
 
+def _preconditioned(x: np.ndarray) -> np.ndarray:
+    """x V, the matrix `svd_stack` sweeps in place of x, or x itself when the
+    route rule keeps x.
+
+    V is the eigenbasis of x^T x from LAPACK, rounded to multiples of
+    1 / EIGENBASIS_GRID and made orthogonal again by one Newton-Schulz step,
+    V <- 1.5 V - 0.5 V (V^T V).  The step and the product x V run in einsum,
+    not BLAS, so x V does not depend on which BLAS kernel computed the
+    eigenbasis unless an entry lies within that kernel's roundoff of a grid
+    midpoint.  The rule keeps x when its Gram matrix is not finite, when the
+    smallest eigenvalue lambda_min is <= 0 (the zero matrix and singular
+    integer draws), when n eps kappa-hat > ROUTE_TOL, kappa-hat =
+    sqrt(lambda_max / lambda_min) (the ill-conditioned tail, where the
+    roundoff of forming x V, about n eps sigma_max, is no longer small
+    against sigma_min), and when two eigenvalues are within n eps
+    EIGENBASIS_GRID lambda_max of each other: the eigenvectors of such a pair
+    are fixed by LAPACK's roundoff only to about a grid step, and an exact tie
+    (common in small +-1 matrices) leaves their basis to the BLAS kernel.
+    """
+    y = x.astype(float, copy=False)
+    gram = y.T @ y
+    if not np.all(np.isfinite(gram)):
+        return x
+    lam, v = np.linalg.eigh(gram)
+    n_eps = len(x) * _EPS
+    if (not lam[0] > 0.0 or n_eps * math.sqrt(lam[-1] / lam[0]) > ROUTE_TOL
+            or np.diff(lam).min(initial=math.inf) <= n_eps * EIGENBASIS_GRID * lam[-1]):
+        return x
+    v = np.rint(v * EIGENBASIS_GRID) / EIGENBASIS_GRID
+    v = 1.5 * v - 0.5 * np.einsum("ik,kj->ij", v, np.einsum("ki,kj->ij", v, v))
+    return np.einsum("ik,kj->ij", y, v)
+
+
 def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     """Full singular spectra of equal-size square matrices by one-sided
-    Jacobi rotations, swept together as one stack.
+    Jacobi rotations, preconditioned, swept together as one stack.
+
+    Each matrix x is swept as `_preconditioned` hands it over: x V, whose
+    sigma are those of x up to V's departure from orthogonality, a few eps,
+    and the roundoff of forming x V, about n eps sigma_max; or x itself,
+    swept as `jacobi_svd_stack` sweeps it, bit for bit.  The singular verdict
+    is the kernel's.  Each matrix is preconditioned on its own, so its
+    spectrum is the same whatever else is stacked with it.
+    """
+    return jacobi_svd_stack(ms, precondition=True)
+
+
+def jacobi_svd_stack(ms: Sequence, precondition: bool = False) -> list[SingularSpectrum]:
+    """Full singular spectra of equal-size square matrices by one-sided
+    Jacobi rotations, swept together as one stack; with `precondition`, each
+    matrix is swept as `_preconditioned` hands it over (see `svd_stack`).
 
     Sweeps run in a fixed round-robin order; each round rotates a set of
     disjoint column pairs simultaneously (the rotations commute), in every
@@ -254,6 +320,8 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
         if x.shape != (n, n):
             sizes = sorted({_entries(m).shape[0] for m in ms})
             raise ValidationError(f"svd_stack needs matrices of one size, got sizes {sizes}")
+        if precondition:
+            x = _preconditioned(x)
         frob2[b] = np.add.reduce(np.square(x, dtype=float).ravel())
         a[:, b] = x.T[start]
     # (sigma, residual, sweeps) per matrix, the verdict comes last

@@ -1,6 +1,6 @@
 """What importing perturblab costs in resident memory and start-up time,
-and the pieces kept small to hold it down: no OpenSSL, executor machinery
-or mpmath until a caller needs it, no per-instance __dict__ on the
+and the pieces kept small to hold it down: no OpenSSL, executor machinery,
+logging or mpmath until a caller needs it, no per-instance __dict__ on the
 frozen records, and a Jacobi stack that holds about two copies of itself."""
 
 import dataclasses
@@ -42,6 +42,15 @@ def test_inverse_search_loads_neither_openssl_nor_executors():
 def test_import_leaves_configparser_out():
     # config files go through the shared line reader of perturblab.util
     script = "import sys\nimport perturblab\nprint('configparser' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_import_leaves_logging_out():
+    # only inverse_lo_search's counterexample warning loads logging (about 0.4 MB)
+    script = "import sys\nimport perturblab\nprint('logging' in sys.modules)\n"
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=60, check=True)

@@ -7,22 +7,35 @@ experiment kind x bernoulli and gaussian noise x masks none and random:2 x
 threads 1 and 3, with the gaussian baseline on for cond-tail and frozen.
 The digests were recorded on commit 27ec4af, before the condition-tail
 experiments were folded onto one trial pass; a change that promises the
-same outputs must leave every case passing.
+same outputs must leave every case passing.  11 of the 20 digests were
+re-pinned once, when `svd_stack` began sweeping the preconditioned x V and
+the tail curve's log-log slope went to a closed form; the route test below
+bounds what that move changed.  The digests do not depend on which
+OpenBLAS kernel runs.
 """
 
 import hashlib
 import itertools
+import json
+import math
+import os
+import platform
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from perturblab import (
     ExperimentConfig,
     ValidationError,
     condition_tail,
+    experiments,
     format_records_csv,
     format_summary_json,
     frozen_entries_experiment,
     ge_error_experiment,
+    jacobi_svd_stack,
     minors_experiment,
     tail_curve,
 )
@@ -37,26 +50,26 @@ RUNNERS = {
 
 # digest by kind-noise-mask; threads 1 and 3 must both give it
 GOLDEN = {
-    "tail-bernoulli-none": "701ad51dfc3d16f1b73314b61aa28d1d1f5ebb91fc7963ffc05e4b753da33b8a",
+    "tail-bernoulli-none": "42ab2e611e9d6261a8ac45a832505677773703850b18fc3b0e0d263fef82ffd1",
     "tail-bernoulli-random:2": "91369f3d2123f7e4dec1703eb37229ee213c871d01f4cbd5e6f8830a80d087d5",
-    "tail-gaussian-none": "1f8f1ca6999bf716802456e0ab0ea6c77a0cec37131b9494067a0bc7395cbb6a",
+    "tail-gaussian-none": "cfa0cbdfa2147773c5e9fec77c351cc4c077b44bed3c6d8d8fcc1166b97515cd",
     "tail-gaussian-random:2": "91369f3d2123f7e4dec1703eb37229ee213c871d01f4cbd5e6f8830a80d087d5",
     "cond-tail-bernoulli-none": "0e07646de196509fabfce1ad25e07fd1676b48216bff8daac439eb6a24590362",
-    "cond-tail-bernoulli-random:2": "64e0b8f23a6c2fec4517eba3f9a2d512ebeec2cc0e3867aad2694079fb3599c6",
-    "cond-tail-gaussian-none": "b84a729f5665150a51128099c947b0500ae91ae1c52f0e9c21fc84fff5d9b25b",
-    "cond-tail-gaussian-random:2": "aa3415fd242375e72ad7b656b865a05a70e50257a013056db59744d42796bd0d",
+    "cond-tail-bernoulli-random:2": "eba8fe23d3c684eacd174efedd67921d9e02e70dbba6d162b7275b94e6a3224e",
+    "cond-tail-gaussian-none": "74586b3f7d7652c058487f2dcfeec69303e62576921378ff270903c0479001b8",
+    "cond-tail-gaussian-random:2": "b4319984c02e1ada401c61100204d05f57a5d9167f58016cfe2538077f2e0949",
     "ge-check-bernoulli-none": "d481944a2d16818a37545d4ec93fec3e0f014b69ad9fa5e3cb0e610da0d6c28b",
-    "ge-check-bernoulli-random:2": "2ccd1179ff1bdbd9bb178a9ea8199021734aef9948b1783cc4343351d0eb5786",
+    "ge-check-bernoulli-random:2": "463d734ca4c9b3011e34abad1bdf1d8d15c545bba94ec42f597502f6763b8dc9",
     "ge-check-gaussian-none": "70529b0d3d683fde48259771172ca0dc65d79a57fbf991add53ef2a926f332d9",
     "ge-check-gaussian-random:2": "70529b0d3d683fde48259771172ca0dc65d79a57fbf991add53ef2a926f332d9",
     "minors-bernoulli-none": "3a076042949da83c1751dfde442cb7d35dbd29d59d9922558c47c5a8bf4b7c3b",
-    "minors-bernoulli-random:2": "b7bad98844879bd5c17ac15836f387d51303161552abd31429f2ec2ed1ac0dfc",
-    "minors-gaussian-none": "0494818aab1aaa0c46c346a7288766abce5f2c0afc068f02278bd45fc132e046",
-    "minors-gaussian-random:2": "fc38ae3118ec450ab805c7433bd1df643af0d9d3099ce2595c5a20a45cb0a85a",
+    "minors-bernoulli-random:2": "28fc2d54e5d9d013feaea9ad65e5824e5972f85bb0925e85c8a1503a6b6d6a32",
+    "minors-gaussian-none": "ab23a71a47d2cefcf49294a606211796aaaebc73deafb76b51f0bc021cbf6154",
+    "minors-gaussian-random:2": "786a9e741f35b3cc6165c3e5fab7cc9b7c1c1051274dbffb11cba1745a476eb5",
     "frozen-bernoulli-none": "ce62a6c588c7ca2df67d1e0d248ac32dbb963b6f7d7f3f37f0285793184eee9b",
-    "frozen-bernoulli-random:2": "9416bc8653c927926a8de48ab2d1cca9e1ca61f8262fcd4f1174a292fb14a38b",
+    "frozen-bernoulli-random:2": "9ba0f16e6f37369e7d973169162d2405719770e4a45b486e44d23ea958d4d811",
     "frozen-gaussian-none": "ce62a6c588c7ca2df67d1e0d248ac32dbb963b6f7d7f3f37f0285793184eee9b",
-    "frozen-gaussian-random:2": "03c1dc74da1fd4ad5ec9d858cebcb52a0f38ad83e03687f89106d3b42af36032",
+    "frozen-gaussian-random:2": "b17d3e37d0d06dfa31a92cdfce25bdc7d9497071633d7bac1ee132bee3448df2",
 }
 
 CASES = [
@@ -67,7 +80,8 @@ CASES = [
 ]
 
 
-def _digest(case: str) -> str:
+def _outputs(case: str):
+    """The case's (records, summary JSON), or the ValidationError's message."""
     kind, noise, mask, threads = case.rsplit("-", 3)
     cfg = ExperimentConfig(
         kind=kind, sizes=(3,) if kind == "tail" else (3, 4),
@@ -77,12 +91,90 @@ def _digest(case: str) -> str:
     )
     try:
         out = RUNNERS[kind](cfg)
-        text = format_records_csv(out.records) + format_summary_json(out.summary())
     except ValidationError as exc:
-        text = f"ValidationError: {exc}\n"
+        return f"ValidationError: {exc}\n"
+    return out.records, format_summary_json(out.summary())
+
+
+def _digest(case: str) -> str:
+    out = _outputs(case)
+    text = out if isinstance(out, str) else format_records_csv(out[0]) + out[1]
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_match_the_recorded_digest(case):
     assert _digest(case) == GOLDEN[case.rsplit("-", 1)[0]]
+
+
+def _leaves(value, path=()):
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path, value
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_preconditioned_route_keeps_every_flag_count_and_inf_entry(case, monkeypatch):
+    # the same config through the plain Jacobi kernel: sigma may move by the
+    # preconditioner's roundoff, and nothing else may
+    ours = _outputs(case)
+    monkeypatch.setattr(experiments, "svd_stack", jacobi_svd_stack)
+    kernel = _outputs(case)
+    if isinstance(kernel, str):
+        assert ours == kernel
+        return
+    assert len(ours[0]) == len(kernel[0])
+    eps = np.finfo(float).eps
+    for r, k in zip(*(sorted(out[0], key=lambda r: (r.n, r.trial)) for out in (ours, kernel))):
+        assert (r.trial, r.seed, r.n, r.singular, r.tail_hit) == (k.trial, k.seed, k.n, k.singular, k.tail_hit)
+        bound = 4 * r.n * eps * k.sigma_max
+        assert abs(r.sigma_max - k.sigma_max) <= bound and abs(r.sigma_min - k.sigma_min) <= bound
+        assert math.isinf(r.kappa) == math.isinf(k.kappa)
+    ours, kernel = (list(_leaves(json.loads(out[1]))) for out in (ours, kernel))
+    assert [path for path, _ in ours] == [path for path, _ in kernel]
+    for (path, x), (_, y) in zip(ours, kernel):
+        if isinstance(x, float) and isinstance(y, float):
+            assert math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12), path
+        else:  # counts, flags, nulls and the "inf" entries
+            assert x == y, path
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return {f for line in fh if line.startswith("flags") for f in line.split(":", 1)[1].split()}
+    except OSError:
+        return set()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS kernel names are x86-64 ones")
+def test_digests_do_not_depend_on_the_blas_kernel():
+    # each kernel in a fresh interpreter, since OpenBLAS reads OPENBLAS_CORETYPE
+    # when it loads; Haswell only where the CPU has its AVX2 and FMA, and no
+    # AVX-512 kernel is forced, since the CPU may lack it
+    import perturblab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(perturblab.__file__)))
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        "import test_golden_outputs as g\n"
+        "print(json.dumps({c: g._digest(c) for c in g.CASES if c.endswith('-t1')}))\n"
+    )
+    kernels = [None, "Prescott"] + (["Haswell"] if {"avx2", "fma"} <= _cpu_flags() else [])
+    want = {case: GOLDEN[case.rsplit("-", 1)[0]] for case in CASES if case.endswith("-t1")}
+    for kernel in kernels:
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        got = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert {c: d for c, d in got.items() if d != want[c]} == {}, kernel

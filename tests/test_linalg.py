@@ -15,6 +15,7 @@ from perturblab import (
     discretized_gaussian,
     exact_inverse_norm,
     frobenius_norm,
+    jacobi_svd_stack,
     lazy_coin,
     load_integer_matrix,
     matrix_from_spec,
@@ -32,6 +33,11 @@ import oracles
 
 def _random_int_matrix(rng, n, lo=-9, hi=10):
     return IntegerMatrix(rng.integers(lo, hi, size=(n, n)))
+
+
+def _jacobi(m):
+    """The plain Jacobi kernel on one matrix, with no preconditioner."""
+    return jacobi_svd_stack([m])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +186,7 @@ def test_svd_equals_reference_jacobi_bit_for_bit(n):
     for a in inputs:
         sigma, residual, converged = oracles.jacobi_svd(a)
         assert converged
-        spec = svd(RealMatrix(a))
+        spec = _jacobi(RealMatrix(a))
         assert spec.sigma == sigma
         assert spec.convergence_residual == residual
 
@@ -217,7 +223,7 @@ def test_convergence_error_reports_the_last_full_sweep(monkeypatch):
     assert not converged and residual > 0.0
     monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError) as info:
-        svd(RealMatrix(a))
+        _jacobi(RealMatrix(a))
     assert info.value.residual == residual
 
 
@@ -226,12 +232,12 @@ def test_svd_stack_entries_equal_lone_svd_and_reference(n):
     # the all-zero draws, the duplicated-column bases and noisy matrices that
     # converge at different sweeps, swept in one stack
     stack = list(_jacobi_inputs(n))
-    spectra = svd_stack(stack)
+    spectra = jacobi_svd_stack(stack)
     assert len(spectra) == len(stack)
     for a, spec in zip(stack, spectra):
         sigma, residual, converged, sweeps = oracles.jacobi_sweeps(a)
         assert converged
-        lone = svd(RealMatrix(a))
+        lone = _jacobi(RealMatrix(a))
         assert spec.sigma == lone.sigma == sigma
         assert spec.convergence_residual == lone.convergence_residual == residual
         assert spec.sweeps == lone.sweeps == sweeps
@@ -252,8 +258,8 @@ def test_integer_stack_equals_real_stack_and_reference(n):
         draws.append(base)
         for law in (bernoulli(), lazy_coin("1/10"), discretized_gaussian()):
             draws.append(perturb(base, IntegerMatrix(sample_iid_matrix(law, n, 1))))
-    spectra = svd_stack(draws)
-    reals = svd_stack([RealMatrix(m.entries) for m in draws])
+    spectra = jacobi_svd_stack(draws)
+    reals = jacobi_svd_stack([RealMatrix(m.entries) for m in draws])
     for m, spec, real in zip(draws, spectra, reals):
         sigma, residual, converged, sweeps = oracles.jacobi_sweeps(m.entries)
         assert converged
@@ -272,10 +278,99 @@ def test_svd_stack_convergence_error_names_the_failing_matrix(monkeypatch):
     assert not converged and residual != oracles.jacobi_svd(second, max_sweeps=1)[1]
     monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
     done_in_one = np.diag(np.arange(1.0, 8.0))  # orthogonal columns: one rotation-free sweep
-    assert svd(RealMatrix(done_in_one)).sweeps == 1
+    assert _jacobi(RealMatrix(done_in_one)).sweeps == 1
     with pytest.raises(ConvergenceError) as info:
-        svd_stack([done_in_one, np.zeros((7, 7)), first, second])
+        jacobi_svd_stack([done_in_one, np.zeros((7, 7)), first, second])
     assert info.value.residual == residual
+
+
+# ---------------------------------------------------------------------------
+# svd_stack: the preconditioned route and its rule
+
+
+def _graded_draw(n):
+    """A diagonal graded from 1 to 10^7 under bernoulli noise: n eps kappa > ROUTE_TOL."""
+    base = IntegerMatrix(np.diag(np.round(10.0 ** np.linspace(0, 7, n)).astype(np.int64)))
+    return perturb(base, IntegerMatrix(sample_iid_matrix(bernoulli(), n, 3)))
+
+
+def _kept_as_x(n):
+    """Draws the route rule sweeps as x: the zero draw, a singular integer
+    draw, the duplicated-column base and an ill-conditioned graded draw."""
+    singular = sample_iid_matrix(bernoulli(), n, 4)
+    singular[:, -1] = singular[:, 0]
+    return [IntegerMatrix(np.zeros((n, n), dtype=np.int64)), IntegerMatrix(singular),
+            matrix_from_spec("duplicated_column", n), _graded_draw(n)]
+
+
+@pytest.mark.parametrize("n", [2, 7, 20])
+def test_svd_stack_sweeps_what_the_rule_keeps_as_x_as_the_kernel_does(n):
+    draws = _kept_as_x(n)
+    for m in draws:
+        assert linalg._preconditioned(m.entries) is m.entries
+    assert draws[-1].n * linalg._EPS * _jacobi(draws[-1]).kappa > linalg.ROUTE_TOL
+    spectra = svd_stack(draws)
+    for m, spec in zip(draws, spectra):
+        kernel = _jacobi(m)
+        sigma, residual, converged, sweeps = oracles.jacobi_sweeps(m.entries)
+        assert converged
+        assert spec.sigma == kernel.sigma == sigma
+        assert spec.convergence_residual == kernel.convergence_residual == residual
+        assert spec.sweeps == kernel.sweeps == sweeps
+        assert spec.singular == kernel.singular
+    assert [spec.singular for spec in spectra] == [True, True, True, False]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 50])
+def test_svd_stack_entries_equal_lone_svd(n):
+    # both routes in one stack: the draws kept as x and well-conditioned
+    # noisy matrices swept as x V, which converge in fewer sweeps
+    stack = list(_jacobi_inputs(n))
+    spectra = svd_stack(stack)
+    assert len(spectra) == len(stack)
+    for a, spec in zip(stack, spectra):
+        lone = svd(RealMatrix(a))
+        assert spec.sigma == lone.sigma
+        assert spec.convergence_residual == lone.convergence_residual <= linalg.RESIDUAL_TOL
+        assert spec.sweeps == lone.sweeps
+        assert spec.singular == lone.singular
+    preconditioned = [linalg._preconditioned(np.asarray(a)) is not a for a in stack]
+    assert any(preconditioned) and not preconditioned[0]
+    if n >= 7:
+        assert max(s.sweeps for s, p in zip(spectra, preconditioned) if p) <= 3
+
+
+@pytest.mark.parametrize("n", [2, 7, 20])
+def test_svd_stack_integer_stack_equals_its_real_copy(n):
+    draws = _kept_as_x(n)
+    for kind in ("zero", "graded_diagonal"):
+        base = matrix_from_spec(kind, n)
+        for law in (bernoulli(), lazy_coin("1/10"), discretized_gaussian()):
+            draws.append(perturb(base, IntegerMatrix(sample_iid_matrix(law, n, 1))))
+    spectra = svd_stack(draws)
+    reals = svd_stack([RealMatrix(m.entries) for m in draws])
+    for m, spec, real in zip(draws, spectra, reals):
+        assert spec.sigma == real.sigma
+        assert spec.convergence_residual == real.convergence_residual
+        assert spec.sweeps == real.sweeps
+        assert spec.singular == _jacobi(m).singular  # exactly det = 0
+    assert {spec.singular for spec in spectra} == {True, False}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 20, 50, 100])
+def test_svd_stack_spectra_within_4_n_eps_sigma_max_of_the_kernel(n):
+    # sigma(x V) departs from sigma(x) by V's departure from orthogonality and
+    # the roundoff of forming x V: about n eps sigma_max at most
+    draws = []
+    for kind in ("zero", "graded_diagonal", "duplicated_column", "rank_one_ones"):
+        base = matrix_from_spec(kind, n)
+        for law in (bernoulli(), lazy_coin("1/2"), discretized_gaussian()):
+            for seed in (1, 2) if n < 100 else (1,):
+                draws.append(perturb(base, IntegerMatrix(sample_iid_matrix(law, n, seed))))
+    for spec, kernel in zip(svd_stack(draws), jacobi_svd_stack(draws)):
+        bound = 4 * n * linalg._EPS * kernel.sigma_max
+        assert max(abs(s - t) for s, t in zip(spec.sigma, kernel.sigma)) <= bound
+        assert spec.singular == kernel.singular
 
 
 def test_svd_stack_refuses_mixed_sizes():

@@ -62,7 +62,6 @@ from .linalg import (
     condition_number,
     exact_inverse_norm,
     frobenius_norm,
-    jacobi_svd_stack,
     load_integer_matrix,
     matrix_from_spec,
     operator_norm,

@@ -2,27 +2,36 @@
 
 The SVD here is a one-sided Jacobi iteration built from scratch: column
 pairs are rotated until all pairwise column inner products vanish, at
-which point the column norms are the singular values.  One-sided Jacobi
-computes small singular values to high *relative* accuracy (the stopping
-rule is relative per pair), which matters because the quantities under
-study are tail events of 1/sigma_min.  `jacobi_svd_stack` sweeps many
-matrices of one size together, so that numpy's per-call cost, which
-dominates at the sizes studied here, is paid once per stack.  The stack is
-held column-major, in the current round's column order, so a round costs
-one contiguous gather and no scatter.  It lives in one of two flat buffers
-allocated once per call, and every temporary as large as the stack is a
-view of the other, so a call holds about twice its stack's bytes.
+which point the column norms are the singular values.  Swept on x itself,
+one-sided Jacobi computes small singular values to high *relative*
+accuracy (the stopping rule is relative per pair), which matters because
+the quantities under study are tail events of 1/sigma_min.
+`jacobi_svd_stack` sweeps many matrices of one size together, so that
+numpy's per-call cost, which dominates at the sizes studied here, is paid
+once per stack.  The stack is held column-major, in the current round's
+column order, so a round costs one contiguous gather and no scatter.  It
+lives in one of two flat buffers allocated once per call, and every
+temporary as large as the stack is a view of the other, so a call holds
+about twice its stack's bytes.
 
 `svd_stack` (and `svd`, a stack of one) runs that kernel on preconditioned
 matrices.  It sweeps x V instead of x, V the eigenbasis of x^T x from
 LAPACK rounded to multiples of 2^-26 and made orthogonal again by one
-Newton-Schulz step in einsum, so x V does not depend on the BLAS kernel
-that computed V.  Its columns are orthogonal up to that rounding, and the
-sweeps end after two or three instead of about ten.  The route rule keeps
-x itself, swept exactly as the kernel sweeps it, when lambda_min(x^T x) <= 0
-(the zero matrix, singular integer draws), when n eps kappa-hat > ROUTE_TOL
+Newton-Schulz step in einsum.  Its columns are orthogonal up to that
+rounding, and the sweeps end after two or three instead of about ten.
+The route rule keeps x itself, swept exactly as the kernel sweeps it, when
+n < PRECONDITION_MIN_N (a full stack of small matrices sweeps faster than
+it preconditions them one by one), when lambda_min(x^T x) <= 0 (the zero
+matrix, singular integer draws), when n eps kappa-hat > ROUTE_TOL
 (kappa-hat = sqrt(lambda_max / lambda_min), the ill-conditioned tail) or
 when two eigenvalues lie so close that roundoff can move V by a grid step.
+On x the small sigma keep their high relative accuracy; on x V, forming
+the product leaves an absolute error of about n eps sigma_max, so sigma_min
+carries a relative error of up to about n eps kappa-hat <= ROUTE_TOL.
+Spectra of matrices kept as x never touch BLAS.  Those of x V depend on the
+BLAS kernel only when an entry of the eigenbasis lies within that kernel's
+roundoff of a grid midpoint, which rint then sends the other way: rare,
+but not ruled out (see `_preconditioned`).
 """
 
 from __future__ import annotations
@@ -52,7 +61,12 @@ COLUMN_FLOOR2 = 1e-200  # squared column norm under this times ||A||_F^2 is nois
 # sigma_min > this * sigma_max clears an integer matrix: Jacobi's sigma are off by
 # about n eps sigma_max at most (Weyl), and this is over 200 n eps at n = 2000
 SINGULAR_RTOL = 1e-10
-# svd_stack's preconditioner and its route rule (see _preconditioned)
+# svd_stack's preconditioner and its route rule (see _preconditioned).  Under
+# PRECONDITION_MIN_N a stack of 2^16 / n^2 matrices (an experiment's chunk)
+# sweeps as x about as fast or faster than it takes the per-matrix eigh and
+# einsums: preconditioned, n <= 13 took 0.95-2.4 times the plain sweep's
+# time, n >= 16 0.34-0.94 times
+PRECONDITION_MIN_N = 16
 EIGENBASIS_GRID = 2.0**26
 ROUTE_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
@@ -229,18 +243,22 @@ def _preconditioned(x: np.ndarray) -> np.ndarray:
     V is the eigenbasis of x^T x from LAPACK, rounded to multiples of
     1 / EIGENBASIS_GRID and made orthogonal again by one Newton-Schulz step,
     V <- 1.5 V - 0.5 V (V^T V).  The step and the product x V run in einsum,
-    not BLAS, so x V does not depend on which BLAS kernel computed the
-    eigenbasis unless an entry lies within that kernel's roundoff of a grid
-    midpoint.  The rule keeps x when its Gram matrix is not finite, when the
-    smallest eigenvalue lambda_min is <= 0 (the zero matrix and singular
-    integer draws), when n eps kappa-hat > ROUTE_TOL, kappa-hat =
-    sqrt(lambda_max / lambda_min) (the ill-conditioned tail, where the
-    roundoff of forming x V, about n eps sigma_max, is no longer small
-    against sigma_min), and when two eigenvalues are within n eps
-    EIGENBASIS_GRID lambda_max of each other: the eigenvectors of such a pair
-    are fixed by LAPACK's roundoff only to about a grid step, and an exact tie
-    (common in small +-1 matrices) leaves their basis to the BLAS kernel.
+    not BLAS, so x V depends on the BLAS kernel that computed the eigenbasis
+    only where an entry lies within that kernel's roundoff of a grid
+    midpoint: 2 of 2000 draws at n = 50 and 2 of 600 at n = 100 (gaussian
+    and graded bernoulli) moved under OpenBLAS's Prescott kernel against the
+    default, none under Haswell.  The rule keeps x when n < PRECONDITION_MIN_N,
+    when its Gram matrix is not finite, when the smallest eigenvalue
+    lambda_min is <= 0 (the zero matrix and singular integer draws), when
+    n eps kappa-hat > ROUTE_TOL, kappa-hat = sqrt(lambda_max / lambda_min)
+    (the ill-conditioned tail, where the roundoff of forming x V, about
+    n eps sigma_max, is no longer small against sigma_min), and when two
+    eigenvalues are within n eps EIGENBASIS_GRID lambda_max of each other:
+    the eigenvectors of such a pair are fixed by LAPACK's roundoff only to
+    about a grid step, and an exact tie leaves their basis to the BLAS kernel.
     """
+    if len(x) < PRECONDITION_MIN_N:
+        return x
     y = x.astype(float, copy=False)
     gram = y.T @ y
     if not np.all(np.isfinite(gram)):
@@ -266,10 +284,16 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     is the kernel's.  Each matrix is preconditioned on its own, so its
     spectrum is the same whatever else is stacked with it.
     """
-    return jacobi_svd_stack(ms, precondition=True)
+    return _sweep_stack(ms, precondition=True)
 
 
-def jacobi_svd_stack(ms: Sequence, precondition: bool = False) -> list[SingularSpectrum]:
+def jacobi_svd_stack(ms: Sequence) -> list[SingularSpectrum]:
+    """`svd_stack` with no preconditioner: every matrix is swept as x.  The
+    reference the preconditioned route is measured against."""
+    return _sweep_stack(ms, precondition=False)
+
+
+def _sweep_stack(ms: Sequence, precondition: bool) -> list[SingularSpectrum]:
     """Full singular spectra of equal-size square matrices by one-sided
     Jacobi rotations, swept together as one stack; with `precondition`, each
     matrix is swept as `_preconditioned` hands it over (see `svd_stack`).

@@ -7,11 +7,13 @@ experiment kind x bernoulli and gaussian noise x masks none and random:2 x
 threads 1 and 3, with the gaussian baseline on for cond-tail and frozen.
 The digests were recorded on commit 27ec4af, before the condition-tail
 experiments were folded onto one trial pass; a change that promises the
-same outputs must leave every case passing.  11 of the 20 digests were
-re-pinned once, when `svd_stack` began sweeping the preconditioned x V and
-the tail curve's log-log slope went to a closed form; the route test below
-bounds what that move changed.  The digests do not depend on which
-OpenBLAS kernel runs.
+same outputs must leave every case passing.  Two digests, tail-bernoulli-none
+and tail-gaussian-none, were re-pinned once, when the tail curve's log-log
+slope went from np.polyfit to a closed form.  These configs (n = 3, 4) are
+under `svd_stack`'s preconditioner size floor, so their matrices are swept
+as x, with no BLAS call: the digests do not depend on which OpenBLAS kernel
+runs.  The route test below runs them through the preconditioner anyway,
+with the floor lowered, and bounds what it moves.
 """
 
 import hashlib
@@ -28,17 +30,24 @@ import pytest
 
 from perturblab import (
     ExperimentConfig,
+    IntegerMatrix,
+    RealMatrix,
     ValidationError,
+    bernoulli,
     condition_tail,
     experiments,
     format_records_csv,
     format_summary_json,
     frozen_entries_experiment,
     ge_error_experiment,
-    jacobi_svd_stack,
+    linalg,
+    matrix_from_spec,
     minors_experiment,
+    perturb,
+    sample_iid_matrix,
     tail_curve,
 )
+from perturblab.linalg import jacobi_svd_stack
 
 RUNNERS = {
     "tail": tail_curve,
@@ -52,24 +61,24 @@ RUNNERS = {
 GOLDEN = {
     "tail-bernoulli-none": "42ab2e611e9d6261a8ac45a832505677773703850b18fc3b0e0d263fef82ffd1",
     "tail-bernoulli-random:2": "91369f3d2123f7e4dec1703eb37229ee213c871d01f4cbd5e6f8830a80d087d5",
-    "tail-gaussian-none": "cfa0cbdfa2147773c5e9fec77c351cc4c077b44bed3c6d8d8fcc1166b97515cd",
+    "tail-gaussian-none": "72cc313350bccc65d71d79d2c5791cad5918489cd6267c1db2f9c4cf8327ef98",
     "tail-gaussian-random:2": "91369f3d2123f7e4dec1703eb37229ee213c871d01f4cbd5e6f8830a80d087d5",
     "cond-tail-bernoulli-none": "0e07646de196509fabfce1ad25e07fd1676b48216bff8daac439eb6a24590362",
-    "cond-tail-bernoulli-random:2": "eba8fe23d3c684eacd174efedd67921d9e02e70dbba6d162b7275b94e6a3224e",
-    "cond-tail-gaussian-none": "74586b3f7d7652c058487f2dcfeec69303e62576921378ff270903c0479001b8",
-    "cond-tail-gaussian-random:2": "b4319984c02e1ada401c61100204d05f57a5d9167f58016cfe2538077f2e0949",
+    "cond-tail-bernoulli-random:2": "64e0b8f23a6c2fec4517eba3f9a2d512ebeec2cc0e3867aad2694079fb3599c6",
+    "cond-tail-gaussian-none": "b84a729f5665150a51128099c947b0500ae91ae1c52f0e9c21fc84fff5d9b25b",
+    "cond-tail-gaussian-random:2": "aa3415fd242375e72ad7b656b865a05a70e50257a013056db59744d42796bd0d",
     "ge-check-bernoulli-none": "d481944a2d16818a37545d4ec93fec3e0f014b69ad9fa5e3cb0e610da0d6c28b",
-    "ge-check-bernoulli-random:2": "463d734ca4c9b3011e34abad1bdf1d8d15c545bba94ec42f597502f6763b8dc9",
+    "ge-check-bernoulli-random:2": "2ccd1179ff1bdbd9bb178a9ea8199021734aef9948b1783cc4343351d0eb5786",
     "ge-check-gaussian-none": "70529b0d3d683fde48259771172ca0dc65d79a57fbf991add53ef2a926f332d9",
     "ge-check-gaussian-random:2": "70529b0d3d683fde48259771172ca0dc65d79a57fbf991add53ef2a926f332d9",
     "minors-bernoulli-none": "3a076042949da83c1751dfde442cb7d35dbd29d59d9922558c47c5a8bf4b7c3b",
-    "minors-bernoulli-random:2": "28fc2d54e5d9d013feaea9ad65e5824e5972f85bb0925e85c8a1503a6b6d6a32",
-    "minors-gaussian-none": "ab23a71a47d2cefcf49294a606211796aaaebc73deafb76b51f0bc021cbf6154",
-    "minors-gaussian-random:2": "786a9e741f35b3cc6165c3e5fab7cc9b7c1c1051274dbffb11cba1745a476eb5",
+    "minors-bernoulli-random:2": "b7bad98844879bd5c17ac15836f387d51303161552abd31429f2ec2ed1ac0dfc",
+    "minors-gaussian-none": "0494818aab1aaa0c46c346a7288766abce5f2c0afc068f02278bd45fc132e046",
+    "minors-gaussian-random:2": "fc38ae3118ec450ab805c7433bd1df643af0d9d3099ce2595c5a20a45cb0a85a",
     "frozen-bernoulli-none": "ce62a6c588c7ca2df67d1e0d248ac32dbb963b6f7d7f3f37f0285793184eee9b",
-    "frozen-bernoulli-random:2": "9ba0f16e6f37369e7d973169162d2405719770e4a45b486e44d23ea958d4d811",
+    "frozen-bernoulli-random:2": "9416bc8653c927926a8de48ab2d1cca9e1ca61f8262fcd4f1174a292fb14a38b",
     "frozen-gaussian-none": "ce62a6c588c7ca2df67d1e0d248ac32dbb963b6f7d7f3f37f0285793184eee9b",
-    "frozen-gaussian-random:2": "b17d3e37d0d06dfa31a92cdfce25bdc7d9497071633d7bac1ee132bee3448df2",
+    "frozen-gaussian-random:2": "03c1dc74da1fd4ad5ec9d858cebcb52a0f38ad83e03687f89106d3b42af36032",
 }
 
 CASES = [
@@ -121,7 +130,9 @@ def _leaves(value, path=()):
 @pytest.mark.parametrize("case", CASES)
 def test_preconditioned_route_keeps_every_flag_count_and_inf_entry(case, monkeypatch):
     # the same config through the plain Jacobi kernel: sigma may move by the
-    # preconditioner's roundoff, and nothing else may
+    # preconditioner's roundoff, and nothing else may.  These sizes are under
+    # the preconditioner's size floor, so the floor is lowered to reach them
+    monkeypatch.setattr(linalg, "PRECONDITION_MIN_N", 1)
     ours = _outputs(case)
     monkeypatch.setattr(experiments, "svd_stack", jacobi_svd_stack)
     kernel = _outputs(case)
@@ -152,12 +163,25 @@ def _cpu_flags() -> set[str]:
         return set()
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OpenBLAS kernel names are x86-64 ones")
-def test_digests_do_not_depend_on_the_blas_kernel():
-    # each kernel in a fresh interpreter, since OpenBLAS reads OPENBLAS_CORETYPE
-    # when it loads; Haswell only where the CPU has its AVX2 and FMA, and no
-    # AVX-512 kernel is forced, since the CPU may lack it
+def _large_draws(n: int, count: int) -> list:
+    """Gaussian draws and bernoulli draws on the graded diagonal, at a size the
+    preconditioner takes."""
+    graded = matrix_from_spec("graded_diagonal", n)
+    return ([RealMatrix(experiments.gaussian_matrix(n, seed)) for seed in range(count)]
+            + [perturb(graded, IntegerMatrix(sample_iid_matrix(bernoulli(), n, seed)))
+               for seed in range(count)])
+
+
+LARGE = {50: 40, 100: 8}  # draws of each kind per size
+
+
+@pytest.fixture(scope="module")
+def kernel_runs() -> dict:
+    """Per OpenBLAS kernel, the threads-1 golden digests and the svd_stack
+    spectra of the LARGE draws, each kernel in a fresh interpreter, since
+    OpenBLAS reads OPENBLAS_CORETYPE when it loads; Haswell only where the
+    CPU has its AVX2 and FMA, and no AVX-512 kernel is forced, since the CPU
+    may lack it."""
     import perturblab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(perturblab.__file__)))
@@ -165,10 +189,13 @@ def test_digests_do_not_depend_on_the_blas_kernel():
         "import json, sys\n"
         f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
         "import test_golden_outputs as g\n"
-        "print(json.dumps({c: g._digest(c) for c in g.CASES if c.endswith('-t1')}))\n"
+        "digests = {c: g._digest(c) for c in g.CASES if c.endswith('-t1')}\n"
+        "spectra = {n: [s.sigma for s in g.linalg.svd_stack(g._large_draws(n, k))]\n"
+        "           for n, k in g.LARGE.items()}\n"
+        "print(json.dumps([digests, spectra]))\n"
     )
     kernels = [None, "Prescott"] + (["Haswell"] if {"avx2", "fma"} <= _cpu_flags() else [])
-    want = {case: GOLDEN[case.rsplit("-", 1)[0]] for case in CASES if case.endswith("-t1")}
+    runs = {}
     for kernel in kernels:
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
         env["PYTHONPATH"] = src
@@ -176,5 +203,31 @@ def test_digests_do_not_depend_on_the_blas_kernel():
             env["OPENBLAS_CORETYPE"] = kernel
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300, check=True)
-        got = json.loads(proc.stdout.strip().splitlines()[-1])
+        runs[kernel] = json.loads(proc.stdout.strip().splitlines()[-1])
+    return runs
+
+
+x86_64 = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                            reason="OpenBLAS kernel names are x86-64 ones")
+
+
+@x86_64
+def test_digests_do_not_depend_on_the_blas_kernel(kernel_runs):
+    want = {case: GOLDEN[case.rsplit("-", 1)[0]] for case in CASES if case.endswith("-t1")}
+    for kernel, (got, _) in kernel_runs.items():
         assert {c: d for c, d in got.items() if d != want[c]} == {}, kernel
+
+
+@x86_64
+def test_preconditioned_spectra_move_with_the_blas_kernel_by_roundoff_at_most(kernel_runs):
+    # x V is kernel-independent only while no eigenbasis entry sits within
+    # roundoff of a grid midpoint, so at n = 50 and 100 a rare spectrum may
+    # move with the kernel; it may not move by more than the route's bound
+    eps = np.finfo(float).eps
+    base = kernel_runs[None][1]
+    for kernel, (_, spectra) in kernel_runs.items():
+        for n, rows in spectra.items():
+            assert len(rows) == len(base[n]) == 2 * LARGE[int(n)]
+            for got, ref in zip(rows, base[n]):
+                bound = 4 * int(n) * eps * ref[0]
+                assert max(abs(s - t) for s, t in zip(got, ref)) <= bound, (kernel, n)

@@ -15,7 +15,6 @@ from perturblab import (
     discretized_gaussian,
     exact_inverse_norm,
     frobenius_norm,
-    jacobi_svd_stack,
     lazy_coin,
     load_integer_matrix,
     matrix_from_spec,
@@ -27,6 +26,7 @@ from perturblab import (
     svd_stack,
 )
 from perturblab import linalg
+from perturblab.linalg import jacobi_svd_stack
 
 import oracles
 
@@ -304,7 +304,9 @@ def _kept_as_x(n):
 
 
 @pytest.mark.parametrize("n", [2, 7, 20])
-def test_svd_stack_sweeps_what_the_rule_keeps_as_x_as_the_kernel_does(n):
+def test_svd_stack_sweeps_what_the_rule_keeps_as_x_as_the_kernel_does(n, monkeypatch):
+    # the rule's other clauses at every n, not the size floor
+    monkeypatch.setattr(linalg, "PRECONDITION_MIN_N", 1)
     draws = _kept_as_x(n)
     for m in draws:
         assert linalg._preconditioned(m.entries) is m.entries
@@ -322,9 +324,10 @@ def test_svd_stack_sweeps_what_the_rule_keeps_as_x_as_the_kernel_does(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 50])
-def test_svd_stack_entries_equal_lone_svd(n):
-    # both routes in one stack: the draws kept as x and well-conditioned
-    # noisy matrices swept as x V, which converge in fewer sweeps
+def test_svd_stack_entries_equal_lone_svd(n, monkeypatch):
+    # both routes in one stack, at every n: the draws kept as x and
+    # well-conditioned noisy matrices swept as x V, which converge in fewer sweeps
+    monkeypatch.setattr(linalg, "PRECONDITION_MIN_N", 1)
     stack = list(_jacobi_inputs(n))
     spectra = svd_stack(stack)
     assert len(spectra) == len(stack)
@@ -341,7 +344,8 @@ def test_svd_stack_entries_equal_lone_svd(n):
 
 
 @pytest.mark.parametrize("n", [2, 7, 20])
-def test_svd_stack_integer_stack_equals_its_real_copy(n):
+def test_svd_stack_integer_stack_equals_its_real_copy(n, monkeypatch):
+    monkeypatch.setattr(linalg, "PRECONDITION_MIN_N", 1)
     draws = _kept_as_x(n)
     for kind in ("zero", "graded_diagonal"):
         base = matrix_from_spec(kind, n)
@@ -358,9 +362,10 @@ def test_svd_stack_integer_stack_equals_its_real_copy(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 20, 50, 100])
-def test_svd_stack_spectra_within_4_n_eps_sigma_max_of_the_kernel(n):
+def test_svd_stack_spectra_within_4_n_eps_sigma_max_of_the_kernel(n, monkeypatch):
     # sigma(x V) departs from sigma(x) by V's departure from orthogonality and
-    # the roundoff of forming x V: about n eps sigma_max at most
+    # the roundoff of forming x V: about n eps sigma_max at most, at every n
+    monkeypatch.setattr(linalg, "PRECONDITION_MIN_N", 1)
     draws = []
     for kind in ("zero", "graded_diagonal", "duplicated_column", "rank_one_ones"):
         base = matrix_from_spec(kind, n)
@@ -371,6 +376,31 @@ def test_svd_stack_spectra_within_4_n_eps_sigma_max_of_the_kernel(n):
         bound = 4 * n * linalg._EPS * kernel.sigma_max
         assert max(abs(s - t) for s, t in zip(spec.sigma, kernel.sigma)) <= bound
         assert spec.singular == kernel.singular
+
+
+@pytest.mark.parametrize("n", [2, 8, linalg.PRECONDITION_MIN_N - 1, linalg.PRECONDITION_MIN_N])
+def test_svd_stack_keeps_every_matrix_under_the_size_floor_as_x(n):
+    draws = [perturb(matrix_from_spec("zero", n), IntegerMatrix(sample_iid_matrix(law, n, seed)))
+             for law in (discretized_gaussian(), lazy_coin("1/2")) for seed in (1, 2, 3)]
+    kept = [linalg._preconditioned(m.entries) is m.entries for m in draws]
+    assert kept == [n < linalg.PRECONDITION_MIN_N] * len(draws)
+    if n < linalg.PRECONDITION_MIN_N:
+        for spec, kernel in zip(svd_stack(draws), jacobi_svd_stack(draws)):
+            assert spec == kernel
+
+
+def test_svd_stack_preconditioned_sigma_min_within_route_tol():
+    # x V costs sigma_min its high relative accuracy: forming x V leaves about
+    # n eps sigma_max of absolute error, a relative n eps kappa <= ROUTE_TOL.
+    # Columns graded over two orders: the kernel on x itself stays relatively
+    # accurate, since its error follows the condition of the column-scaled x
+    n = 20
+    x = np.random.default_rng(7).standard_normal((n, n)) * np.logspace(0, -2, n)
+    assert linalg._preconditioned(x) is not x
+    spec, kernel = svd(RealMatrix(x)), _jacobi(RealMatrix(x))
+    assert n * linalg._EPS * kernel.kappa <= linalg.ROUTE_TOL
+    for s, t in zip(spec.sigma, kernel.sigma):
+        assert abs(s - t) <= linalg.ROUTE_TOL * t
 
 
 def test_svd_stack_refuses_mixed_sizes():

@@ -33,6 +33,7 @@ from .noise import (
     BoundednessCertificate, DiscreteDistribution, _as_fraction, distribution_from_spec, mu_float,
     sample_vector,
 )
+from .rational import whole_numbers
 from .util import content_lines, derive_seed, keyed_lines, token, wilson_interval
 
 DP_STATE_BUDGET = 100_000_000
@@ -40,7 +41,7 @@ AVERAGING_BUDGET = 10_000_000
 
 
 def _weights(v) -> tuple[int, ...]:
-    weights = tuple(int(x) for x in v)
+    weights = tuple(whole_numbers(list(v)))
     if not weights:
         raise ValidationError("empty weight vector")
     return weights
@@ -70,21 +71,17 @@ class ConcentrationQuery:
         if n == 0:
             raise ValidationError("query needs at least one coordinate")
         if self.shift is not None:
-            shift = tuple(int(x) for x in self.shift)
+            shift = tuple(whole_numbers(list(self.shift)))
             if len(shift) != n:
                 raise ValidationError("shift length mismatch")
             object.__setattr__(self, "shift", shift)
-        mults = self.multipliers
-        if mults is None:
-            mults = tuple(1 for _ in range(n))
-        else:
-            mults = tuple(int(a) for a in mults)
-            if len(mults) != n:
-                raise ValidationError("multiplier length mismatch")
-            if any(a < 1 for a in mults):
-                raise ValidationError("multipliers must be positive integers")
+        mults = (1,) * n if self.multipliers is None else tuple(whole_numbers(list(self.multipliers)))
+        if len(mults) != n:
+            raise ValidationError("multiplier length mismatch")
+        if any(a < 1 for a in mults):
+            raise ValidationError("multipliers must be positive integers")
         object.__setattr__(self, "multipliers", mults)
-        excl = frozenset(int(i) for i in self.exclusion)
+        excl = frozenset(whole_numbers(list(self.exclusion)))
         if any(i < 0 or i >= n for i in excl):
             raise ValidationError("exclusion index out of range")
         if excl and len(excl) > n**0.99:

@@ -367,30 +367,6 @@ def condition_tail(cfg: ExperimentConfig) -> CondTailResult:
 # exact singularity probability
 
 
-def _cofactors(prefixes: np.ndarray) -> np.ndarray:
-    """c[b, j] = (-1)^(r+j) det(prefix b without column j) for a stack of
-    r x (r + 1) integer prefixes, so that det([prefix; x]) = x . c.
-
-    One `rational` Bareiss elimination over the whole stack (int64 while
-    no product can overflow, Python ints past that).  Bareiss treats
-    columns alike, so the minors without column j share the first j steps:
-    one elimination of the whole prefix, and minor j branches off it before
-    step j.
-    """
-    count, r, n = prefixes.shape
-    a = rational._stack(prefixes)
-    sign = np.ones(count, dtype=np.int64)
-    prev = np.ones(count, dtype=a.dtype)
-    dets = []
-    for j in range(r):
-        minor, minor_sign = np.delete(a, j, axis=1), sign.copy()
-        minor, _ = rational._eliminate(minor, range(j, r), minor_sign, prev.copy())
-        dets.append(minor_sign * minor[r - 1, r - 1])
-        a, prev = rational._eliminate(a, range(j, j + 1), sign, prev)
-    dets.append(sign * a[r - 1, r - 1])
-    return np.stack(dets, axis=1) * np.array([(-1) ** (r + j) for j in range(n)])
-
-
 def singularity_probability(
     n: int,
     dist: DiscreteDistribution,
@@ -456,7 +432,7 @@ def singularity_probability(
         weights = (math.factorial(n - 1) // repeats).astype(object)
         for i in range(n - 1):
             weights = weights * masses[picks[:, i]]
-        c = _cofactors(rows[picks])
+        c = rational.cofactors(rows[picks])
         keys = np.sort(np.abs(c) if symmetric else c, axis=1)
         for key, w in zip(map(tuple, keys.tolist()), weights):
             weight_by_key[key] = weight_by_key.get(key, 0) + w
@@ -470,8 +446,8 @@ def singularity_probability(
 
 
 def _ge_solve(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray | None:
-    """Gaussian elimination with partial pivoting carried out in `dtype`
-    (float32 simulates single precision end to end)."""
+    """Gaussian elimination with partial pivoting carried out in `dtype` (float32
+    simulates single precision end to end), elementwise: no BLAS kernel moves it."""
     a = a.astype(dtype).copy()
     b = b.astype(dtype).copy()
     n = len(b)
@@ -487,10 +463,8 @@ def _ge_solve(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray | None:
         b[k + 1 :] -= factors * b[k]
     x = np.zeros(n, dtype=dtype)
     for i in range(n - 1, -1, -1):
-        acc = dtype(b[i] - np.dot(a[i, i + 1 :], x[i + 1 :]))
-        if a[i, i] == 0:
-            return None
-        x[i] = acc / a[i, i]
+        # a[i, i] is step i's pivot, nonzero, and no later step touches row i
+        x[i] = dtype(b[i] - np.add.reduce(a[i, i + 1 :] * x[i + 1 :])) / a[i, i]
     return x
 
 
@@ -557,12 +531,13 @@ def ge_error_experiment(cfg: ExperimentConfig) -> GeResult:
             if not spectrum.singular:
                 rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "ge-rhs", n, trial)))
                 b = rng.integers(-9, 10, size=n)
-                exact = rational.solve_exact(system.rows(), [int(x) for x in b])
+                exact = rational.solve_exact(system.entries, b.tolist())
                 approx = _ge_solve(system.entries.astype(np.float64), b.astype(np.float64), dtype)
                 x_true = np.array([float(x) for x in exact])
-                denom = float(np.linalg.norm(x_true))
+                # elementwise norms, not BLAS ones: the ratios do not depend on the BLAS kernel
+                denom = math.sqrt(np.add.reduce(x_true * x_true))
                 if approx is not None and denom != 0.0:
-                    rel = float(np.linalg.norm(approx.astype(np.float64) - x_true)) / denom
+                    rel = math.sqrt(np.add.reduce((approx - x_true) ** 2)) / denom
                 if math.isfinite(spectrum.kappa):
                     ratio = rel / (eps * spectrum.kappa)
             return _record(trial, seed, spectrum, not spectrum.singular and ratio > 100.0), GeTrial(

@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 from .concentration import cosine_average
 from .errors import ResourceError, ValidationError
 from .noise import _as_fraction, mu_float
+from .rational import whole_numbers
 from .util import content_lines, keyed_lines, token
 
 ENUMERATION_CAP = 10_000_000
@@ -51,7 +52,7 @@ class Gap:
 
     def __post_init__(self):
         gens = tuple(_as_fraction(g) for g in self.generators)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(whole_numbers(list(self.dims)))
         if len(gens) != len(dims) or not gens:
             raise ValidationError("generators and dims must align and be nonempty")
         if any(d < 0 for d in dims):
@@ -223,8 +224,7 @@ def discretize_rank1(p: Gap, r0: int, s: int) -> DiscretizationResult:
         raise ValidationError(f"generator {g_frac} is not a positive integer")
     g = int(g_frac)
     n = p.dims[0]
-    r0 = int(r0)
-    s = int(s)
+    r0, s = whole_numbers([r0, s])
     if r0 < 1 or s < 1:
         raise ValidationError("R0 and S must be positive integers")
     zero = Gap((g_frac,), (0,))
@@ -291,7 +291,7 @@ def inverse_lo_search(
     tried, one per weight at rank 1 and 2 n1 + 1 per weight and box at
     rank 2, and the search raises ResourceError once it passes the budget.
     """
-    v = [int(x) for x in v]
+    v = whole_numbers(list(v))
     n = len(v)
     if n == 0 or n > 16:
         raise ValidationError(f"search supports 1 <= n <= 16, got {n}")

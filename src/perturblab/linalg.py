@@ -87,12 +87,9 @@ class IntegerMatrix:
             # checked in Python numbers: a cast would wrap uint64 past 2^63 - 1,
             # floats and Python ints outside [-2^63, 2^63), and infinities
             try:
-                whole = rational.whole_numbers(arr.ravel().tolist())
+                arr = np.array(rational.whole_numbers(arr.ravel().tolist()), dtype=np.int64).reshape(arr.shape)
             except OverflowError:
                 raise ValidationError("an entry overflows the 64-bit range") from None
-            if any(not -(2**63) <= x < 2**63 for x in whole):
-                raise ValidationError("an entry overflows the 64-bit range")
-            arr = np.array(whole, dtype=np.int64).reshape(arr.shape)
         arr = arr.astype(np.int64, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -102,9 +99,6 @@ class IntegerMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def rows(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.entries]
 
 
 @dataclass(frozen=True, slots=True)
@@ -576,6 +570,6 @@ def save_integer_matrix(path: str, m: IntegerMatrix) -> None:
 
 def exact_inverse_norm(m: IntegerMatrix) -> float:
     """Operator norm of the exact rational inverse (dual route to 1/sigma_min)."""
-    inv = rational.invert_exact(m.rows())
+    inv = rational.invert_exact(m.entries)
     arr = np.array([[float(x) for x in row] for row in inv], dtype=float)
     return operator_norm(RealMatrix(arr))

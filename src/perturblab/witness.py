@@ -19,6 +19,7 @@ import numpy as np
 from .concentration import ConcentrationQuery, RichnessReport, classify_rich
 from .errors import ValidationError
 from .noise import mu_float
+from .rational import whole_numbers
 from .util import wilson_interval
 
 # beyond 2^53 the float scale n^(B+2) no longer represents integers
@@ -41,7 +42,7 @@ class WitnessVector:
     label: WitnessClass = WitnessClass.UNCLASSIFIED
 
     def __post_init__(self):
-        vals = tuple(int(x) for x in self.values)
+        vals = tuple(whole_numbers(list(self.values)))
         if not vals:
             raise ValidationError("empty witness")
         object.__setattr__(self, "values", vals)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from perturblab import ExperimentConfig, bernoulli, concentration, experiments, matrix_from_spec
+from perturblab import ExperimentConfig, bernoulli, concentration, experiments, matrix_from_spec, rational
 from perturblab.cli import build_parser, main
 
 
@@ -58,7 +58,7 @@ def test_singularity_over_budget_exits_3_without_enumerating(capsys, monkeypatch
     def cofactors(*args):
         raise AssertionError("enumerated past the budget")
 
-    monkeypatch.setattr(experiments, "_cofactors", cofactors)
+    monkeypatch.setattr(rational, "cofactors", cofactors)
     code, _, err = run(capsys, "singularity", "--n", "9")
     assert code == 3
     assert "budget" in err

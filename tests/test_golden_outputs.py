@@ -173,15 +173,24 @@ def _large_draws(n: int, count: int) -> list:
 
 
 LARGE = {50: 40, 100: 8}  # draws of each kind per size
+# ge-check past the golden sizes: its elimination and error norms run over
+# vectors long enough for a BLAS kernel to sum them in its own order
+GE_CHECK = ExperimentConfig(kind="ge-check", sizes=(20,), trials=300, seed=3, precision="single")
+
+
+def _ge_check_digest() -> str:
+    out = ge_error_experiment(GE_CHECK)
+    text = format_records_csv(out.records) + format_summary_json(out.summary())
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
-def kernel_runs() -> dict:
-    """Per OpenBLAS kernel, the threads-1 golden digests and the svd_stack
-    spectra of the LARGE draws, each kernel in a fresh interpreter, since
-    OpenBLAS reads OPENBLAS_CORETYPE when it loads; Haswell only where the
-    CPU has its AVX2 and FMA, and no AVX-512 kernel is forced, since the CPU
-    may lack it."""
+def kernel_outputs() -> dict:
+    """Per OpenBLAS kernel, the threads-1 golden digests, the svd_stack
+    spectra of the LARGE draws and the GE_CHECK digest, each kernel in a
+    fresh interpreter, since OpenBLAS reads OPENBLAS_CORETYPE when it loads;
+    Haswell only where the CPU has its AVX2 and FMA, and no AVX-512 kernel
+    is forced, since the CPU may lack it."""
     import perturblab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(perturblab.__file__)))
@@ -192,7 +201,7 @@ def kernel_runs() -> dict:
         "digests = {c: g._digest(c) for c in g.CASES if c.endswith('-t1')}\n"
         "spectra = {n: [s.sigma for s in g.linalg.svd_stack(g._large_draws(n, k))]\n"
         "           for n, k in g.LARGE.items()}\n"
-        "print(json.dumps([digests, spectra]))\n"
+        "print(json.dumps([digests, spectra, g._ge_check_digest()]))\n"
     )
     kernels = [None, "Prescott"] + (["Haswell"] if {"avx2", "fma"} <= _cpu_flags() else [])
     runs = {}
@@ -205,6 +214,12 @@ def kernel_runs() -> dict:
                               text=True, timeout=300, check=True)
         runs[kernel] = json.loads(proc.stdout.strip().splitlines()[-1])
     return runs
+
+
+@pytest.fixture(scope="module")
+def kernel_runs(kernel_outputs) -> dict:
+    """Per OpenBLAS kernel, the threads-1 golden digests and the LARGE spectra."""
+    return {kernel: out[:2] for kernel, out in kernel_outputs.items()}
 
 
 x86_64 = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
@@ -231,3 +246,9 @@ def test_preconditioned_spectra_move_with_the_blas_kernel_by_roundoff_at_most(ke
             for got, ref in zip(rows, base[n]):
                 bound = 4 * int(n) * eps * ref[0]
                 assert max(abs(s - t) for s, t in zip(got, ref)) <= bound, (kernel, n)
+
+
+@x86_64
+def test_ge_check_does_not_depend_on_the_blas_kernel(kernel_outputs):
+    digests = {kernel: ge for kernel, (_, _, ge) in kernel_outputs.items()}
+    assert len(set(digests.values())) == 1, digests

@@ -79,7 +79,7 @@ def test_integer_matrix_refuses_entries_a_cast_would_wrap(entries):
 def test_integer_matrix_keeps_entries_inside_the_64_bit_range():
     assert IntegerMatrix(np.array([[2**63 - 1]], dtype=np.uint64)).entries[0, 0] == 2**63 - 1
     assert IntegerMatrix(np.array([[-(2.0**63)]])).entry_bound == 2**63
-    assert IntegerMatrix(np.array([[1, -2], [3, 4]], dtype=object)).rows() == [[1, -2], [3, 4]]
+    assert IntegerMatrix(np.array([[1, -2], [3, 4]], dtype=object)).entries.tolist() == [[1, -2], [3, 4]]
     with pytest.raises(ValidationError, match="entries are not integers"):
         IntegerMatrix([[0.5]])
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perturblab import ValidationError, determinant, invert_exact, solve_exact
+from perturblab import (
+    ConcentrationQuery, Gap, ValidationError, WitnessVector, bernoulli, determinant, discretize_rank1,
+    exact_concentration, inverse_lo_search, invert_exact, solve_exact,
+)
 
 import oracles
 
@@ -132,3 +135,40 @@ def test_entries_at_the_int64_edge_stay_exact():
     # -2^63 fits int64, but its absolute value wraps there; the product below does not fit
     assert determinant([[-(2**63), 1], [1, 1]]) == -(2**63) - 1
     assert determinant([[2**63 - 1, 2**62], [2**62, 2**63 - 1]]) == (2**63 - 1) ** 2 - 2**124
+
+
+def test_int64_arrays_past_2_53_equal_their_lists():
+    # math.floor of a numpy int goes through float, which loses these entries
+    a = np.array([[2**62 + 1, 3, -(2**61)], [5, 2**55 + 7, 1], [-(2**54) - 1, 2, 2**53 + 1]])
+    assert a.dtype == np.int64
+    rows = a.tolist()
+    assert determinant(a) == determinant(rows)
+    assert determinant(np.array([[2**62 + 1, 0], [0, 1]])) == 2**62 + 1
+    assert solve_exact(a, [1, -2, 3]) == solve_exact(rows, [1, -2, 3])
+    assert invert_exact(a) == invert_exact(rows)
+
+
+def _query(**fields):
+    return ConcentrationQuery(dists=(bernoulli(),) * 2, **fields)
+
+
+INTEGER_SITES = {
+    "weights": lambda x: exact_concentration(_query(), [1, x]),
+    "shift": lambda x: _query(shift=(0, x)),
+    "multipliers": lambda x: _query(multipliers=(1, x)),
+    "exclusion": lambda x: _query(exclusion=frozenset([x])),
+    "witness": lambda x: WitnessVector(values=(1, x), norm=1.0, b_exponent=1.0),
+    "gap-dims": lambda x: Gap((1,), (x,)),
+    "rank1-R0": lambda x: discretize_rank1(Gap((1,), (1,)), x, 2),
+    "rank1-S": lambda x: discretize_rank1(Gap((1,), (1,)), 2, x),
+    "search-v": lambda x: inverse_lo_search([1, x], Fraction(1, 4)),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_integer_inputs_refuse_non_whole_values(site):
+    call = INTEGER_SITES[site]
+    with pytest.raises(ValidationError, match="entries are not integers"):
+        call(1.5)
+    call(1.0)  # whole floats and numpy ints pass as before
+    call(np.int64(1))

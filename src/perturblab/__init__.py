@@ -64,7 +64,6 @@ from .linalg import (
     frobenius_norm,
     load_integer_matrix,
     matrix_from_spec,
-    operator_norm,
     perturb,
     save_integer_matrix,
     svd,

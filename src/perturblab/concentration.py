@@ -29,11 +29,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import ResourceError, ValidationError
-from .noise import (
-    BoundednessCertificate, DiscreteDistribution, _as_fraction, distribution_from_spec, mu_float,
-    sample_vector,
-)
-from .rational import whole_numbers
+from .noise import BoundednessCertificate, DiscreteDistribution, distribution_from_spec, mu_float, sample_vector
+from .rational import as_fraction, whole_numbers
 from .util import content_lines, derive_seed, keyed_lines, token, wilson_interval
 
 DP_STATE_BUDGET = 100_000_000
@@ -362,7 +359,7 @@ class ParsedQuery:
 
 
 _QUERY_KEYS = ("dist", "v", "z", "a", "exclude", "mu", "k_exponent")
-_QUERY_SCALARS = {"mu": _as_fraction, "k_exponent": float}
+_QUERY_SCALARS = {"mu": as_fraction, "k_exponent": float}
 
 
 def parse_query(text: str) -> ParsedQuery:

@@ -37,7 +37,7 @@ from .linalg import (
     svd_stack,
 )
 from .noise import NOISE_ARGS, DiscreteDistribution, distribution_from_spec, sample_iid_matrix
-from .records import ExperimentRecord, run_trials
+from .records import ExperimentRecord, kappa, run_trials
 from . import rational
 from .util import derive_seed, parse_spec, wilson_interval
 
@@ -244,7 +244,7 @@ def _tail_curve_from(inv_norms: list[float], n: int, grid_points: int) -> TailCu
 
 
 def _inverse_norm(x: SingularSpectrum | ExperimentRecord) -> float:
-    return math.inf if x.singular or x.sigma_min == 0.0 else 1.0 / x.sigma_min
+    return kappa(1.0, x.sigma_min, x.singular)
 
 
 def tail_curve(cfg: ExperimentConfig) -> TailResult:

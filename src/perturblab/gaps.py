@@ -22,8 +22,8 @@ from typing import Iterator, Sequence
 
 from .concentration import cosine_average
 from .errors import ResourceError, ValidationError
-from .noise import _as_fraction, mu_float
-from .rational import whole_numbers
+from .noise import mu_float
+from .rational import as_fraction, whole_numbers
 from .util import content_lines, keyed_lines, token
 
 ENUMERATION_CAP = 10_000_000
@@ -51,7 +51,7 @@ class Gap:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        gens = tuple(_as_fraction(g) for g in self.generators)
+        gens = tuple(as_fraction(g) for g in self.generators)
         dims = tuple(whole_numbers(list(self.dims)))
         if len(gens) != len(dims) or not gens:
             raise ValidationError("generators and dims must align and be nonempty")
@@ -87,14 +87,14 @@ class Gap:
         return sorted(vals)
 
     def dilate(self, k) -> "Gap":
-        k = _as_fraction(k)
+        k = as_fraction(k)
         return Gap(tuple(g * k for g in self.generators), self.dims)
 
     def contains(self, x, cap: int = ENUMERATION_CAP) -> bool:
         """Exact membership.  Rank 1 and 2 solve for coefficients in integers
         (see _least_coefficient); higher ranks fall back to enumeration under
         the cap."""
-        x = _as_fraction(x)
+        x = as_fraction(x)
         if self.rank > 2:
             return x in set(self.elements(cap))
         # zero generators drop out; loop the smaller box, solve the other one
@@ -111,7 +111,7 @@ class Gap:
         negative divisors redundant)."""
         if a_bound < 1:
             raise ValidationError("a_bound must be >= 1")
-        x = _as_fraction(x)
+        x = as_fraction(x)
         return any(self.contains(x * a, cap=cap) for a in range(1, a_bound + 1))
 
 
@@ -142,7 +142,7 @@ class DiscretizationResult:
     d_exponent: int
 
     def __post_init__(self):
-        object.__setattr__(self, "scale_R", _as_fraction(self.scale_R))
+        object.__setattr__(self, "scale_R", as_fraction(self.scale_R))
         if self.scale_R < 1:
             raise ValidationError("scale_R must be >= 1")
         if self.S < 1 or self.R0 < 1:
@@ -399,7 +399,7 @@ def _gap_from_lines(lines: list[tuple[int, list[str]]], start: int, tag: str = "
     for lineno, row in rows:
         if len(row) != 2:
             raise ValidationError(f"line {lineno}: expected 'generator dim', got {' '.join(row)!r}")
-        gens.append(token(lineno, row[0], _as_fraction))
+        gens.append(token(lineno, row[0], as_fraction))
         dims.append(token(lineno, row[1]))
     return Gap(tuple(gens), tuple(dims)), start + 1 + rank
 
@@ -419,7 +419,7 @@ def parse_discretization(text: str) -> DiscretizationResult:
     for key, (lineno, values) in keyed_lines(lines[:i], _SCALARS).items():
         if len(values) != 1:
             raise ValidationError(f"line {lineno}: expected '{key} value'")
-        scalars[key] = token(lineno, values[0], _as_fraction if key == "R" else int)
+        scalars[key] = token(lineno, values[0], as_fraction if key == "R" else int)
     blocks: dict[str, Gap] = {}
     while i < len(lines):
         lineno, row = lines[i]

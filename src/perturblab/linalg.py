@@ -44,6 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
+from .records import kappa
 from .util import content_lines, parse_file, parse_spec, token
 from . import rational
 
@@ -129,11 +130,6 @@ def _entries(m) -> np.ndarray:
     return RealMatrix(m).entries
 
 
-def _as_real_array(m) -> np.ndarray:
-    """The entries as floats; read-only unless converted from integers."""
-    return _entries(m).astype(float, copy=False)
-
-
 def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The first prod(shape) items of a flat buffer, as a C-contiguous view."""
     return buf[:math.prod(shape)].reshape(shape)
@@ -183,8 +179,8 @@ class SingularSpectrum:
 
     @property
     def kappa(self) -> float:
-        """sigma_max / sigma_min; +inf when singular or sigma_min = 0."""
-        return math.inf if self.singular or self.sigma_min == 0.0 else self.sigma_max / self.sigma_min
+        """sigma_max / sigma_min by `records.kappa`: +inf when singular or sigma_min = 0."""
+        return kappa(self.sigma_max, self.sigma_min, self.singular)
 
 
 def _round_robin_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -431,50 +427,8 @@ def _sweep_stack(ms: Sequence, precondition: bool) -> list[SingularSpectrum]:
     return [SingularSpectrum(*s, flags.get(i, s[0][-1] == 0.0)) for i, s in enumerate(spectra)]
 
 
-def operator_norm(m, tol: float = 1e-15, max_iter: int = 100_000) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
-
-    Three deterministic starting vectors guard against a start that is
-    orthogonal to the leading singular subspace; the largest estimate
-    wins.  Accuracy rests on a nonnegligible spectral gap, which holds
-    for the generic matrices this is applied to; tests cross-check
-    against the Jacobi spectrum.
-    """
-    a = _as_real_array(m)
-    n = a.shape[0]
-    if not np.any(a):
-        return 0.0
-    best = 0.0
-    starts = [
-        np.ones(n),
-        1.0 + np.arange(n) / (2.0 * n),
-        np.cos(np.arange(n) + 1.0),
-    ]
-    for v in starts:
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            continue
-        v = v / nv
-        prev = 0.0
-        for _ in range(max_iter):
-            w = a @ v
-            est = float(np.linalg.norm(w))
-            if est == 0.0:
-                break
-            v = a.T @ w
-            nv = float(np.linalg.norm(v))
-            if nv == 0.0:
-                break
-            v /= nv
-            if abs(est - prev) <= tol * est:
-                break
-            prev = est
-        best = max(best, est)
-    return best
-
-
 def frobenius_norm(m) -> float:
-    a = _as_real_array(m)
+    a = _entries(m).astype(float, copy=False)
     return float(np.sqrt(np.sum(a * a)))
 
 
@@ -569,7 +523,7 @@ def save_integer_matrix(path: str, m: IntegerMatrix) -> None:
 
 
 def exact_inverse_norm(m: IntegerMatrix) -> float:
-    """Operator norm of the exact rational inverse (dual route to 1/sigma_min)."""
-    inv = rational.invert_exact(m.entries)
-    arr = np.array([[float(x) for x in row] for row in inv], dtype=float)
-    return operator_norm(RealMatrix(arr))
+    """The 2-norm of the exact rational inverse, rounded once to floats, by
+    LAPACK: a dual route to 1/sigma_min that shares nothing with the Jacobi
+    kernel it checks."""
+    return float(np.linalg.norm(np.array(rational.invert_exact(m.entries), dtype=float), 2))

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .rational import as_fraction
 from .util import content_lines, parse_file, parse_spec, token
 
 _INT64_MAX = 2**63 - 1
@@ -36,22 +37,6 @@ _INT64_MAX = 2**63 - 1
 # float rounding in the trigonometric sums.
 GRID_TOLERANCE = 1e-12
 DEFAULT_GRID = 4096
-
-
-def _as_fraction(x) -> Fraction:
-    """Exact conversion; decimal strings are parsed exactly ('0.25' -> 1/4)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"cannot interpret {x!r} as an exact rational") from None
-    if isinstance(x, float):
-        return Fraction(x)
-    raise ValidationError(f"cannot interpret {x!r} as an exact rational")
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -83,7 +68,7 @@ class DiscreteDistribution:
                 raise ValidationError(f"support value {value!r} is not an integer")
             if abs(value) > _INT64_MAX:
                 raise ValidationError(f"support value {value} overflows 64-bit range")
-            prob = _as_fraction(prob)
+            prob = as_fraction(prob)
             if prob < 0:
                 raise ValidationError(f"negative probability {prob} at value {value}")
             if value in seen:
@@ -151,7 +136,7 @@ class BoundednessCertificate:
     d_bound: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", _as_fraction(self.mu))
+        object.__setattr__(self, "mu", as_fraction(self.mu))
         if not (0 < self.mu <= Fraction(1, 2)):
             raise ValidationError(f"mu = {self.mu} outside (0, 1/2]")
         if not (1 <= self.k <= self.d_bound):
@@ -263,7 +248,7 @@ def bernoulli() -> DiscreteDistribution:
 
 def lazy_coin(alpha) -> DiscreteDistribution:
     """+-1 with probability alpha/2 each, 0 otherwise; alpha in (0, 1]."""
-    alpha = _as_fraction(alpha)
+    alpha = as_fraction(alpha)
     if not (0 < alpha <= 1):
         raise ValidationError(f"lazy coin alpha = {alpha} outside (0, 1]")
     half = alpha / 2
@@ -306,7 +291,7 @@ def symmetric_discretization(
     must be symmetric about 0.  Mass at position x goes to the integer
     nearest x, ties rounding away from zero so symmetry is preserved.
     """
-    table = [(_as_fraction(x), _as_fraction(p)) for x, p in pairs]
+    table = [(as_fraction(x), as_fraction(p)) for x, p in pairs]
     mass: dict[Fraction, Fraction] = {}
     for x, p in table:
         mass[x] = mass.get(x, Fraction(0)) + p
@@ -322,7 +307,7 @@ def symmetric_discretization(
 
 # the law spec heads: None takes no argument, else (convert, default); an
 # experiment's --noise also takes gaussian, the one law that is not discrete
-_LAW_ARGS = {"bernoulli": None, "lazy_coin": (_as_fraction, Fraction(1, 2)),
+_LAW_ARGS = {"bernoulli": None, "lazy_coin": (as_fraction, Fraction(1, 2)),
              "discretized_gaussian": (int, 8), "file": (str, None)}
 NOISE_ARGS = {**_LAW_ARGS, "gaussian": None}
 
@@ -383,7 +368,7 @@ def parse_distribution(text: str, name: str = "custom") -> DiscreteDistribution:
     for lineno, parts in content_lines(text):
         if len(parts) != 2:
             raise ValidationError(f"line {lineno}: expected 'value probability', got {' '.join(parts)!r}")
-        atoms.append((token(lineno, parts[0]), token(lineno, parts[1], _as_fraction)))
+        atoms.append((token(lineno, parts[0]), token(lineno, parts[1], as_fraction)))
     if not atoms:
         raise ValidationError("no atoms in distribution text")
     return DiscreteDistribution(name, tuple(atoms))

@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals, the one reader and eliminator
 of exact integer matrices: an int64 array is taken as it is, anything else
-is checked whole in Python ints.
+is checked whole in Python ints.  It owns the package's two exact
+coercions, `whole_numbers` (integers) and `as_fraction` (rationals).
 
 One Bareiss fraction-free elimination, `_eliminate`, runs over a stack of
 integer matrices at once; every value it writes is a minor of its matrix
@@ -38,6 +39,24 @@ def whole_numbers(values: list) -> list[int]:
     if whole != values:
         raise ValidationError("entries are not integers")
     return whole
+
+
+def as_fraction(x) -> Fraction:
+    """x as an exact rational: integers of any type, Fractions, finite floats
+    (their binary value) and strings, parsed exactly ('0.25' -> 1/4); anything
+    else, NaN and infinities included, is a ValidationError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
+    if isinstance(x, str):
+        try:
+            return Fraction(x.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(x, float) and math.isfinite(x):
+        return Fraction(x)
+    raise ValidationError(f"cannot interpret {x!r} as an exact rational")
 
 
 def _square(matrix) -> np.ndarray | list[list[int]]:
@@ -112,7 +131,11 @@ def _reduce(matrices) -> tuple[np.ndarray, np.ndarray]:
 
 def singular_flags(matrices: Sequence) -> list[bool]:
     """Exactly det = 0, for each of equal-size square integer matrices."""
-    return (_reduce([_square(m) for m in matrices])[1] == 0).tolist() if len(matrices) else []
+    rows = [_square(m) for m in matrices]
+    sizes = sorted({len(r) for r in rows})
+    if len(sizes) > 1:
+        raise ValidationError(f"singular_flags needs matrices of one size, got sizes {sizes}")
+    return (_reduce(rows)[1] == 0).tolist() if rows else []
 
 
 def determinant(matrix) -> int:

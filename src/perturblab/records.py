@@ -18,6 +18,15 @@ CSV_SCHEMA_LINE = "# perturblab-records schema=1"
 CSV_HEADER = "trial,seed,n,sigma_max,sigma_min,kappa,singular,tail_hit"
 
 
+def kappa(sigma_max: float, sigma_min: float, singular: bool) -> float:
+    """sigma_max / sigma_min; +inf when singular or sigma_min = 0.  The one
+    condition-number rule: `SingularSpectrum.kappa` and `ExperimentRecord.kappa`
+    return it, and with sigma_max = 1 it is the inverse norm 1 / sigma_min.
+    `singular` is the spectrum's verdict (under discrete noise exactly
+    det = 0, even at sigma_min > 0)."""
+    return math.inf if singular or sigma_min == 0.0 else sigma_max / sigma_min
+
+
 @dataclass(frozen=True, slots=True)
 class ExperimentRecord:
     trial: int
@@ -30,10 +39,8 @@ class ExperimentRecord:
 
     @property
     def kappa(self) -> float:
-        """sigma_max / sigma_min, +inf when singular or sigma_min = 0: the
-        rule of `SingularSpectrum.kappa`, whose verdict the record copies
-        (under discrete noise it is exactly det = 0, even at sigma_min > 0)."""
-        return math.inf if self.singular or self.sigma_min == 0.0 else self.sigma_max / self.sigma_min
+        """`kappa` of the record's sigma and the verdict it copies."""
+        return kappa(self.sigma_max, self.sigma_min, self.singular)
 
 
 def format_records_csv(records: Sequence[ExperimentRecord]) -> str:

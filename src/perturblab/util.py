@@ -76,7 +76,7 @@ def content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
 
 
 def token(at: int | str, tok: str, convert: Callable[[str], T] = int) -> T:
-    """tok converted by int, float, noise._as_fraction (exact rationals) or
+    """tok converted by int, float, rational.as_fraction (exact rationals) or
     str; a token it rejects is a ValidationError naming `at`, its line
     number or the spec string it came from."""
     try:

@@ -30,7 +30,6 @@ from perturblab import (
     greedy_net,
     inverse_lo_search,
     lazy_coin,
-    operator_norm,
     singularity_probability,
     solve_exact,
     sumset,

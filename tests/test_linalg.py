@@ -18,7 +18,6 @@ from perturblab import (
     lazy_coin,
     load_integer_matrix,
     matrix_from_spec,
-    operator_norm,
     perturb,
     sample_iid_matrix,
     save_integer_matrix,
@@ -413,15 +412,6 @@ def test_svd_stack_refuses_mixed_sizes():
 # norms and condition numbers
 
 
-def test_operator_norm_matches_numpy():
-    rng = np.random.Generator(np.random.PCG64(5))
-    for _ in range(10):
-        m = _random_int_matrix(rng, 9)
-        assert operator_norm(m) == pytest.approx(
-            float(np.linalg.norm(m.entries.astype(float), 2)), rel=1e-9
-        )
-
-
 def test_condition_number_diagonal():
     assert condition_number(IntegerMatrix([[3, 0], [0, 4]])) == pytest.approx(4 / 3)
 
@@ -451,14 +441,14 @@ def test_condition_number_zero_matrix_rejected():
 
 def test_exact_inverse_norm_identity():
     rng = np.random.Generator(np.random.PCG64(6))
-    done = 0
-    while done < 10:
+    # the top two sigma of its inverse nearly tie, where power iteration falls 3.6e-9 short
+    ms = [IntegerMatrix([[100000, 1], [0, 100001]])]
+    while len(ms) < 11:
         m = _random_int_matrix(rng, 5)
-        s = svd(m)
-        if s.sigma_min < 1e-9:
-            continue
-        assert s.sigma_min * exact_inverse_norm(m) == pytest.approx(1.0, abs=1e-10)
-        done += 1
+        if svd(m).sigma_min >= 1e-9:
+            ms.append(m)
+    for m in ms:
+        assert svd(m).sigma_min * exact_inverse_norm(m) == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perturblab import (
-    ConcentrationQuery, Gap, ValidationError, WitnessVector, bernoulli, determinant, discretize_rank1,
-    exact_concentration, inverse_lo_search, invert_exact, solve_exact,
+    BoundednessCertificate, ConcentrationQuery, DiscretizationResult, Gap, ValidationError, WitnessVector,
+    bernoulli, determinant, discretize_rank1, exact_concentration, inverse_lo_search, invert_exact,
+    lazy_coin, solve_exact,
 )
+from perturblab.rational import singular_flags
 
 import oracles
 
@@ -27,7 +29,11 @@ def test_determinant_matches_cofactor_oracle():
 
 
 def test_determinant_zero_rows():
-    assert determinant([[1, 2, 3], [1, 2, 3], [0, 0, 1]]) == 0
+    singular = [[1, 2, 3], [1, 2, 3], [0, 0, 1]]
+    assert determinant(singular) == 0
+    assert singular_flags([singular, np.eye(3, dtype=np.int64)]) == [True, False]
+    with pytest.raises(ValidationError, match="one size"):
+        singular_flags([[[1]], [[1, 0], [0, 1]]])
 
 
 @given(
@@ -172,3 +178,30 @@ def test_integer_inputs_refuse_non_whole_values(site):
         call(1.5)
     call(1.0)  # whole floats and numpy ints pass as before
     call(np.int64(1))
+
+
+# every site that takes an exact rational, with an integer value for it; no
+# integer is a valid certificate mu, so there both ints meet the same refusal
+RATIONAL_SITES = {
+    "gap-generator": (lambda x: Gap((x,), (1,)), 3),
+    "lazy-coin": (lazy_coin, 1),
+    "certificate-mu": (lambda x: BoundednessCertificate(x, 1, 1), 1),
+    "scale-R": (lambda x: DiscretizationResult(Gap((1,), (1,)), Gap((1,), (1,)), x, 1, 1, 0), 2),
+}
+
+
+def _outcome(call, x):
+    try:
+        return call(x)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("site", RATIONAL_SITES)
+def test_rational_inputs_take_numpy_ints_and_refuse_non_finite_floats(site):
+    call, value = RATIONAL_SITES[site]
+    for np_int in (np.int64, np.int32):
+        assert _outcome(call, np_int(value)) == _outcome(call, value)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match="cannot interpret"):
+            call(bad)

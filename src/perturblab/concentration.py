@@ -31,16 +31,19 @@ import numpy as np
 from .errors import ResourceError, ValidationError
 from .noise import BoundednessCertificate, DiscreteDistribution, distribution_from_spec, mu_float, sample_vector
 from .rational import as_fraction, whole_numbers
-from .util import content_lines, derive_seed, keyed_lines, token, wilson_interval
+from .util import content_lines, derive_seed, finite, keyed_lines, token, wilson_interval
 
+# resource limits, read at call time (tests lower them by monkeypatch)
 DP_STATE_BUDGET = 100_000_000
 AVERAGING_BUDGET = 10_000_000
+# a witness is rich when its walk concentrates at n^-(A + RICH_OFFSET)
+RICH_OFFSET = 4.0
 
 
-def _weights(v) -> tuple[int, ...]:
+def _weights(v, n: int) -> tuple[int, ...]:
     weights = tuple(whole_numbers(list(v)))
-    if not weights:
-        raise ValidationError("empty weight vector")
+    if len(weights) != n:
+        raise ValidationError(f"weight length {len(weights)} != query size {n}")
     return weights
 
 
@@ -87,13 +90,10 @@ class ConcentrationQuery:
             )
         object.__setattr__(self, "exclusion", excl)
         if self.k_exponent is not None:
+            cap = n ** finite("k_exponent", self.k_exponent)
             included = [mults[i] for i in range(n) if i not in excl]
-            if included:
-                l = math.lcm(*included)
-                if l > n**float(self.k_exponent):
-                    raise ValidationError(
-                        f"lcm of multipliers {l} exceeds n^K = {n ** float(self.k_exponent):.4g}"
-                    )
+            if included and (l := math.lcm(*included)) > cap:
+                raise ValidationError(f"lcm of multipliers {l} exceeds n^K = {cap:.4g}")
 
     @property
     def n(self) -> int:
@@ -106,29 +106,27 @@ class ConcentrationValue:
     argmax: int
 
 
-def _walk(query: ConcentrationQuery, v, state_budget: int) -> tuple[dict[int, int], int, int]:
+def _walk(query: ConcentrationQuery, v) -> tuple[dict[int, int], int, int]:
     """Law of X . v as integer masses over one common denominator, and the
     shift's offset Z . v: returns (masses by value, denominator, offset).
 
     The walk's support spans at most 2 * sum |v_i| max|xi_i| + 1 integers
-    and at most prod(support sizes) points; if both exceed the state
-    budget the instance is out of reach for the exact path (use the
+    and at most prod(support sizes) points; if both exceed DP_STATE_BUDGET
+    the instance is out of reach for the exact path (use the
     Monte Carlo estimator in check_nondegeneracy instead).
     """
-    weights = _weights(v)
-    if len(weights) != query.n:
-        raise ValidationError(f"weight length {len(weights)} != query size {query.n}")
+    weights = _weights(v, query.n)
     span = sum(abs(w) * d.max_abs_value for w, d in zip(weights, query.dists))
     dense_states = 2 * span + 1
     sparse_states = 1
     for d in query.dists:
         sparse_states *= len(d.atoms)
-        if sparse_states > state_budget:
+        if sparse_states > DP_STATE_BUDGET:
             break
-    if min(dense_states, sparse_states) > state_budget:
+    if min(dense_states, sparse_states) > DP_STATE_BUDGET:
         raise ResourceError(
             f"exact convolution needs ~{min(dense_states, sparse_states):.2e} states "
-            f"(budget {state_budget}); use the Monte Carlo non-degeneracy estimator"
+            f"(budget {DP_STATE_BUDGET}); use the Monte Carlo non-degeneracy estimator"
         )
     # integer DP over a running common denominator: Fraction addition costs a
     # gcd per step, ruinous for atom masses with wide denominators
@@ -155,31 +153,25 @@ def _walk(query: ConcentrationQuery, v, state_budget: int) -> tuple[dict[int, in
     return dp, den, base
 
 
-def exact_concentration(
-    query: ConcentrationQuery, v, state_budget: int = DP_STATE_BUDGET
-) -> ConcentrationValue:
+def exact_concentration(query: ConcentrationQuery, v) -> ConcentrationValue:
     """Exact sup_a P((Z + X) . v = a) by sparse convolution.
 
-    Raises ResourceError when the convolution is over the state budget.
+    Raises ResourceError when the convolution is over DP_STATE_BUDGET.
     The shift only relocates the argmax, never the sup.
     """
-    dp, den, base = _walk(query, v, state_budget)
+    dp, den, base = _walk(query, v)
     top = max(dp.values())
     argmax = min(k for k, p in dp.items() if p == top) + base
     return ConcentrationValue(sup=Fraction(top, den), argmax=argmax)
 
 
-def exact_point_mass(
-    query: ConcentrationQuery, v, state_budget: int = DP_STATE_BUDGET
-) -> Fraction:
+def exact_point_mass(query: ConcentrationQuery, v) -> Fraction:
     """Exact P((Z + X) . v = 0), from the same convolution."""
-    dp, den, base = _walk(query, v, state_budget)
+    dp, den, base = _walk(query, v)
     return Fraction(dp.get(-base, 0), den)
 
 
-def fourier_bound(
-    query: ConcentrationQuery, v, mu, averaging_budget: int = AVERAGING_BUDGET
-) -> float:
+def fourier_bound(query: ConcentrationQuery, v, mu) -> float:
     """The cosine-product integral, evaluated exactly by equispaced averaging.
 
     The product of the n cosine factors expands into frequencies of
@@ -188,22 +180,20 @@ def fourier_bound(
     multiple of N) and returns the constant term, which is the integral.
     """
     mu_f = mu_float(mu)
-    weights = _weights(v)
-    if len(weights) != query.n:
-        raise ValidationError(f"weight length {len(weights)} != query size {query.n}")
+    weights = _weights(v, query.n)
     freqs = [
         a * w for i, (a, w) in enumerate(zip(query.multipliers, weights)) if i not in query.exclusion
     ]
-    return cosine_average(freqs, mu_f, averaging_budget)
+    return cosine_average(freqs, mu_f)
 
 
-def cosine_average(freqs: Sequence[int], mu: float, budget: int = AVERAGING_BUDGET) -> float:
+def cosine_average(freqs: Sequence[int], mu: float) -> float:
     """Integral over [0, 1) of prod_f (1 - mu + mu cos(2 pi f t)), computed
     exactly as the average over N = sum |f| + 1 equispaced points."""
     freqs = [abs(int(f)) for f in freqs]
     n_points = 1 + sum(freqs)
-    if n_points > budget:
-        raise ResourceError(f"equispaced averaging needs {n_points} points (budget {budget})")
+    if n_points > AVERAGING_BUDGET:
+        raise ResourceError(f"equispaced averaging needs {n_points} points (budget {AVERAGING_BUDGET})")
     t = np.arange(n_points, dtype=float) / n_points
     acc = np.ones(n_points, dtype=float)
     for f in freqs:
@@ -308,34 +298,11 @@ class RichnessReport:
     threshold: float
 
 
-def classify_rich(
-    row_queries: ConcentrationQuery | Sequence[ConcentrationQuery],
-    v,
-    a_exponent: float,
-    offset: float = 4.0,
-) -> RichnessReport:
-    """Rich when some row's exact concentration reaches n^-(A + offset).
-
-    Rows with identical laws are computed once.  The threshold exponent
-    offset defaults to 4 and is a tunable, not a tuned constant.
-    """
-    if isinstance(row_queries, ConcentrationQuery):
-        row_queries = [row_queries]
-    weights = _weights(v)
-    n = len(weights)
-    threshold = float(n) ** (-(float(a_exponent) + float(offset)))
-    best = Fraction(0)
-    seen: set[tuple] = set()
-    for q in row_queries:
-        key = tuple((d.name, d.atoms) for d in q.dists)
-        if key in seen:
-            continue
-        seen.add(key)
-        value = exact_concentration(q, weights)
-        if value.sup > best:
-            best = value.sup
-    label = "rich" if float(best) >= threshold else "poor"
-    return RichnessReport(label=label, sup=best, threshold=threshold)
+def classify_rich(query: ConcentrationQuery, v, a_exponent: float) -> RichnessReport:
+    """Rich when the exact concentration reaches n^-(A + RICH_OFFSET)."""
+    threshold = float(query.n) ** (-(finite("a_exponent", a_exponent) + RICH_OFFSET))
+    sup = exact_concentration(query, v).sup
+    return RichnessReport(label="rich" if float(sup) >= threshold else "poor", sup=sup, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,6 @@ def singularity_probability(
     n: int,
     dist: DiscreteDistribution,
     order: str = "rows",
-    budget: int = SINGULARITY_BUDGET,
 ) -> Fraction:
     """Exact P(det = 0) for an n x n matrix of iid entries with law `dist`.
 
@@ -387,8 +386,8 @@ def singularity_probability(
     sorted |c| under a symmetric law).  Rows are exchangeable, so the
     prefix is enumerated as a multiset of row classes weighted by its
     multinomial coefficient; under a symmetric law a row and its negation
-    are one class of twice the mass.  `budget` caps the number of prefix
-    multisets, C(m + n - 2, n - 1) for m row classes, and is checked
+    are one class of twice the mass.  SINGULARITY_BUDGET caps the number
+    of prefix multisets, C(m + n - 2, n - 1) for m row classes, and is checked
     before any work.
 
     `order` names the side the n - 1 prefix lines come from ('rows' or
@@ -404,6 +403,7 @@ def singularity_probability(
     zero = int(0 in dist.values)
     m = (k**n - zero) // 2 + zero if symmetric else k**n
     # C(m + n - 2, n - 1) >= m once n >= 2: a huge class count is refused uncounted
+    budget = SINGULARITY_BUDGET
     count = m if n > 1 and m > budget else math.comb(m + n - 2, n - 1)
     if count > budget:
         raise ResourceError(f"normal-vector route needs at least {count} prefix multisets (budget {budget})")

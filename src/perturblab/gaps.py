@@ -26,6 +26,7 @@ from .noise import mu_float
 from .rational import as_fraction, whole_numbers
 from .util import content_lines, keyed_lines, token
 
+# resource limits, read at call time (tests lower them by monkeypatch)
 ENUMERATION_CAP = 10_000_000
 SEARCH_WORK_BUDGET = 20_000_000
 
@@ -71,10 +72,10 @@ class Gap:
             v *= 2 * d + 1
         return v
 
-    def elements(self, cap: int = ENUMERATION_CAP) -> list[Fraction]:
-        """Sorted distinct values; refuses when the coefficient box exceeds cap."""
-        if self.volume > cap:
-            raise ResourceError(f"volume {self.volume} exceeds enumeration cap {cap}")
+    def elements(self) -> list[Fraction]:
+        """Sorted distinct values; refuses a coefficient box past ENUMERATION_CAP."""
+        if self.volume > ENUMERATION_CAP:
+            raise ResourceError(f"volume {self.volume} exceeds enumeration cap {ENUMERATION_CAP}")
         if self.rank == 1:
             g = self.generators[0]
             n = self.dims[0]
@@ -90,13 +91,13 @@ class Gap:
         k = as_fraction(k)
         return Gap(tuple(g * k for g in self.generators), self.dims)
 
-    def contains(self, x, cap: int = ENUMERATION_CAP) -> bool:
+    def contains(self, x) -> bool:
         """Exact membership.  Rank 1 and 2 solve for coefficients in integers
         (see _least_coefficient); higher ranks fall back to enumeration under
-        the cap."""
+        ENUMERATION_CAP."""
         x = as_fraction(x)
         if self.rank > 2:
-            return x in set(self.elements(cap))
+            return x in set(self.elements())
         # zero generators drop out; loop the smaller box, solve the other one
         terms = sorted((d, g) for g, d in zip(self.generators, self.dims) if g != 0)
         if not terms:
@@ -106,13 +107,13 @@ class Gap:
         x, a, b = (int(t * scale) for t in (x, g1, g2))
         return _least_coefficient(x, a, b, n1) <= n2
 
-    def contains_quotient(self, x, a_bound: int, cap: int = ENUMERATION_CAP) -> bool:
+    def contains_quotient(self, x, a_bound: int) -> bool:
         """Membership in {p / a : p in gap, 1 <= a <= a_bound} (symmetry makes
         negative divisors redundant)."""
         if a_bound < 1:
             raise ValidationError("a_bound must be >= 1")
         x = as_fraction(x)
-        return any(self.contains(x * a, cap=cap) for a in range(1, a_bound + 1))
+        return any(self.contains(x * a) for a in range(1, a_bound + 1))
 
 
 def sumset(p: Gap, q: Gap) -> Gap:
@@ -163,9 +164,7 @@ class ClauseReport:
         return self.scale and self.smallness and self.sparseness and self.covering
 
 
-def verify_discretization(
-    p: Gap, result: DiscretizationResult, cap: int = ENUMERATION_CAP
-) -> ClauseReport:
+def verify_discretization(p: Gap, result: DiscretizationResult) -> ClauseReport:
     """Exact check of the four clauses.
 
     Scale:      R <= (S V)^d' R0, V the volume of p.
@@ -183,23 +182,23 @@ def verify_discretization(
     small_ok = (
         result.p_small.rank <= p.rank
         and result.p_small.volume <= v
-        and all(abs(x) <= bound for x in result.p_small.elements(cap))
+        and all(abs(x) <= bound for x in result.p_small.elements())
     )
     sparse_ok = result.p_sparse.rank <= p.rank and result.p_sparse.volume <= v
     if sparse_ok:
-        dilated = result.p_sparse.dilate(s).elements(cap)
+        dilated = result.p_sparse.dilate(s).elements()
         min_gap = r * s
         sparse_ok = all(
             dilated[i + 1] - dilated[i] >= min_gap for i in range(len(dilated) - 1)
         )
     whole = sumset(result.p_small, result.p_sparse)
-    if whole.volume <= cap:
-        reachable = set(whole.elements(cap))
-        cover_ok = all(x in reachable for x in p.elements(cap))
+    if whole.volume <= ENUMERATION_CAP:
+        reachable = set(whole.elements())
+        cover_ok = all(x in reachable for x in p.elements())
     else:
         cover_ok = all(
-            any(result.p_sparse.contains(x - y, cap=cap) for y in result.p_small.elements(cap))
-            for x in p.elements(cap)
+            any(result.p_sparse.contains(x - y) for y in result.p_small.elements())
+            for x in p.elements()
         )
     return ClauseReport(
         scale=bool(scale_ok), smallness=bool(small_ok), sparseness=bool(sparse_ok), covering=bool(cover_ok)
@@ -275,7 +274,6 @@ def inverse_lo_search(
     volume_cap: int = 2001,
     except_cap: int = 0,
     a_exponent: float = 1.0,
-    work_budget: int = SEARCH_WORK_BUDGET,
 ) -> SearchOutcome:
     """Search for a small progression covering almost all weights.
 
@@ -288,8 +286,8 @@ def inverse_lo_search(
 
     Membership is tested in integers: at multiplier s the weights become
     v_j s and the generators a / s become a.  Work counts coefficients
-    tried, one per weight at rank 1 and 2 n1 + 1 per weight and box at
-    rank 2, and the search raises ResourceError once it passes the budget.
+    tried, one per weight at rank 1 and 2 n1 + 1 per weight and box at rank
+    2; past SEARCH_WORK_BUDGET the search raises ResourceError.
     """
     v = whole_numbers(list(v))
     n = len(v)
@@ -322,8 +320,8 @@ def inverse_lo_search(
     for s in range(1, volume_cap + 1):
         scaled = [vj * s for vj in v]
         for a in nonzero:
-            if work > work_budget:
-                raise ResourceError(f"search work exceeded budget {work_budget}")
+            if work > SEARCH_WORK_BUDGET:
+                raise ResourceError(f"search work exceeded budget {SEARCH_WORK_BUDGET}")
             work += n
             radii = [_least_coefficient(x, 0, a, 0) for x in scaled]
             misses = [j for j, r in enumerate(radii) if r > n_max]
@@ -335,8 +333,8 @@ def inverse_lo_search(
         for a1, a2 in itertools.combinations(nonzero, 2):
             n1_at = 0
             for n1, n2 in _box_radius_pairs(volume_cap):
-                if work > work_budget:
-                    raise ResourceError(f"search work exceeded budget {work_budget}")
+                if work > SEARCH_WORK_BUDGET:
+                    raise ResourceError(f"search work exceeded budget {SEARCH_WORK_BUDGET}")
                 if n1 != n1_at:
                     # each weight's least second coefficient, for every n2 at this n1
                     n1_at, least = n1, [_least_coefficient(x, a1, a2, n1) for x in scaled]

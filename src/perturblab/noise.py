@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .rational import as_fraction
+from .rational import as_fraction, whole_numbers
 from .util import content_lines, parse_file, parse_spec, token
 
 _INT64_MAX = 2**63 - 1
@@ -63,9 +63,11 @@ class DiscreteDistribution:
         cleaned = []
         total = Fraction(0)
         seen = set()
-        for value, prob in self.atoms:
-            if not isinstance(value, int):
-                raise ValidationError(f"support value {value!r} is not an integer")
+        try:
+            values = whole_numbers([value for value, _ in self.atoms])
+        except OverflowError:  # an infinity
+            values = [math.inf]
+        for value, (_, prob) in zip(values, self.atoms):
             if abs(value) > _INT64_MAX:
                 raise ValidationError(f"support value {value} overflows 64-bit range")
             prob = as_fraction(prob)
@@ -144,8 +146,8 @@ class BoundednessCertificate:
 
 
 def mu_float(mu) -> float:
-    """mu as a float, checked to lie in (0, 1/2] like a certificate's."""
-    mu_f = float(mu)
+    """mu as a float via rational.as_fraction, checked to lie in (0, 1/2] like a certificate's."""
+    mu_f = float(as_fraction(mu))
     if not (0.0 < mu_f <= 0.5):
         raise ValidationError(f"mu = {mu_f} outside (0, 1/2]")
     return mu_f

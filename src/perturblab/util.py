@@ -29,6 +29,14 @@ def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def finite(name: str, value) -> float:
+    """value as a float; ValidationError naming it if NaN or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} = {value} is not finite")
+    return value
+
+
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable 64-bit seed from a master seed and a label path.
 

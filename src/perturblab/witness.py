@@ -3,7 +3,7 @@
 A near-null unit direction v is converted to an integer witness by
 rounding n^(B+2) v to the nearest lattice point; the witness inherits a
 norm window [0.9, 1.1] n^(B+2) and is then classified by the exact
-concentration of its row walks (rich/poor) and by how many of its
+concentration of its row walk (rich/poor) and by how many of its
 coordinates are large (singular/nonsingular profile).
 """
 
@@ -20,11 +20,17 @@ from .concentration import ConcentrationQuery, RichnessReport, classify_rich
 from .errors import ValidationError
 from .noise import mu_float
 from .rational import whole_numbers
-from .util import wilson_interval
+from .util import finite, wilson_interval
 
 # beyond 2^53 the float scale n^(B+2) no longer represents integers
 # exactly and rounding would be meaningless
 _SCALE_LIMIT = 2.0**53
+# a rich witness has the singular profile when fewer than
+# ceil(n^SINGULAR_COUNT_EXPONENT) coordinates reach ceil(n^(B/2))
+SINGULAR_COUNT_EXPONENT = 0.2
+# greedy_net draws NET_BATCH proposals at a time, stops at NET_PATIENCE rejections in a row
+NET_PATIENCE = 500_000
+NET_BATCH = 4096
 
 
 class WitnessClass(enum.Enum):
@@ -46,6 +52,7 @@ class WitnessVector:
         if not vals:
             raise ValidationError("empty witness")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "b_exponent", finite("b_exponent", self.b_exponent))
 
     @property
     def n(self) -> int:
@@ -80,39 +87,24 @@ def round_witness(v: Sequence[float], n: int, b_exponent: float) -> WitnessVecto
                          b_exponent=float(b_exponent))
 
 
-def classify_witness(
-    w: WitnessVector,
-    row_queries: ConcentrationQuery | Sequence[ConcentrationQuery],
-    a_exponent: float,
-    rich_offset: float = 4.0,
-    singular_count_exponent: float = 0.2,
-    large_coord_exponent: float | None = None,
-) -> WitnessVector:
+def classify_witness(w: WitnessVector, query: ConcentrationQuery, a_exponent: float) -> WitnessVector:
     """Attach a class label: poor, rich_singular, or rich_nonsingular.
 
-    Poor means no row walk concentrates at rate n^-(A + offset).  Among
-    rich witnesses, one with fewer than ceil(n^0.2) coordinates of
-    magnitude at least ceil(n^(B/2)) has its mass on a thin coordinate
-    set (the singular profile).  Both thresholds compare integers against
-    ceilings of the float exponentials.
+    Poor means the walk does not concentrate at rate n^-(A + 4) (see
+    concentration.classify_rich).  Among rich witnesses, one with fewer
+    than ceil(n^0.2) coordinates of magnitude at least ceil(n^(B/2)) has
+    its mass on a thin coordinate set (the singular profile).  Both
+    thresholds compare integers against ceilings of the float exponentials.
     """
-    report = classify_rich(row_queries, w.values, a_exponent, offset=rich_offset)
-    return label_witness(w, report, singular_count_exponent, large_coord_exponent)
+    return label_witness(w, classify_rich(query, w.values, a_exponent))
 
 
-def label_witness(
-    w: WitnessVector,
-    report: RichnessReport,
-    singular_count_exponent: float = 0.2,
-    large_coord_exponent: float | None = None,
-) -> WitnessVector:
+def label_witness(w: WitnessVector, report: RichnessReport) -> WitnessVector:
     """The classify_witness label from an already computed richness report."""
-    n = w.n
     if report.label == "poor":
         return replace(w, label=WitnessClass.POOR)
-    large_exp = (w.b_exponent / 2.0) if large_coord_exponent is None else float(large_coord_exponent)
-    large_cut = math.ceil(float(n) ** large_exp)
-    count_cut = math.ceil(float(n) ** float(singular_count_exponent))
+    large_cut = math.ceil(float(w.n) ** (w.b_exponent / 2.0))
+    count_cut = math.ceil(float(w.n) ** SINGULAR_COUNT_EXPONENT)
     large = sum(1 for x in w.values if abs(x) >= large_cut)
     label = WitnessClass.RICH_SINGULAR if large < count_cut else WitnessClass.RICH_NONSINGULAR
     return replace(w, label=label)
@@ -185,18 +177,12 @@ def _deterministic_mesh(l: int) -> np.ndarray | None:
     return None
 
 
-def greedy_net(
-    l: int,
-    epsilon: float,
-    seed: int,
-    patience: int = 500_000,
-    batch: int = 4096,
-) -> EpsilonNet:
+def greedy_net(l: int, epsilon: float, seed: int) -> EpsilonNet:
     """Randomized greedy maximal packing on S^(l-1).
 
     Seeded Gaussian directions are proposed in batches; a proposal
     farther than epsilon from every accepted point joins the net.  The
-    builder stops after `patience` consecutive rejections.  For l <= 3 a
+    builder stops after NET_PATIENCE consecutive rejections.  For l <= 3 a
     deterministic mesh completion pass then inserts any mesh point still
     uncovered, which removes every uncovered region wider than the mesh
     spacing; higher dimensions rely on the rejection-streak certificate
@@ -210,8 +196,8 @@ def greedy_net(
     pts: list[np.ndarray] = []
     streak = 0
     eps2 = float(epsilon) ** 2
-    while streak < patience:
-        raw = rng.standard_normal((batch, l))
+    while streak < NET_PATIENCE:
+        raw = rng.standard_normal((NET_BATCH, l))
         norms = np.linalg.norm(raw, axis=1)
         ok = norms > 1e-12
         raw = raw[ok] / norms[ok, None]
@@ -233,7 +219,7 @@ def greedy_net(
                 streak = 0
             else:
                 streak += 1
-                if streak >= patience:
+                if streak >= NET_PATIENCE:
                     break
     mesh = _deterministic_mesh(l)
     if mesh is not None:

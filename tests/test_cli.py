@@ -121,6 +121,11 @@ def test_lo_check_bad_file(tmp_path, capsys):
     code, _, err = run(capsys, "lo-check", str(query))
     assert code == 2
     assert "error:" in err
+    # a NaN exponent would turn the lcm check off
+    query.write_text("dist bernoulli\nv 1 2 3\nk_exponent nan\n")
+    code, _, err = run(capsys, "lo-check", str(query))
+    assert code == 2
+    assert "k_exponent = nan is not finite" in err
 
 
 # ----------------------------------------------------------------- gap-verify
@@ -235,6 +240,12 @@ def test_classify_empty_file(tmp_path, capsys):
     code, _, err = run(capsys, "classify", str(witness))
     assert code == 2
     assert "empty" in err
+    # a non-finite exponent is invalid input, not a POOR label or a traceback
+    witness.write_text("1 2 4 8 16 32\n")
+    for flag, value in (("--a-exponent", "nan"), ("--b-exponent", "nan"), ("--b-exponent", "inf")):
+        code, out, err = run(capsys, "classify", str(witness), flag, value)
+        assert (code, out) == (2, "")
+        assert f"{flag[2:].replace('-', '_')} = {value} is not finite" in err
 
 
 # ---------------------------------------------------------------- experiments

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from perturblab import (
     ConcentrationQuery,
+    concentration,
     ResourceError,
     ValidationError,
     bernoulli,
@@ -100,11 +101,13 @@ def test_exact_matches_brute_force(n, seed):
     assert exact_point_mass(q, v) == want_at_zero
 
 
-def test_exact_concentration_budget():
+def test_exact_concentration_budget(monkeypatch):
     q = ConcentrationQuery(dists=(BERN,) * 30)
     v = tuple(10**14 + i for i in range(30))
-    with pytest.raises(ResourceError, match="Monte Carlo"):
-        exact_concentration(q, v, state_budget=1000)
+    monkeypatch.setattr(concentration, "DP_STATE_BUDGET", 1000)
+    with pytest.raises(ResourceError, match=r"^exact convolution needs ~1\.02e\+03 states \(budget 1000\); "
+                                            r"use the Monte Carlo non-degeneracy estimator$"):
+        exact_concentration(q, v)
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +145,11 @@ def test_fourier_all_zero_frequencies():
     assert fourier_bound(q, (0, 0), Fraction(1, 4)) == pytest.approx(1.0)
 
 
-def test_fourier_budget():
+def test_fourier_budget(monkeypatch):
     q = ConcentrationQuery(dists=(BERN,) * 3)
-    with pytest.raises(ResourceError):
-        fourier_bound(q, (10**9, 10**9, 10**9), Fraction(1, 4), averaging_budget=100)
+    monkeypatch.setattr(concentration, "AVERAGING_BUDGET", 100)
+    with pytest.raises(ResourceError, match=r"^equispaced averaging needs 3000000001 points \(budget 100\)$"):
+        fourier_bound(q, (10**9, 10**9, 10**9), Fraction(1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +232,10 @@ def test_query_lcm_cap():
         )
     # generous exponent admits the same multipliers
     ConcentrationQuery(dists=(BERN,) * 4, multipliers=(6, 10, 1, 1), k_exponent=3.0)
+    # a non-finite exponent is refused, not read as no cap
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match=f"^k_exponent = {bad} is not finite$"):
+            ConcentrationQuery(dists=(BERN,) * 4, multipliers=(6, 10, 1, 1), k_exponent=bad)
 
 
 def test_query_shift_length():
@@ -244,22 +252,25 @@ def test_classify_rich_constant_vector():
     q = ConcentrationQuery(dists=(BERN,) * n)
     rep = classify_rich(q, (1,) * n, a_exponent=1.0)
     assert rep.label == "rich"
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match=f"^a_exponent = {bad} is not finite$"):
+            classify_rich(q, (1,) * n, a_exponent=bad)
 
 
 def test_classify_rich_powers_of_two_boundary():
     # weights 2^0 .. 2^(n-1) make every signed sum distinct, so the sup
     # is exactly 2^-n.  At n = 14 that is 6.1e-5 and the threshold
-    # n^-(A+offset) crosses it at offset ~2.68: a tighter offset (2.5,
-    # threshold 9.7e-5) classifies poor, a looser one (3.0, threshold
-    # 2.6e-5) classifies rich.  With the default offset 4 the same
-    # construction stays rich all the way to n = 22.
+    # n^-(A+4) crosses it at A ~ -0.32: a larger A (-0.5, threshold
+    # 14^-3.5 = 9.7e-5) classifies poor, a smaller one (0.0, threshold
+    # 14^-4 = 2.6e-5) classifies rich.  At A = 1 the same construction
+    # stays rich all the way to n = 22.
     n = 14
     q = ConcentrationQuery(dists=(BERN,) * n)
     v = tuple(2**i for i in range(n))
-    rep = classify_rich(q, v, a_exponent=1.0, offset=2.5)
+    rep = classify_rich(q, v, a_exponent=-0.5)
     assert rep.sup == Fraction(1, 2**n)
     assert rep.label == "poor"
-    rep = classify_rich(q, v, a_exponent=1.0, offset=3.0)
+    rep = classify_rich(q, v, a_exponent=0.0)
     assert rep.sup == Fraction(1, 2**n)
     assert rep.label == "rich"
 
@@ -269,17 +280,6 @@ def test_classify_rich_default_offset():
     q = ConcentrationQuery(dists=(BERN,) * n)
     rep = classify_rich(q, tuple(2**i for i in range(n)), a_exponent=1.0)
     assert rep.label == "rich"  # 2^-12 = 2.4e-4 >= 12^-5 = 4.0e-6
-
-
-def test_classify_rich_takes_best_row():
-    n = 6
-    rows = [
-        ConcentrationQuery(dists=(lazy_coin(Fraction(1, 10)),) * n),
-        ConcentrationQuery(dists=(BERN,) * n),
-    ]
-    rep = classify_rich(rows, (1,) * n, a_exponent=1.0)
-    lazy_only = classify_rich(rows[0], (1,) * n, a_exponent=1.0)
-    assert rep.sup >= lazy_only.sup
 
 
 # ---------------------------------------------------------------------------

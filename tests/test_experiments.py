@@ -151,12 +151,15 @@ def test_singularity_nonuniform_law():
     assert got == total
 
 
-def test_singularity_size_budget():
+def test_singularity_size_budget(monkeypatch):
     # bernoulli n=7 needs C(69, 6) prefix multisets, over the default budget
     with pytest.raises(ResourceError, match="budget"):
         singularity_probability(7, bernoulli())
-    with pytest.raises(ResourceError):
-        singularity_probability(4, lazy_coin(Fraction(1, 2)), budget=1000)
+    # lazy_coin n=4: 41 row classes, C(43, 3) prefix multisets
+    monkeypatch.setattr(experiments, "SINGULARITY_BUDGET", 1000)
+    with pytest.raises(ResourceError, match=r"^normal-vector route needs at least 12341 prefix multisets "
+                                            r"\(budget 1000\)$"):
+        singularity_probability(4, lazy_coin(Fraction(1, 2)))
 
 
 SKEWED = DiscreteDistribution("skewed", ((-1, Fraction(1, 5)), (0, Fraction(1, 2)), (2, Fraction(3, 10))))

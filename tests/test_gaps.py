@@ -21,6 +21,7 @@ from perturblab import (
     sumset,
     verify_discretization,
 )
+from perturblab import gaps
 from perturblab.gaps import ENUMERATION_CAP, _box_radius_pairs
 from perturblab.noise import bernoulli, certificate_from_symmetric, discretized_gaussian, lazy_coin
 
@@ -55,10 +56,11 @@ def test_elements_collisions_deduplicated():
     assert g.volume == 9  # but the box volume still counts multiplicity
 
 
-def test_elements_cap():
+def test_elements_cap(monkeypatch):
     g = Gap(generators=(Fraction(1),), dims=(10**7,))
-    with pytest.raises(ResourceError):
-        g.elements(cap=100)
+    monkeypatch.setattr(gaps, "ENUMERATION_CAP", 100)
+    with pytest.raises(ResourceError, match=r"^volume 20000001 exceeds enumeration cap 100$"):
+        g.elements()
 
 
 def test_dilate_scales_generators():
@@ -215,7 +217,7 @@ def test_verify_scale_violation_detected():
     (((1,), (2,)), ((5,), (2,)), True),  # [-2, 2] + 5 * [-2, 2] = [-12, 12]
     (((1,), (1,)), ((7,), (4,)), False),  # [-1, 1] + 7 * [-4, 4] misses 2
 ])
-def test_verify_covering_without_enumerating_the_sumset(small, sparse, covers):
+def test_verify_covering_without_enumerating_the_sumset(small, sparse, covers, monkeypatch):
     # at cap 21 the sumset (volume 25 or 27) is past the cap, so covering is
     # checked per element of p by membership; the report must not change
     p = Gap((1,), (10,))
@@ -224,7 +226,8 @@ def test_verify_covering_without_enumerating_the_sumset(small, sparse, covers):
     )
     assert sumset(split.p_small, split.p_sparse).volume > 21 >= p.volume
     rep = verify_discretization(p, split)
-    assert rep == verify_discretization(p, split, cap=21)
+    monkeypatch.setattr(gaps, "ENUMERATION_CAP", 21)
+    assert rep == verify_discretization(p, split)
     assert rep.covering is covers
 
 
@@ -314,7 +317,7 @@ def test_discretize_past_the_enumeration_cap_enumerates_nothing(monkeypatch):
     p = Gap(generators=(Fraction(7),), dims=(10**8,))
     assert p.volume > ENUMERATION_CAP
 
-    def refuse(self, cap=ENUMERATION_CAP):
+    def refuse(self):
         raise AssertionError("the constructor enumerated a progression")
 
     monkeypatch.setattr(Gap, "elements", refuse)
@@ -454,14 +457,20 @@ def test_search_equals_reference_on_a_seeded_battery():
     assert any(o.counterexample_candidate for o in outcomes)
 
 
-def _least_budget(v, mu, **kwargs):
+def _search_within(monkeypatch, budget, v, mu, **kwargs):
+    """The library search's outcome under SEARCH_WORK_BUDGET = budget."""
+    monkeypatch.setattr(gaps, "SEARCH_WORK_BUDGET", budget)
+    return _search(inverse_lo_search, v, mu, **kwargs)
+
+
+def _least_budget(monkeypatch, v, mu, **kwargs):
     """The smallest work budget under which the search returns."""
     lo, hi = 0, 1
-    while isinstance(_search(inverse_lo_search, v, mu, work_budget=hi, **kwargs), tuple):
+    while isinstance(_search_within(monkeypatch, hi, v, mu, **kwargs), tuple):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if isinstance(_search(inverse_lo_search, v, mu, work_budget=mid, **kwargs), tuple):
+        if isinstance(_search_within(monkeypatch, mid, v, mu, **kwargs), tuple):
             lo = mid
         else:
             hi = mid
@@ -475,18 +484,18 @@ def _least_budget(v, mu, **kwargs):
     # rank-2 cover at s = 2 on generators 5/2 and 6, reduced denominators 2 and 1
     ((12, 5, 7, 11), dict(volume_cap=25, a_exponent=8.0)),
 ])
-def test_search_work_budget_equals_reference(v, kwargs):
+def test_search_work_budget_equals_reference(v, kwargs, monkeypatch):
     # the reference raises ResourceError one unit of work below the least
     # budget at which the library returns, and returns at it: both count the
     # same work in the same order
     mu = Fraction(1, 4)
-    least = _least_budget(v, mu, **kwargs)
+    least = _least_budget(monkeypatch, v, mu, **kwargs)
     assert least > 1
     below = _search(oracles.inverse_lo_search_reference, v, mu, work_budget=least - 1, **kwargs)
     assert below == (ResourceError, f"search work exceeded budget {least - 1}")
-    assert below == _search(inverse_lo_search, v, mu, work_budget=least - 1, **kwargs)
+    assert below == _search_within(monkeypatch, least - 1, v, mu, **kwargs)
     at = _search(oracles.inverse_lo_search_reference, v, mu, work_budget=least, **kwargs)
-    assert at == inverse_lo_search(v, mu, work_budget=least, **kwargs)
+    assert at == _search_within(monkeypatch, least, v, mu, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perturblab import (
-    BoundednessCertificate, ConcentrationQuery, DiscretizationResult, Gap, ValidationError, WitnessVector,
-    bernoulli, determinant, discretize_rank1, exact_concentration, inverse_lo_search, invert_exact,
-    lazy_coin, solve_exact,
+    BoundednessCertificate, ConcentrationQuery, DiscreteDistribution, DiscretizationResult, Gap,
+    ValidationError, WitnessVector, bernoulli, determinant, discretize_rank1, exact_concentration,
+    fourier_bound, inverse_lo_search, invert_exact, lazy_coin, solve_exact,
 )
+from perturblab.noise import mu_float
 from perturblab.rational import singular_flags
 
 import oracles
@@ -168,6 +169,7 @@ INTEGER_SITES = {
     "rank1-R0": lambda x: discretize_rank1(Gap((1,), (1,)), x, 2),
     "rank1-S": lambda x: discretize_rank1(Gap((1,), (1,)), 2, x),
     "search-v": lambda x: inverse_lo_search([1, x], Fraction(1, 4)),
+    "support-value": lambda x: DiscreteDistribution("x", ((x, 1),)),
 }
 
 
@@ -180,13 +182,17 @@ def test_integer_inputs_refuse_non_whole_values(site):
     call(np.int64(1))
 
 
-# every site that takes an exact rational, with an integer value for it; no
-# integer is a valid certificate mu, so there both ints meet the same refusal
+# every site that takes an exact rational, with an integer value and a
+# rational string for it; no integer is a valid mu, so at the mu sites both
+# ints meet the same refusal
 RATIONAL_SITES = {
-    "gap-generator": (lambda x: Gap((x,), (1,)), 3),
-    "lazy-coin": (lazy_coin, 1),
-    "certificate-mu": (lambda x: BoundednessCertificate(x, 1, 1), 1),
-    "scale-R": (lambda x: DiscretizationResult(Gap((1,), (1,)), Gap((1,), (1,)), x, 1, 1, 0), 2),
+    "gap-generator": (lambda x: Gap((x,), (1,)), 3, "3/2"),
+    "lazy-coin": (lazy_coin, 1, "1/3"),
+    "certificate-mu": (lambda x: BoundednessCertificate(x, 1, 1), 1, "1/4"),
+    "scale-R": (lambda x: DiscretizationResult(Gap((1,), (1,)), Gap((1,), (1,)), x, 1, 1, 0), 2, "5/2"),
+    "mu": (mu_float, 1, "1/3"),
+    "search-mu": (lambda x: inverse_lo_search([1, 2], x), 1, "1/4"),
+    "fourier-mu": (lambda x: fourier_bound(ConcentrationQuery(dists=(bernoulli(),) * 2), [1, 3], x), 1, "1/3"),
 }
 
 
@@ -199,9 +205,13 @@ def _outcome(call, x):
 
 @pytest.mark.parametrize("site", RATIONAL_SITES)
 def test_rational_inputs_take_numpy_ints_and_refuse_non_finite_floats(site):
-    call, value = RATIONAL_SITES[site]
+    call, value, text = RATIONAL_SITES[site]
     for np_int in (np.int64, np.int32):
         assert _outcome(call, np_int(value)) == _outcome(call, value)
-    for bad in (float("nan"), float("inf"), float("-inf")):
+    # a string reads exactly; a float or Fraction keeps its value bit for bit
+    near = float(Fraction(text))
+    assert call(text) == call(Fraction(text))
+    assert call(near) == call(Fraction(near))
+    for bad in (float("nan"), float("inf"), float("-inf"), None):
         with pytest.raises(ValidationError, match="cannot interpret"):
             call(bad)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -67,8 +68,8 @@ def test_classify_poor_witness():
     n = 14
     w = WitnessVector(values=tuple(2**i for i in range(n)), norm=1.0, b_exponent=1.0)
     q = ConcentrationQuery(dists=(BERN,) * n)
-    # offset 2.5 puts the 2^-14 concentration under the threshold
-    out = classify_witness(w, q, a_exponent=1.0, rich_offset=2.5)
+    # A = -0.5 puts the 2^-14 concentration under the threshold 14^-3.5
+    out = classify_witness(w, q, a_exponent=-0.5)
     assert out.label == WitnessClass.POOR
 
 
@@ -109,11 +110,15 @@ def test_classify_large_coord_exponent_override():
     n = 8
     w = WitnessVector(values=(3,) * n, norm=1.0, b_exponent=6.0)
     q = ConcentrationQuery(dists=(BERN,) * n)
-    # default cut ceil(8^3) = 512: no coordinate is large -> singular
+    # B = 6: cut ceil(8^3) = 512, no coordinate is large -> singular
     assert classify_witness(w, q, a_exponent=1.0).label == WitnessClass.RICH_SINGULAR
-    # override to 0.5: cut ceil(8^0.5) = 3, all coordinates large
-    out = classify_witness(w, q, a_exponent=1.0, large_coord_exponent=0.5)
+    # B = 1: cut ceil(8^0.5) = 3, all coordinates large
+    out = classify_witness(replace(w, b_exponent=1.0), q, a_exponent=1.0)
     assert out.label == WitnessClass.RICH_NONSINGULAR
+    # a non-finite B has no cut
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match=f"^b_exponent = {bad} is not finite$"):
+            replace(w, b_exponent=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ from .linalg import (
     IntegerMatrix,
     RealMatrix,
     SingularSpectrum,
-    condition_number,
     exact_inverse_norm,
     frobenius_norm,
     load_integer_matrix,

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ResourceError, ValidationError
 from .noise import BoundednessCertificate, DiscreteDistribution, distribution_from_spec, mu_float, sample_vector
 from .rational import as_fraction, whole_numbers
-from .util import content_lines, derive_seed, finite, keyed_lines, token, wilson_interval
+from .util import content_lines, derive_seed, finite, keyed_lines, power, token, wilson_interval
 
 # resource limits, read at call time (tests lower them by monkeypatch)
 DP_STATE_BUDGET = 100_000_000
@@ -90,7 +90,7 @@ class ConcentrationQuery:
             )
         object.__setattr__(self, "exclusion", excl)
         if self.k_exponent is not None:
-            cap = n ** finite("k_exponent", self.k_exponent)
+            cap = power("k_exponent", n, self.k_exponent)
             included = [mults[i] for i in range(n) if i not in excl]
             if included and (l := math.lcm(*included)) > cap:
                 raise ValidationError(f"lcm of multipliers {l} exceeds n^K = {cap:.4g}")
@@ -300,7 +300,8 @@ class RichnessReport:
 
 def classify_rich(query: ConcentrationQuery, v, a_exponent: float) -> RichnessReport:
     """Rich when the exact concentration reaches n^-(A + RICH_OFFSET)."""
-    threshold = float(query.n) ** (-(finite("a_exponent", a_exponent) + RICH_OFFSET))
+    a_exponent = finite("a_exponent", a_exponent)
+    threshold = power("-(a_exponent + RICH_OFFSET)", query.n, -(a_exponent + RICH_OFFSET))
     sup = exact_concentration(query, v).sup
     return RichnessReport(label="rich" if float(sup) >= threshold else "poor", sup=sup, threshold=threshold)
 

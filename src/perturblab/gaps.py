@@ -24,7 +24,7 @@ from .concentration import cosine_average
 from .errors import ResourceError, ValidationError
 from .noise import mu_float
 from .rational import as_fraction, whole_numbers
-from .util import content_lines, keyed_lines, token
+from .util import content_lines, keyed_lines, power, token
 
 # resource limits, read at call time (tests lower them by monkeypatch)
 ENUMERATION_CAP = 10_000_000
@@ -308,7 +308,7 @@ def inverse_lo_search(
         return outcome(GapCover(gap=gap, excluded=frozenset(misses) if misses else NO_EXCLUSIONS,
                                 multiplier_s=s))
 
-    if hyp_value < float(n) ** (-float(a_exponent)):
+    if hyp_value < power("-a_exponent", n, -float(a_exponent)):
         return outcome(None, holds=False)
 
     nonzero = sorted({abs(x) for x in v if x != 0})

@@ -1,30 +1,30 @@
 """Matrix types, singular spectra, and base matrices by spec.
 
-The SVD here is a one-sided Jacobi iteration built from scratch: column
-pairs are rotated until all pairwise column inner products vanish, at
-which point the column norms are the singular values.  Swept on x itself,
-one-sided Jacobi computes small singular values to high *relative*
-accuracy (the stopping rule is relative per pair), which matters because
-the quantities under study are tail events of 1/sigma_min.
-`jacobi_svd_stack` sweeps many matrices of one size together, so that
-numpy's per-call cost, which dominates at the sizes studied here, is paid
-once per stack.  The stack is held column-major, in the current round's
-column order, so a round costs one contiguous gather and no scatter.  It
-lives in one of two flat buffers allocated once per call, and every
-temporary as large as the stack is a view of the other, so a call holds
-about twice its stack's bytes.
+The SVD here, `svd_stack` (and `svd`, a stack of one), is a one-sided
+Jacobi iteration built from scratch: column pairs are rotated until all
+pairwise column inner products vanish, at which point the column norms are
+the singular values.  Swept on x itself, one-sided Jacobi computes small
+singular values to high *relative* accuracy (the stopping rule is relative
+per pair), which matters because the quantities under study are tail
+events of 1/sigma_min.  The kernel sweeps many matrices of one size
+together, so that numpy's per-call cost, which dominates at the sizes
+studied here, is paid once per stack.  The stack is held column-major, in
+the current round's column order, so a round costs one contiguous gather
+and no scatter.  It lives in one of two flat buffers allocated once per
+call, and every temporary as large as the stack is a view of the other, so
+a call holds about twice its stack's bytes.
 
-`svd_stack` (and `svd`, a stack of one) runs that kernel on preconditioned
-matrices.  It sweeps x V instead of x, V the eigenbasis of x^T x from
-LAPACK rounded to multiples of 2^-26 and made orthogonal again by one
-Newton-Schulz step in einsum.  Its columns are orthogonal up to that
-rounding, and the sweeps end after two or three instead of about ten.
-The route rule keeps x itself, swept exactly as the kernel sweeps it, when
+Most matrices are swept preconditioned: as x V instead of x, V the
+eigenbasis of x^T x from LAPACK rounded to multiples of 2^-26 and made
+orthogonal again by one Newton-Schulz step in einsum.  Its columns are
+orthogonal up to that rounding, and the sweeps end after two or three
+instead of about ten.  The route rule keeps x itself when
 n < PRECONDITION_MIN_N (a full stack of small matrices sweeps faster than
 it preconditions them one by one), when lambda_min(x^T x) <= 0 (the zero
 matrix, singular integer draws), when n eps kappa-hat > ROUTE_TOL
 (kappa-hat = sqrt(lambda_max / lambda_min), the ill-conditioned tail) or
 when two eigenvalues lie so close that roundoff can move V by a grid step.
+Raising PRECONDITION_MIN_N past n gives the plain kernel on x, bit for bit.
 On x the small sigma keep their high relative accuracy; on x V, forming
 the product leaves an absolute error of about n eps sigma_max, so sigma_min
 carries a relative error of up to about n eps kappa-hat <= ROUTE_TOL.
@@ -183,34 +183,23 @@ class SingularSpectrum:
         return kappa(self.sigma_max, self.sigma_min, self.singular)
 
 
-def _round_robin_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Deterministic all-pairs schedule: rounds of disjoint pairs (n-1 of them, n at odd n)."""
-    m = n if n % 2 == 0 else n + 1
-    idx = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for k in range(m // 2):
-            a, b = idx[k], idx[m - 1 - k]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        if ps:
-            rounds.append((np.array(ps), np.array(qs)))
-        idx = [idx[0]] + [idx[-1]] + idx[1:-1]
-    return tuple(rounds)
-
-
 @functools.lru_cache(maxsize=None)
 def _round_robin_gathers(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """`svd_stack`'s start order, the last round's, and per round the gather
-    from the previous round's order to this one's: its ps, its qs, then the
-    column left over at odd n.  Cached per n, read-only.  Built in Python:
-    numpy's set routines would add about 1.7 MB to every run's peak RSS."""
+    """`svd_stack`'s deterministic all-pairs schedule, rounds of disjoint pairs
+    (n - 1 of them, n at odd n): the start order, the last round's, and per
+    round the gather from the previous round's order to this one's: its ps,
+    its qs, then the column left over at odd n.  Cached per n, read-only.
+    Built in Python: numpy's set routines would add about 1.7 MB to every
+    run's peak RSS."""
+    m = n + n % 2
+    idx = list(range(m))
     orders = []
-    for ps, qs in _round_robin_rounds(n):
-        paired = ps.tolist() + qs.tolist()
-        orders.append(paired + sorted(set(range(n)).difference(paired)))
+    for _ in range(m - 1):
+        pairs = [sorted((idx[k], idx[m - 1 - k])) for k in range(m // 2)]
+        paired = [pair[i] for i in (0, 1) for pair in pairs if pair[1] < n]  # ps, then qs
+        if paired:
+            orders.append(paired + sorted(set(range(n)).difference(paired)))
+        idx = [idx[0]] + [idx[-1]] + idx[1:-1]
     start = np.array(orders[-1] if orders else range(n))
     gathers = []
     for prev, order in zip(orders[-1:] + orders, orders):
@@ -269,24 +258,8 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
 
     Each matrix x is swept as `_preconditioned` hands it over: x V, whose
     sigma are those of x up to V's departure from orthogonality, a few eps,
-    and the roundoff of forming x V, about n eps sigma_max; or x itself,
-    swept as `jacobi_svd_stack` sweeps it, bit for bit.  The singular verdict
-    is the kernel's.  Each matrix is preconditioned on its own, so its
-    spectrum is the same whatever else is stacked with it.
-    """
-    return _sweep_stack(ms, precondition=True)
-
-
-def jacobi_svd_stack(ms: Sequence) -> list[SingularSpectrum]:
-    """`svd_stack` with no preconditioner: every matrix is swept as x.  The
-    reference the preconditioned route is measured against."""
-    return _sweep_stack(ms, precondition=False)
-
-
-def _sweep_stack(ms: Sequence, precondition: bool) -> list[SingularSpectrum]:
-    """Full singular spectra of equal-size square matrices by one-sided
-    Jacobi rotations, swept together as one stack; with `precondition`, each
-    matrix is swept as `_preconditioned` hands it over (see `svd_stack`).
+    and the roundoff of forming x V, about n eps sigma_max; or x itself.
+    Each matrix is preconditioned on its own.
 
     Sweeps run in a fixed round-robin order; each round rotates a set of
     disjoint column pairs simultaneously (the rotations commute), in every
@@ -334,8 +307,7 @@ def _sweep_stack(ms: Sequence, precondition: bool) -> list[SingularSpectrum]:
         if x.shape != (n, n):
             sizes = sorted({_entries(m).shape[0] for m in ms})
             raise ValidationError(f"svd_stack needs matrices of one size, got sizes {sizes}")
-        if precondition:
-            x = _preconditioned(x)
+        x = _preconditioned(x)
         frob2[b] = np.add.reduce(np.square(x, dtype=float).ravel())
         a[:, b] = x.T[start]
     # (sigma, residual, sweeps) per matrix, the verdict comes last
@@ -430,14 +402,6 @@ def _sweep_stack(ms: Sequence, precondition: bool) -> list[SingularSpectrum]:
 def frobenius_norm(m) -> float:
     a = _entries(m).astype(float, copy=False)
     return float(np.sqrt(np.sum(a * a)))
-
-
-def condition_number(m) -> float:
-    """sigma_max / sigma_min; +inf when `svd` calls the matrix singular."""
-    spec = svd(m)
-    if spec.sigma_max == 0.0:
-        raise ValidationError("condition number of the zero matrix is undefined")
-    return spec.kappa
 
 
 def perturb(

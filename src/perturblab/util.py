@@ -37,6 +37,15 @@ def finite(name: str, value) -> float:
     return value
 
 
+def power(name: str, base, exponent) -> float:
+    """float(base) ** exponent; ValidationError naming the exponent if it is
+    NaN or infinite or the power overflows."""
+    try:
+        return float(base) ** finite(name, exponent)
+    except OverflowError:
+        raise ValidationError(f"{name} = {exponent} overflows {base}^({name})") from None
+
+
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable 64-bit seed from a master seed and a label path.
 

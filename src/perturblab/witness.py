@@ -20,7 +20,7 @@ from .concentration import ConcentrationQuery, RichnessReport, classify_rich
 from .errors import ValidationError
 from .noise import mu_float
 from .rational import whole_numbers
-from .util import finite, wilson_interval
+from .util import finite, power, wilson_interval
 
 # beyond 2^53 the float scale n^(B+2) no longer represents integers
 # exactly and rounding would be meaningless
@@ -72,8 +72,8 @@ def round_witness(v: Sequence[float], n: int, b_exponent: float) -> WitnessVecto
     norm_v = float(np.linalg.norm(v_arr))
     if not (0.99 <= norm_v <= 1.01):
         raise ValidationError(f"direction norm {norm_v} outside [0.99, 1.01]")
-    scale = float(n) ** (float(b_exponent) + 2.0)
-    if not math.isfinite(scale) or scale > _SCALE_LIMIT:
+    scale = power("b_exponent + 2", n, float(b_exponent) + 2.0)
+    if scale > _SCALE_LIMIT:
         raise ValidationError(
             f"scale n^(B+2) = {scale:.3g} overflows exact integer rounding"
         )
@@ -103,7 +103,7 @@ def label_witness(w: WitnessVector, report: RichnessReport) -> WitnessVector:
     """The classify_witness label from an already computed richness report."""
     if report.label == "poor":
         return replace(w, label=WitnessClass.POOR)
-    large_cut = math.ceil(float(w.n) ** (w.b_exponent / 2.0))
+    large_cut = math.ceil(power("b_exponent / 2", w.n, w.b_exponent / 2.0))
     count_cut = math.ceil(float(w.n) ** SINGULAR_COUNT_EXPONENT)
     large = sum(1 for x in w.values if abs(x) >= large_cut)
     label = WitnessClass.RICH_SINGULAR if large < count_cut else WitnessClass.RICH_NONSINGULAR

@@ -126,6 +126,11 @@ def test_lo_check_bad_file(tmp_path, capsys):
     code, _, err = run(capsys, "lo-check", str(query))
     assert code == 2
     assert "k_exponent = nan is not finite" in err
+    # so does one whose cap n^K overflows a float
+    query.write_text("dist bernoulli\nv 1 2 3\nk_exponent 1e300\n")
+    code, _, err = run(capsys, "lo-check", str(query))
+    assert code == 2
+    assert "k_exponent = 1e+300 overflows" in err
 
 
 # ----------------------------------------------------------------- gap-verify
@@ -246,6 +251,11 @@ def test_classify_empty_file(tmp_path, capsys):
         code, out, err = run(capsys, "classify", str(witness), flag, value)
         assert (code, out) == (2, "")
         assert f"{flag[2:].replace('-', '_')} = {value} is not finite" in err
+    # and so is a finite one whose power overflows a float
+    for flag, name in (("--a-exponent=-1e300", "a_exponent"), ("--b-exponent=1e300", "b_exponent")):
+        code, out, err = run(capsys, "classify", str(witness), flag)
+        assert (code, out) == (2, "")
+        assert name in err and "overflows" in err
 
 
 # ---------------------------------------------------------------- experiments

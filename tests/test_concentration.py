@@ -236,6 +236,9 @@ def test_query_lcm_cap():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match=f"^k_exponent = {bad} is not finite$"):
             ConcentrationQuery(dists=(BERN,) * 4, multipliers=(6, 10, 1, 1), k_exponent=bad)
+    # and so is a finite one whose cap n^K overflows a float
+    with pytest.raises(ValidationError, match=r"^k_exponent = 1e\+300 overflows 4\^\(k_exponent\)$"):
+        ConcentrationQuery(dists=(BERN,) * 4, multipliers=(6, 10, 1, 1), k_exponent=1e300)
 
 
 def test_query_shift_length():
@@ -255,6 +258,8 @@ def test_classify_rich_constant_vector():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValidationError, match=f"^a_exponent = {bad} is not finite$"):
             classify_rich(q, (1,) * n, a_exponent=bad)
+    with pytest.raises(ValidationError, match=r"^-\(a_exponent \+ RICH_OFFSET\) = 1e\+300 overflows"):
+        classify_rich(q, (1,) * n, a_exponent=-1e300)  # threshold n^(1e300 - 4)
 
 
 def test_classify_rich_powers_of_two_boundary():

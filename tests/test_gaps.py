@@ -361,6 +361,10 @@ def test_search_not_triggered_low_concentration():
     assert not out.hypothesis_holds
     assert out.found is None
     assert not out.counterexample_candidate
+    # an exponent that is not finite, or whose threshold n^-A overflows, is refused
+    for bad in (float("nan"), -1e300):
+        with pytest.raises(ValidationError, match=r"^-a_exponent = (nan is not finite|1e\+300 overflows)"):
+            inverse_lo_search((3, 5, 8, -2), Fraction(1, 4), a_exponent=bad)
 
 
 def test_search_zero_vector():

@@ -47,7 +47,6 @@ from perturblab import (
     sample_iid_matrix,
     tail_curve,
 )
-from perturblab.linalg import jacobi_svd_stack
 
 RUNNERS = {
     "tail": tail_curve,
@@ -131,10 +130,11 @@ def _leaves(value, path=()):
 def test_preconditioned_route_keeps_every_flag_count_and_inf_entry(case, monkeypatch):
     # the same config through the plain Jacobi kernel: sigma may move by the
     # preconditioner's roundoff, and nothing else may.  These sizes are under
-    # the preconditioner's size floor, so the floor is lowered to reach them
+    # the preconditioner's size floor, so the floor is lowered to reach them;
+    # raised past n, it sends every matrix down the plain kernel
     monkeypatch.setattr(linalg, "PRECONDITION_MIN_N", 1)
     ours = _outputs(case)
-    monkeypatch.setattr(experiments, "svd_stack", jacobi_svd_stack)
+    monkeypatch.setattr(linalg, "PRECONDITION_MIN_N", math.inf)
     kernel = _outputs(case)
     if isinstance(kernel, str):
         assert ours == kernel

@@ -11,7 +11,6 @@ from perturblab import (
     SingularSpectrum,
     ValidationError,
     bernoulli,
-    condition_number,
     discretized_gaussian,
     exact_inverse_norm,
     frobenius_norm,
@@ -25,7 +24,6 @@ from perturblab import (
     svd_stack,
 )
 from perturblab import linalg
-from perturblab.linalg import jacobi_svd_stack
 
 import oracles
 
@@ -34,9 +32,16 @@ def _random_int_matrix(rng, n, lo=-9, hi=10):
     return IntegerMatrix(rng.integers(lo, hi, size=(n, n)))
 
 
+def _plain_stack(ms):
+    """`svd_stack` with its size floor raised past n: every matrix is swept as x."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "PRECONDITION_MIN_N", math.inf)
+        return svd_stack(ms)
+
+
 def _jacobi(m):
     """The plain Jacobi kernel on one matrix, with no preconditioner."""
-    return jacobi_svd_stack([m])[0]
+    return _plain_stack([m])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +197,26 @@ def test_svd_equals_reference_jacobi_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 20])
 def test_round_robin_schedule(n):
-    rounds = linalg._round_robin_rounds(n)
-    seen = []
-    for ps, qs in rounds:
-        assert np.all(ps < qs)
-        cols = np.concatenate([ps, qs])
-        assert len(set(cols.tolist())) == len(cols)  # disjoint within a round
-        seen.extend(zip(ps.tolist(), qs.tolist()))
-    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
-    # the cached gathers, not the rounds, are what every svd call shares
+    # the schedule svd_stack runs: each round's ps and qs lead its gathered order
     start, gathers = schedule = linalg._round_robin_gathers(n)
-    assert linalg._round_robin_gathers(n) is schedule
-    assert len(gathers) == len(rounds)
+    assert linalg._round_robin_gathers(n) is schedule  # every svd call of this size shares it
+    assert len(gathers) == math.comb(n, 2) // max(1, n // 2)  # n - 1 rounds, n at odd n
     for index in (start,) + gathers:
         assert not index.flags.writeable
         assert sorted(index.tolist()) == list(range(n))
-    order = start
+    half, order = n // 2, start
     for _ in range(2):  # the second sweep starts where the first ended
-        for gather, (ps, qs) in zip(gathers, rounds):
+        seen = []
+        for gather in gathers:
             order = order[gather]
-            rest = sorted(set(range(n)) - set(ps.tolist()) - set(qs.tolist()))
+            ps, qs = order[:half], order[half:2 * half]
+            assert np.all(ps < qs)
+            cols = np.concatenate([ps, qs])
+            assert len(set(cols.tolist())) == len(cols)  # disjoint within a round
+            rest = sorted(set(range(n)) - set(cols.tolist()))
             assert order.tolist() == ps.tolist() + qs.tolist() + rest
+            seen.extend(zip(ps.tolist(), qs.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 def test_convergence_error_reports_the_last_full_sweep(monkeypatch):
@@ -231,7 +235,7 @@ def test_svd_stack_entries_equal_lone_svd_and_reference(n):
     # the all-zero draws, the duplicated-column bases and noisy matrices that
     # converge at different sweeps, swept in one stack
     stack = list(_jacobi_inputs(n))
-    spectra = jacobi_svd_stack(stack)
+    spectra = _plain_stack(stack)
     assert len(spectra) == len(stack)
     for a, spec in zip(stack, spectra):
         sigma, residual, converged, sweeps = oracles.jacobi_sweeps(a)
@@ -257,8 +261,8 @@ def test_integer_stack_equals_real_stack_and_reference(n):
         draws.append(base)
         for law in (bernoulli(), lazy_coin("1/10"), discretized_gaussian()):
             draws.append(perturb(base, IntegerMatrix(sample_iid_matrix(law, n, 1))))
-    spectra = jacobi_svd_stack(draws)
-    reals = jacobi_svd_stack([RealMatrix(m.entries) for m in draws])
+    spectra = _plain_stack(draws)
+    reals = _plain_stack([RealMatrix(m.entries) for m in draws])
     for m, spec, real in zip(draws, spectra, reals):
         sigma, residual, converged, sweeps = oracles.jacobi_sweeps(m.entries)
         assert converged
@@ -279,7 +283,7 @@ def test_svd_stack_convergence_error_names_the_failing_matrix(monkeypatch):
     done_in_one = np.diag(np.arange(1.0, 8.0))  # orthogonal columns: one rotation-free sweep
     assert _jacobi(RealMatrix(done_in_one)).sweeps == 1
     with pytest.raises(ConvergenceError) as info:
-        jacobi_svd_stack([done_in_one, np.zeros((7, 7)), first, second])
+        _plain_stack([done_in_one, np.zeros((7, 7)), first, second])
     assert info.value.residual == residual
 
 
@@ -371,7 +375,7 @@ def test_svd_stack_spectra_within_4_n_eps_sigma_max_of_the_kernel(n, monkeypatch
         for law in (bernoulli(), lazy_coin("1/2"), discretized_gaussian()):
             for seed in (1, 2) if n < 100 else (1,):
                 draws.append(perturb(base, IntegerMatrix(sample_iid_matrix(law, n, seed))))
-    for spec, kernel in zip(svd_stack(draws), jacobi_svd_stack(draws)):
+    for spec, kernel in zip(svd_stack(draws), _plain_stack(draws)):
         bound = 4 * n * linalg._EPS * kernel.sigma_max
         assert max(abs(s - t) for s, t in zip(spec.sigma, kernel.sigma)) <= bound
         assert spec.singular == kernel.singular
@@ -384,7 +388,7 @@ def test_svd_stack_keeps_every_matrix_under_the_size_floor_as_x(n):
     kept = [linalg._preconditioned(m.entries) is m.entries for m in draws]
     assert kept == [n < linalg.PRECONDITION_MIN_N] * len(draws)
     if n < linalg.PRECONDITION_MIN_N:
-        for spec, kernel in zip(svd_stack(draws), jacobi_svd_stack(draws)):
+        for spec, kernel in zip(svd_stack(draws), _plain_stack(draws)):
             assert spec == kernel
 
 
@@ -409,15 +413,7 @@ def test_svd_stack_refuses_mixed_sizes():
 
 
 # ---------------------------------------------------------------------------
-# norms and condition numbers
-
-
-def test_condition_number_diagonal():
-    assert condition_number(IntegerMatrix([[3, 0], [0, 4]])) == pytest.approx(4 / 3)
-
-
-def test_condition_number_singular_is_inf():
-    assert condition_number(IntegerMatrix([[1, 1], [1, 1]])) == math.inf
+# condition numbers and the inverse norm
 
 
 @pytest.mark.parametrize(
@@ -432,11 +428,6 @@ def test_spectrum_kappa_and_singular(entries, singular, kappa):
     spec = svd(IntegerMatrix(entries))
     assert spec.singular is singular
     assert spec.kappa == pytest.approx(kappa, rel=1e-15)
-
-
-def test_condition_number_zero_matrix_rejected():
-    with pytest.raises(ValidationError):
-        condition_number(IntegerMatrix([[0, 0], [0, 0]]))
 
 
 def test_exact_inverse_norm_identity():
@@ -495,7 +486,7 @@ def test_zero_generator():
 
 def test_graded_diagonal_condition():
     m = matrix_from_spec("graded_diagonal", 10, c_exponent=2.0)
-    assert condition_number(m) == pytest.approx(100.0, rel=1e-12)
+    assert svd(m).kappa == pytest.approx(100.0, rel=1e-12)
 
 
 def test_graded_diagonal_caps_at_n_to_c():
@@ -521,7 +512,7 @@ def test_unknown_generator_kind():
 
 def test_matrix_spec_parsing():
     m = matrix_from_spec("graded_diagonal", 10, 2.0)
-    assert condition_number(m) == pytest.approx(100.0, rel=1e-12)
+    assert svd(m).kappa == pytest.approx(100.0, rel=1e-12)
     z = matrix_from_spec("zero", 3, 1.0)
     assert not z.entries.any()
 

@@ -53,6 +53,8 @@ def test_round_witness_rejects_non_unit():
 def test_round_witness_rejects_overflow_scale():
     with pytest.raises(ValidationError):
         round_witness(np.ones(16) / 4.0, 16, b_exponent=12.0)  # 16^14 > 2^53
+    with pytest.raises(ValidationError, match=r"^b_exponent \+ 2 = 1e\+300 overflows"):
+        round_witness([0.6, 0.8], 2, b_exponent=1e300)  # 2^(B+2) is past the float range
 
 
 def test_round_witness_length_mismatch():
@@ -119,6 +121,9 @@ def test_classify_large_coord_exponent_override():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValidationError, match=f"^b_exponent = {bad} is not finite$"):
             replace(w, b_exponent=bad)
+    # nor has a finite B whose cut n^(B/2) overflows a float
+    with pytest.raises(ValidationError, match=r"^b_exponent / 2 = 5e\+299 overflows"):
+        classify_witness(replace(w, b_exponent=1e300), q, a_exponent=1.0)
 
 
 # ---------------------------------------------------------------------------

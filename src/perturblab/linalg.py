@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .records import kappa
-from .util import content_lines, parse_file, parse_spec, token
+from .util import content_lines, finite, parse_file, parse_spec, power, token
 from . import rational
 
 _INT64_SAFE = 2**62
@@ -154,11 +154,14 @@ class SingularSpectrum:
     floor puts every nonzero sigma_min above 1e-100 sigma_max.  The residual
     and sweep count are those of the Jacobi run that produced sigma: on x V
     when `svd_stack` preconditioned the matrix, on x when its route rule kept
-    x, relative to the Frobenius norm of what was swept."""
+    x, relative to the Frobenius norm of what was swept.  A matrix leaves the
+    stack at the Gram test of the sweep that would rotate nothing in it; the
+    count includes that sweep, which the test stands in for, and the residual
+    is the one that sweep would sum, so both are the plain Jacobi run's."""
 
     sigma: tuple[float, ...]
     convergence_residual: float
-    sweeps: int  # sweeps run, the last (rotation-free) one included; 0 for the zero matrix
+    sweeps: int  # sweeps, the last (rotation-free) one, or the Gram test in its place, included; 0 for the zero matrix
     singular: bool
 
     def __post_init__(self):
@@ -184,13 +187,17 @@ class SingularSpectrum:
 
 
 @functools.lru_cache(maxsize=None)
-def _round_robin_gathers(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _round_robin_layouts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`svd_stack`'s deterministic all-pairs schedule, rounds of disjoint pairs
-    (n - 1 of them, n at odd n): the start order, the last round's, and per
-    round the gather from the previous round's order to this one's: its ps,
-    its qs, then the column left over at odd n.  Cached per n, read-only.
-    Built in Python: numpy's set routines would add about 1.7 MB to every
-    run's peak RSS."""
+    (n - 1 of them, n at odd n), over the start order, the first round's
+    column order: per round its layout, the rows of the start order that its
+    order takes (its ps, its qs, then the column left over at odd n), and the
+    inverse, the row that each start-order row takes in it, so a stack laid
+    out for round r reaches round t's layout by the one gather
+    places[r][layouts[t]]; and per round the flat indices of its pairs above
+    the diagonal of an n x n Gram matrix in the start order.  Cached per n,
+    read-only.  Built in Python: numpy's set routines would add about 1.7 MB
+    to every run's peak RSS."""
     m = n + n % 2
     idx = list(range(m))
     orders = []
@@ -200,14 +207,18 @@ def _round_robin_gathers(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         if paired:
             orders.append(paired + sorted(set(range(n)).difference(paired)))
         idx = [idx[0]] + [idx[-1]] + idx[1:-1]
-    start = np.array(orders[-1] if orders else range(n))
-    gathers = []
-    for prev, order in zip(orders[-1:] + orders, orders):
-        position = {col: i for i, col in enumerate(prev)}
-        gathers.append(np.array([position[col] for col in order]))
-    for index in [start] + gathers:
+    start = orders[0] if orders else list(range(n))
+    row = {col: i for i, col in enumerate(start)}
+    layouts = [[row[col] for col in order] for order in orders]
+    places = [sorted(range(n), key=layout.__getitem__) for layout in layouts]
+    pairs = [[min(p, q) * n + max(p, q) for p, q in zip(x[:n // 2], x[n // 2:2 * (n // 2)])] for x in layouts]
+    # in the narrowest index types: they hold n^2 entries each
+    schedule = (np.array(start, dtype=np.min_scalar_type(n)),
+                *(np.array(x, dtype=np.min_scalar_type(n)).reshape(len(x), n) for x in (layouts, places)),
+                np.array(pairs, dtype=np.min_scalar_type(n * n)).reshape(len(pairs), n // 2))
+    for index in schedule:
         index.setflags(write=False)  # every svd call of this size shares them
-    return start, tuple(gathers)
+    return schedule
 
 
 def svd(m) -> SingularSpectrum:
@@ -252,6 +263,111 @@ def _preconditioned(x: np.ndarray) -> np.ndarray:
     return np.einsum("ik,kj->ij", y, v)
 
 
+def _round(ap: np.ndarray, aq: np.ndarray, sp: np.ndarray, sq: np.ndarray,
+           off2: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """One round on a stack's ps and qs blocks, in place: the pair test of
+    every pair, each matrix's sum of apq^2 into off2 (when given), and the
+    rotations of the pairs that fail the test.  When only some fail, the
+    others get t = 0: c = 1, s = 0; rounds where every pair rotates are
+    the common case and skip that masking.  sp and sq take the two
+    products s ap and s aq.  Returns the test's mask and its count."""
+    app = np.einsum("jbi,jbi->bj", ap, ap, order="C")
+    aqq = np.einsum("jbi,jbi->bj", aq, aq, order="C")
+    apq = np.einsum("jbi,jbi->bj", ap, aq, order="C")
+    if off2 is not None:
+        off2 += np.add.reduce(apq * apq, axis=1)
+    mask = np.abs(apq) > PAIR_TOL * np.sqrt(app * aqq)
+    count = np.count_nonzero(mask)
+    if not count:
+        return mask, count
+    partial = count < mask.size
+    if partial:
+        apq = np.where(mask, apq, 1.0)  # keeps theta finite where t is zeroed
+    theta = (aqq - app) / (2.0 * apq)
+    sgn = np.where(theta >= 0.0, 1.0, -1.0)
+    t = sgn / (np.abs(theta) + np.hypot(1.0, theta))
+    if partial:
+        t = np.where(mask, t, 0.0)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = (t * c).T[:, :, None]
+    c = c.T[:, :, None]
+    # the same products and sums as c ap - s aq and s ap + c aq
+    np.multiply(s, ap, out=sp)
+    np.multiply(s, aq, out=sq)
+    ap *= c
+    ap -= sq
+    aq *= c
+    aq += sp
+    return mask, count
+
+
+def _gram_test(a: np.ndarray, quiet: np.ndarray, whole: bool, flat_pairs: np.ndarray,
+               buf: np.ndarray) -> tuple[np.ndarray, list[float], np.ndarray, np.ndarray]:
+    """The Gram test of a stack laid out in the start order: the kernel's
+    pair test, |g_pq| > PAIR_TOL sqrt(g_pp g_qq), of every pair of every
+    matrix, from the Gram matrices of the whole stack or of its `quiet`
+    matrices alone, by one einsum into the idle buffer `buf`.  The thresholds
+    are built where each Gram matrix repeats itself, below its diagonal, so
+    the test allocates one boolean per entry and nothing the size of the
+    stack.  Returns the quiet matrices with no failing pair, the off-diagonal
+    sum of each over a sweep (each round's pairs in the round's order, the
+    rounds one after another, as the sweep sums it), which pairs fail in some
+    tested matrix (by start-order rows, both ways) and the tested matrices'
+    squared column norms."""
+    n = len(a)
+    sel = np.arange(a.shape[1]) if whole else np.flatnonzero(quiet)
+    sub = a if whole else np.take(a, sel, axis=1, out=_head(buf, (n, len(sel), n)), mode="clip")
+    gram = np.einsum("jbi,kbi->bjk", sub, sub, out=_head(buf[0 if whole else sub.size:], (len(sel), n, n)))
+    norms2 = np.einsum("bjj->bj", gram).copy()
+    upper, lower = np.less.outer(np.arange(n), np.arange(n)), np.greater.outer(np.arange(n), np.arange(n))
+    np.copyto(gram, norms2[:, :, None], where=lower)
+    np.multiply(gram, norms2[:, None, :], out=gram, where=lower)
+    np.sqrt(gram, out=gram, where=lower)
+    np.multiply(gram, PAIR_TOL, out=gram, where=lower)
+    np.abs(gram, out=gram, where=upper)
+    fails = np.greater(gram, gram.transpose(0, 2, 1), out=np.zeros(gram.shape, dtype=bool), where=upper)
+    clean = np.flatnonzero(quiet[sel] & ~np.logical_or.reduce(fails, axis=(1, 2)))
+    failing = np.logical_or.reduce(fails, axis=0)
+    del fails
+    failing |= failing.T
+    off2 = []
+    for i in clean:  # above the diagonal the Gram matrices hold |g_pq|, whose square is g_pq^2
+        apq2 = np.take(gram[i].ravel(), flat_pairs)
+        off2.append(np.add.accumulate(np.add.reduce(np.square(apq2, out=apq2), axis=1))[-1])
+    return sel[clean], off2, failing, norms2
+
+
+def _refresh(a: np.ndarray, cols: np.ndarray, layout: np.ndarray, norms2: np.ndarray,
+             failing: np.ndarray, buf: np.ndarray) -> None:
+    """After the columns at rows `cols` of a stack laid out as `layout` have
+    rotated, their squared norms into `norms2` and their pair tests against
+    every column into `failing` (any matrix), both by start-order rows, from
+    their rows of the Gram matrices by one einsum.  The gathered columns,
+    the Gram rows and the thresholds are views of the idle buffer `buf`,
+    which holds them while len(cols) <= n / 2."""
+    k, count, n = len(cols), a.shape[1], a.shape[0]
+    cut = np.take(a, cols, axis=0, out=_head(buf, (k, count, n)), mode="clip")
+    rows = np.einsum("jbi,kbi->bjk", cut, a, out=_head(buf[cut.size:], (count, k, n)))
+    own = rows[:, np.arange(k), cols]
+    norms2[:, layout[cols]] = own
+    bound = np.einsum("bj,bk->bjk", own, norms2[:, layout], out=_head(buf, (count, k, n)))  # app aqq
+    np.sqrt(bound, out=bound)
+    bound *= PAIR_TOL
+    fails = np.logical_or.reduce(np.abs(rows, out=rows) > bound, axis=0)
+    failing[layout[cols, None], layout] = fails
+    failing[layout, layout[cols, None]] = fails
+
+
+def _sigmas(a: np.ndarray, bs: Sequence[int], buf: np.ndarray) -> list[list[float]]:
+    """The singular values of the converged matrices bs of a stack, each
+    descending: their column norms, squared and summed down the rows of
+    row-major copies in the idle buffer `buf`, as np.linalg.norm sums them."""
+    rows = _head(buf, (len(bs), len(a), len(a)))
+    for i, b in enumerate(bs):
+        np.copyto(rows[i], a[:, b].T)
+    return np.sort(np.sqrt(np.add.reduce(np.square(rows, out=rows), axis=1)), axis=1)[:, ::-1].tolist()
+
+
 def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     """Full singular spectra of equal-size square matrices by one-sided
     Jacobi rotations, preconditioned, swept together as one stack.
@@ -263,42 +379,56 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
 
     Sweeps run in a fixed round-robin order; each round rotates a set of
     disjoint column pairs simultaneously (the rotations commute), in every
-    matrix of the stack at once.  A matrix is done once a full sweep
-    performs no rotation in it, i.e. all its column pairs are orthogonal
-    to relative tolerance PAIR_TOL, which drives its off-diagonal Gram
-    residual below RESIDUAL_TOL * ||A||_F^2; it then leaves the stack.
+    matrix of the stack at once.  A matrix is done once a full sweep would
+    perform no rotation in it, i.e. all its column pairs are orthogonal to
+    relative tolerance PAIR_TOL, which drives its off-diagonal Gram residual
+    below RESIDUAL_TOL * ||A||_F^2; it then leaves the stack.  That sweep
+    is not run: the first round of every sweep probes it, and a matrix
+    that round leaves alone goes to the Gram test (`_gram_test`), which
+    evaluates every pair test of the sweep from one einsum of its Gram
+    matrix.  A matrix with no failing pair leaves there, with the sigma and
+    residual that the rotation-free sweep would have given and that sweep
+    counted in `sweeps`, so every field is what the sweep gives.  When the
+    test covers the whole stack it also says which rounds have a failing
+    pair in some matrix: the sweep runs only those rounds, refreshing the
+    tests of the columns each one rotates (`_refresh`), so a round is
+    skipped only when it would rotate nothing.  The last sweep runs every
+    round and sums its residual, which ConvergenceError reports.
 
     The stack is column-major, columns outermost: a[j, b] is a column of
     matrix b, one contiguous row, in the round's column order, so the
     round's ps and qs columns are two contiguous blocks; each round is one
-    gather (`_round_robin_gathers`) and a rotation in place.  The stack
-    lives in one of two flat buffers allocated once per call, and every
-    array as large as it is a view of the other, idle one: the gather (the
-    buffers then swap), the two rotation products, the row-major copy for
-    the dead-column test and the compaction when matrices leave (it swaps
-    them too).  So a call holds about twice its stack's bytes, and the
-    views a round needs are built once a sweep (`_views`).  The inputs are
-    written straight into the first buffer in start-column order.
-    Each matrix keeps its own rotated flag, off-diagonal sum, dead-column
-    floor and sweep count.  Every reduction runs in the order a lone
-    row-major matrix takes: ||A||_F^2 along the matrix's rows, pair sums
-    along one contiguous column (einsum; numpy lays out the gathered
-    columns a[:, ps] of a row-major matrix column-contiguous too, so the
-    sums are the same), the off-diagonal sum along one matrix's row of
-    pairs (the per-pair arrays are (B, pairs), row-major), and column norms
-    down the rows of a row-major copy.  A pair that does not rotate gets
-    c = 1, s = 0, which changes at most the sign of a zero entry, so each
-    spectrum is the same, bit for bit, whatever else is stacked with it.
-    A matrix still rotating after MAX_SWEEPS sweeps raises ConvergenceError
-    with its residual (the first such matrix in `ms`).
+    gather from the layout of the last round run (`_round_robin_layouts`)
+    and a rotation in place.  The stack lives in one of two flat buffers
+    allocated once per call, and every array as large as it is a view of
+    the other, idle one: the gather (the buffers then swap), the two
+    rotation products, the row-major copy for the dead-column test, the
+    Gram matrices and the compaction when matrices leave (it swaps them
+    too).  So a call holds about twice its stack's bytes, and the views a
+    round needs are built once a sweep (`_views`).  The inputs are written
+    straight into the first buffer in start-column order.
+    Each matrix keeps its own off-diagonal sum, dead-column floor and sweep
+    count.  Every reduction runs in the order a lone row-major matrix
+    takes: ||A||_F^2 along the matrix's rows, pair sums along one
+    contiguous column (einsum, whose Gram entries are the same sums; numpy
+    lays out the gathered columns a[:, ps] of a row-major matrix
+    column-contiguous too, so the sums are the same), the off-diagonal sum
+    along one matrix's row of pairs (the per-pair arrays are (B, pairs),
+    row-major), and column norms down the rows of a row-major copy.  A pair
+    that does not rotate gets c = 1, s = 0, which changes at most the sign
+    of a zero entry, so each spectrum is the same, bit for bit, whatever
+    else is stacked with it.  A matrix still rotating after MAX_SWEEPS
+    sweeps raises ConvergenceError with its residual (the first such matrix
+    in `ms`).
     The integer matrices that SINGULAR_RTOL does not clear go through one
     exact elimination together for their verdict (see SingularSpectrum).
     """
     if not len(ms):
         return []
     n = _entries(ms[0]).shape[0]
-    start, gathers = _round_robin_gathers(n)
-    held, idle = np.empty(len(ms) * n * n), np.empty(len(ms) * n * n)
+    start, layouts, places, flat_pairs = _round_robin_layouts(n)
+    half = n // 2
+    held = np.empty(len(ms) * n * n)
     # column-major: a[j, b] is column start[j] of matrix b, one contiguous row
     a = _head(held, (n, len(ms), n))
     frob2 = np.empty(len(ms))
@@ -310,18 +440,23 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
         x = _preconditioned(x)
         frob2[b] = np.add.reduce(np.square(x, dtype=float).ravel())
         a[:, b] = x.T[start]
+    del x  # the last x V is not held through the sweeps
+    idle = np.empty(len(ms) * n * n)  # allocated once the preconditioner's temporaries are gone
     # (sigma, residual, sweeps) per matrix, the verdict comes last
     spectra: list[tuple | None] = [([0.0] * n, 0.0, 0) if f == 0.0 else None for f in frob2]
     live = np.flatnonzero(frob2 != 0.0)  # index in ms of each matrix left in the stack
     if len(live) < len(ms):
         a = np.take(a, live, axis=1, out=_head(idle, (n, len(live), n)), mode="clip")
         held, idle, frob2 = idle, held, frob2[live]
+    if n == 1:  # no pair: the one sweep rotates nothing
+        for b, b_sigma in enumerate(_sigmas(a, range(len(live)), idle)):
+            spectra[live[b]] = (b_sigma, 0.0, 1)
+        live = live[:0]
+    at = 0  # the round whose layout the stack is in: the first round's
     off2 = np.zeros(len(live))
     for sweep in range(MAX_SWEEPS):
         if not len(live):
             break
-        # this sweep's views of the buffer that holds the stack and of the idle one
-        here, there = _views(held, n, len(live)), _views(idle, n, len(live))
         # columns squeezed this far below ||A||_F are pure roundoff debris
         # (their true singular value is 0 at this precision); zeroing them
         # stops the rotation pair test from chasing denormal residue
@@ -330,64 +465,58 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
         dead = np.einsum("bij,bij->bj", rows, rows) <= COLUMN_FLOOR2 * frob2[:, None]
         if dead.any():
             a.transpose(1, 0, 2)[dead] = 0.0
-        # `rotated` is kept per matrix until every matrix has rotated this
-        # sweep (`every`).  Rounds where every pair rotates are the common
-        # case and skip the flags and the t = 0 masking; without these short
-        # cuts a stack of one (n >= 91) runs about 11% slower at n = 100.
-        rotated = np.zeros(len(live), dtype=bool)
-        every = False
-        # off2 is reported only by a sweep with no rotation, or by the last
-        # sweep when the budget runs out; once every matrix has rotated,
-        # the sweep stops summing it
+        # this sweep's views of the buffer that holds the stack and of the idle one
+        here, there = _views(held, n, len(live)), _views(idle, n, len(live))
+        # off2 is summed only by the last sweep, for ConvergenceError: every
+        # other residual comes from the Gram test
         last = sweep == MAX_SWEEPS - 1
         off2 = np.zeros(len(live))
-        for gather in gathers:
-            np.take(a, gather, axis=0, out=there[1], mode="clip")
-            here, there = there, here
-            _, a, ap, aq, _, _ = here
-            app = np.einsum("jbi,jbi->bj", ap, ap, order="C")
-            aqq = np.einsum("jbi,jbi->bj", aq, aq, order="C")
-            apq = np.einsum("jbi,jbi->bj", ap, aq, order="C")
-            if last or not every:
-                off2 += np.add.reduce(apq * apq, axis=1)
-            mask = np.abs(apq) > PAIR_TOL * np.sqrt(app * aqq)
-            count = np.count_nonzero(mask)
-            if not count:
+        skip = False
+        for r, layout in enumerate(layouts):
+            if skip and not failing[layout[:half], layout[half:2 * half]].any():
                 continue
-            partial = count < mask.size
-            if not partial:
-                every = True
-            else:  # the pairs that fail the test get t = 0: c = 1, s = 0
-                if not every:
-                    rotated |= np.logical_or.reduce(mask, axis=1)
-                    every = bool(np.logical_and.reduce(rotated))
-                apq = np.where(mask, apq, 1.0)  # keeps theta finite where t is zeroed
-            theta = (aqq - app) / (2.0 * apq)
-            sgn = np.where(theta >= 0.0, 1.0, -1.0)
-            t = sgn / (np.abs(theta) + np.hypot(1.0, theta))
-            if partial:
-                t = np.where(mask, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = (t * c).T[:, :, None]
-            c = c.T[:, :, None]
-            # in place, the same products and sums as c ap - s aq and s ap + c aq
-            sp, sq = there[4:]
-            np.multiply(s, ap, out=sp)
-            np.multiply(s, aq, out=sq)
-            ap *= c
-            ap -= sq
-            aq *= c
-            aq += sp
+            if r != at:
+                np.take(here[1], places[at][layout], axis=0, out=there[1], mode="clip")
+                here, there, at = there, here, r
+            _, a, ap, aq, _, _ = here
+            mask, count = _round(ap, aq, *there[4:], off2 if last else None)
+            if r == 0 or skip and count:
+                pairs = np.flatnonzero(np.logical_or.reduce(mask, axis=0))
+            if r == 0:
+                # The first round probes the sweep: a matrix it left alone
+                # (quiet) fails no pair at all, or it rotates later in this
+                # sweep, and the Gram test tells which.  It tests the whole
+                # stack when this round rotated at most n / 2 columns or left
+                # most matrices quiet, and the sweep then skips the rounds
+                # with no failing pair while the columns it refreshes
+                # number at most n / 2 (half a Gram's einsum work).
+                quiet = ~np.logical_or.reduce(mask, axis=1)
+                budget = n // 2
+                whole = 2 * len(pairs) <= budget or 2 * np.count_nonzero(quiet) > len(live)
+                if not (whole or quiet.any()):
+                    continue
+                clean, clean_off2, failing, norms2 = _gram_test(a, quiet, whole, flat_pairs, there[0])
+                skip = whole and not last
+                if not len(clean):
+                    continue
+                for b, b_sigma, b_off2 in zip(clean, _sigmas(a, clean, there[0]), clean_off2):
+                    spectra[live[b]] = (b_sigma, math.sqrt(b_off2) / float(frob2[b]), sweep + 1)
+                keep = np.ones(len(live), dtype=bool)
+                keep[clean] = False
+                keep = np.flatnonzero(keep)
+                a = np.take(a, keep, axis=1, out=_head(there[0], (n, len(keep), n)), mode="clip")
+                here, there = _views(there[0], n, len(keep)), _views(here[0], n, len(keep))
+                live, frob2, off2 = live[keep], frob2[keep], off2[keep]
+                if skip:
+                    norms2 = norms2[keep]
+                if not len(live):
+                    break
+            elif skip and count:
+                budget -= 2 * len(pairs)
+                skip = budget >= 0
+                if skip:
+                    _refresh(a, np.concatenate((pairs, half + pairs)), layout, norms2, failing, there[0])
         held, idle = here[0], there[0]
-        if every:
-            continue
-        for b in np.flatnonzero(~rotated):
-            sigma = np.sort(np.linalg.norm(np.ascontiguousarray(a[:, b].T), axis=0))[::-1]
-            spectra[live[b]] = (sigma.tolist(), math.sqrt(off2[b]) / float(frob2[b]), sweep + 1)
-        keep = np.flatnonzero(rotated)
-        a = np.take(a, keep, axis=1, out=_head(idle, (n, len(keep), n)), mode="clip")
-        held, idle = idle, held
-        live, frob2, off2 = live[keep], frob2[keep], off2[keep]
     if len(live):
         residual = math.sqrt(off2[0]) / float(frob2[0])
         raise ConvergenceError(
@@ -438,10 +567,10 @@ def matrix_from_spec(spec: str, n: int, c_exponent: float | None = None) -> Inte
     if head == "zero":
         return IntegerMatrix(np.zeros((n, n), dtype=np.int64))
     if head == "graded_diagonal":
-        c = 1.0 if c_exponent is None else float(c_exponent)
+        c = 1.0 if c_exponent is None else finite("C", c_exponent)
         if c < 0:
             raise ValidationError(f"exponent C = {c} < 0")
-        cap = max(1, math.floor(n**c))
+        cap = max(1, math.floor(power("C", n, c)))
         diag = [min(2**i if i < 63 else cap, cap) for i in range(n)]
         return IntegerMatrix(np.diag(np.array(diag, dtype=np.int64)))
     if head == "rank_one_ones":

@@ -103,10 +103,12 @@ def test_covers_that_exclude_nothing_share_one_empty_set():
         assert perturblab.inverse_lo_search(v, Fraction(1, 4), a_exponent=4.0).found.excluded is NO_EXCLUSIONS
 
 
-def test_svd_stack_holds_about_two_copies_of_its_stack():
+@pytest.mark.parametrize("n", [20, 50, 100])
+def test_svd_stack_holds_about_two_copies_of_its_stack(n):
     # the stack and one idle buffer of its size, of which every large
-    # temporary of a sweep is a view
-    n = 50
+    # temporary of a sweep, the Gram test's included, is a view; at the
+    # chunks of ge-check (n = 20, 163 matrices), tail (n = 50, 26 matrices)
+    # and cond-tail (n = 100, 6 matrices)
     count = experiments.STACK_ENTRIES // (n * n)
     matrices = [RealMatrix(experiments.gaussian_matrix(n, seed)) for seed in range(count)]
     tracemalloc.start()

@@ -197,26 +197,32 @@ def test_svd_equals_reference_jacobi_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 20])
 def test_round_robin_schedule(n):
-    # the schedule svd_stack runs: each round's ps and qs lead its gathered order
-    start, gathers = schedule = linalg._round_robin_gathers(n)
-    assert linalg._round_robin_gathers(n) is schedule  # every svd call of this size shares it
-    assert len(gathers) == math.comb(n, 2) // max(1, n // 2)  # n - 1 rounds, n at odd n
-    for index in (start,) + gathers:
+    # the schedule svd_stack runs: each round's ps and qs lead its column order
+    start, layouts, places, pairs = schedule = linalg._round_robin_layouts(n)
+    assert linalg._round_robin_layouts(n) is schedule  # every svd call of this size shares it
+    rounds = math.comb(n, 2) // max(1, n // 2)  # n - 1 rounds, n at odd n
+    assert len(layouts) == len(places) == len(pairs) == rounds
+    for index in schedule:
         assert not index.flags.writeable
-        assert sorted(index.tolist()) == list(range(n))
-    half, order = n // 2, start
-    for _ in range(2):  # the second sweep starts where the first ended
-        seen = []
-        for gather in gathers:
-            order = order[gather]
-            ps, qs = order[:half], order[half:2 * half]
-            assert np.all(ps < qs)
-            cols = np.concatenate([ps, qs])
-            assert len(set(cols.tolist())) == len(cols)  # disjoint within a round
-            rest = sorted(set(range(n)) - set(cols.tolist()))
-            assert order.tolist() == ps.tolist() + qs.tolist() + rest
-            seen.extend(zip(ps.tolist(), qs.tolist()))
-        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    assert sorted(start.tolist()) == list(range(n))
+    if rounds:
+        assert layouts[0].tolist() == list(range(n))  # the start order is the first round's
+    half, seen = n // 2, []
+    for layout, place, flat in zip(layouts, places, pairs):
+        assert sorted(layout.tolist()) == list(range(n))
+        assert place[layout].tolist() == list(range(n))  # the inverse layout
+        for other in layouts:  # any round's layout reaches any other's by one gather
+            assert layout[place[other]].tolist() == other.tolist()
+        order = start[layout]
+        ps, qs = order[:half], order[half:2 * half]
+        assert np.all(ps < qs)
+        rest = sorted(set(range(n)) - set(ps.tolist()) - set(qs.tolist()))
+        assert order.tolist() == ps.tolist() + qs.tolist() + rest  # disjoint within a round
+        # each pair's place above the diagonal of a Gram matrix in the start order
+        assert [divmod(f, n) for f in flat.tolist()] == [
+            tuple(sorted(pq)) for pq in zip(layout[:half].tolist(), layout[half:2 * half].tolist())]
+        seen.extend(zip(ps.tolist(), qs.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 def test_convergence_error_reports_the_last_full_sweep(monkeypatch):
@@ -413,6 +419,114 @@ def test_svd_stack_refuses_mixed_sizes():
 
 
 # ---------------------------------------------------------------------------
+# svd_stack: the Gram test and the rounds it skips
+
+
+def _settling(n, seed=11):
+    """A graded diagonal plus noise of growing size: the plain kernel ends
+    them after 1, 2, 3, 4 or 5, and about 6 to 8 sweeps."""
+    rng = np.random.default_rng(seed)
+    d = np.diag(np.linspace(1.0, 3.0, n))
+    return [d + eps * rng.standard_normal((n, n)) for eps in (0.0, 1e-9, 1e-6, 1e-2, 0.3)]
+
+
+def _assert_reference(draws, spectra, route=linalg._preconditioned):
+    """Each spectrum is the reference Jacobi run on what svd_stack swept
+    (`route` of the entries), field for field; returns the sweep counts."""
+    assert len(spectra) == len(draws)
+    for m, spec in zip(draws, spectra):
+        sigma, residual, converged, sweeps = oracles.jacobi_sweeps(route(linalg._entries(m)))
+        assert converged
+        assert (spec.sigma, spec.convergence_residual, spec.sweeps) == (sigma, residual, sweeps)
+    return [spec.sweeps for spec in spectra]
+
+
+def _kept(m):
+    entries = linalg._entries(m)
+    return linalg._preconditioned(entries) is entries
+
+
+@pytest.mark.parametrize("n", [7, 20])
+def test_gram_test_retires_each_matrix_at_its_reference_sweep_on_x(n):
+    # one stack whose matrices leave at the Gram tests of sweeps 1, 2, 3 and
+    # later ones, while the others keep rotating
+    draws = _settling(n) + _settling(n, seed=12)
+    sweeps = _assert_reference(draws, _plain_stack(draws), route=lambda x: x)
+    assert {1, 2, 3} <= set(sweeps) and len({s for s in sweeps if s >= 4}) >= 2
+
+
+@pytest.mark.parametrize("n", [7, 20])
+def test_gram_test_retires_each_matrix_at_its_reference_sweep_on_both_routes(n, monkeypatch):
+    # x V leaves after one to three sweeps, beside the draws the rule keeps as
+    # x, which keep rotating
+    monkeypatch.setattr(linalg, "PRECONDITION_MIN_N", 1)
+    draws = _settling(n) + _kept_as_x(n)
+    sweeps = _assert_reference(draws, svd_stack(draws))
+    kept = [_kept(m) for m in draws]
+    assert {1, 2} <= {s for s, k in zip(sweeps, kept) if not k}
+    assert max(s for s, k in zip(sweeps, kept) if k) >= 4
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 15, linalg.PRECONDITION_MIN_N, 17])
+def test_gram_test_at_the_edges_of_the_schedule(n):
+    # n = 1 has no pair, odd n leave one column out of every round, and from
+    # n = PRECONDITION_MIN_N on the default route sweeps x V
+    draws = list(_jacobi_inputs(n)) + _settling(n)
+    _assert_reference(draws, svd_stack(draws))
+    _assert_reference(draws, _plain_stack(draws), route=lambda x: x)
+    assert any(_kept(m) for m in draws) and (n < linalg.PRECONDITION_MIN_N) == all(_kept(m) for m in draws)
+
+
+def test_gram_test_retires_a_matrix_in_the_sweep_that_zeroes_its_dead_column():
+    n = 5
+    x = np.diag([3.0, 2.0, 1.5, 1.0, 0.5])
+    x[:, 4] = x[:, 0] + 1e-110 * np.eye(n)[4]  # the first sweep squeezes it to about 7e-111
+    sigma, _, converged, _ = oracles.jacobi_sweeps(x, max_sweeps=1)
+    assert not converged and 0.0 < sigma[-1] < 1e-100
+    draws = [x] + _settling(n)
+    sweeps = _assert_reference(draws, _plain_stack(draws), route=lambda a: a)
+    assert sweeps[0] == 2 and _jacobi(RealMatrix(x)).sigma[-1] == 0.0
+
+
+@pytest.mark.parametrize("max_sweeps", [2, 3])
+def test_gram_test_leaves_the_convergence_error_to_the_reference(max_sweeps, monkeypatch):
+    # the last sweep runs every round and sums the residual of the matrices
+    # still rotating; those its Gram test finds done leave as they would
+    rng = np.random.default_rng(8)
+    done, late = _settling(9)[:max_sweeps], [rng.standard_normal((9, 9)) for _ in range(2)]
+    _, residual, converged, _ = oracles.jacobi_sweeps(late[0], max_sweeps=max_sweeps)
+    assert not converged
+    x_v = [rng.standard_normal((20, 20)) for _ in range(8)]
+    needs = [oracles.jacobi_sweeps(linalg._preconditioned(x))[3] for x in x_v]
+    assert not any(map(_kept, x_v)) and set(needs) == {2, 3}
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", max_sweeps)
+    assert _assert_reference(done, _plain_stack(done), route=lambda x: x) == list(range(1, max_sweeps + 1))
+    with pytest.raises(ConvergenceError) as info:
+        _plain_stack(done + late)
+    assert info.value.residual == residual
+    if max_sweeps == 3:  # x V that needs three sweeps leaves at the last sweep's Gram test
+        assert _assert_reference(x_v, svd_stack(x_v)) == needs
+    else:
+        with pytest.raises(ConvergenceError) as info:
+            svd_stack(x_v)
+        late = linalg._preconditioned(x_v[needs.index(3)])
+        assert info.value.residual == oracles.jacobi_sweeps(late, max_sweeps=max_sweeps)[1]
+
+
+def test_gram_test_skips_the_rounds_that_rotate_nothing(monkeypatch):
+    # a stack of one draw: after its first sweep most rounds have no failing
+    # pair and are skipped, and every field is still the reference's
+    n = 100
+    base = matrix_from_spec("graded_diagonal", n)
+    m = perturb(base, IntegerMatrix(sample_iid_matrix(bernoulli(), n, 5)))
+    run, rounds = linalg._round, []
+    monkeypatch.setattr(linalg, "_round", lambda *args: rounds.append(args) or run(*args))
+    (spec,) = svd_stack([m])
+    _assert_reference([m], [spec])
+    assert spec.sweeps == 3 and len(rounds) < 1.2 * (n - 1)
+
+
+# ---------------------------------------------------------------------------
 # condition numbers and the inverse norm
 
 
@@ -492,6 +606,13 @@ def test_graded_diagonal_condition():
 def test_graded_diagonal_caps_at_n_to_c():
     m = matrix_from_spec("graded_diagonal", 30, c_exponent=1.0)
     assert int(np.max(np.abs(m.entries))) <= 30
+
+
+@pytest.mark.parametrize("c", [1e300, math.nan, math.inf])
+def test_graded_diagonal_refuses_an_exponent_whose_cap_is_not_a_number(c):
+    # n^C overflows or is not finite: invalid input, not an arithmetic error
+    with pytest.raises(ValidationError, match="C = "):
+        matrix_from_spec("graded_diagonal", 30, c_exponent=c)
 
 
 def test_rank_one_ones():

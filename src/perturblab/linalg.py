@@ -71,6 +71,7 @@ PRECONDITION_MIN_N = 16
 EIGENBASIS_GRID = 2.0**26
 ROUTE_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
+_FROB2_MIN, _FROB2_MAX = float(np.finfo(float).tiny), math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,33 +190,31 @@ class SingularSpectrum:
 @functools.lru_cache(maxsize=None)
 def _round_robin_layouts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`svd_stack`'s deterministic all-pairs schedule, rounds of disjoint pairs
-    (n - 1 of them, n at odd n), over the start order, the first round's
-    column order: per round its layout, the rows of the start order that its
-    order takes (its ps, its qs, then the column left over at odd n), and the
-    inverse, the row that each start-order row takes in it, so a stack laid
-    out for round r reaches round t's layout by the one gather
-    places[r][layouts[t]]; and per round the flat indices of its pairs above
-    the diagonal of an n x n Gram matrix in the start order.  Cached per n,
-    read-only.  Built in Python: numpy's set routines would add about 1.7 MB
-    to every run's peak RSS."""
+    (n - 1 of them, n at odd n, so one with no pair at n = 1), over the start
+    order, the first round's column order: per round its layout, the rows of
+    the start order that its order takes (its ps, its qs, then the column
+    left over at odd n), and the inverse, the row that each start-order row
+    takes in it, so a stack laid out for round r reaches round t's layout by
+    the one gather places[r][layouts[t]]; and per round the flat indices of
+    its pairs above the diagonal of an n x n Gram matrix in the start order.
+    Cached per n, read-only.  Built in Python: numpy's set routines would add
+    about 1.7 MB to every run's peak RSS."""
     m = n + n % 2
     idx = list(range(m))
     orders = []
     for _ in range(m - 1):
         pairs = [sorted((idx[k], idx[m - 1 - k])) for k in range(m // 2)]
         paired = [pair[i] for i in (0, 1) for pair in pairs if pair[1] < n]  # ps, then qs
-        if paired:
-            orders.append(paired + sorted(set(range(n)).difference(paired)))
+        orders.append(paired + sorted(set(range(n)).difference(paired)))
         idx = [idx[0]] + [idx[-1]] + idx[1:-1]
-    start = orders[0] if orders else list(range(n))
+    start = orders[0]
     row = {col: i for i, col in enumerate(start)}
     layouts = [[row[col] for col in order] for order in orders]
     places = [sorted(range(n), key=layout.__getitem__) for layout in layouts]
     pairs = [[min(p, q) * n + max(p, q) for p, q in zip(x[:n // 2], x[n // 2:2 * (n // 2)])] for x in layouts]
     # in the narrowest index types: they hold n^2 entries each
-    schedule = (np.array(start, dtype=np.min_scalar_type(n)),
-                *(np.array(x, dtype=np.min_scalar_type(n)).reshape(len(x), n) for x in (layouts, places)),
-                np.array(pairs, dtype=np.min_scalar_type(n * n)).reshape(len(pairs), n // 2))
+    schedule = (*(np.array(x, dtype=np.min_scalar_type(n)) for x in (start, layouts, places)),
+                np.array(pairs, dtype=np.min_scalar_type(n * n)))
     for index in schedule:
         index.setflags(write=False)  # every svd call of this size shares them
     return schedule
@@ -375,7 +374,8 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     Each matrix x is swept as `_preconditioned` hands it over: x V, whose
     sigma are those of x up to V's departure from orthogonality, a few eps,
     and the roundoff of forming x V, about n eps sigma_max; or x itself.
-    Each matrix is preconditioned on its own.
+    Each matrix is preconditioned on its own.  A nonzero one whose swept
+    ||A||_F^2 is outside [tiny, sqrt(max)] of float64 raises ValidationError.
 
     Sweeps run in a fixed round-robin order; each round rotates a set of
     disjoint column pairs simultaneously (the rotations commute), in every
@@ -393,7 +393,8 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     pair in some matrix: the sweep runs only those rounds, refreshing the
     tests of the columns each one rotates (`_refresh`), so a round is
     skipped only when it would rotate nothing.  The last sweep runs every
-    round and sums its residual, which ConvergenceError reports.
+    round and sums its residual, which ConvergenceError reports.  At n = 1
+    the one round has no pair, and the Gram test retires every matrix.
 
     The stack is column-major, columns outermost: a[j, b] is a column of
     matrix b, one contiguous row, in the round's column order, so the
@@ -425,6 +426,15 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     """
     if not len(ms):
         return []
+    spectra = _sweep_stack(ms)
+    exact = [i for i, (m, (sigma, _, _)) in enumerate(zip(ms, spectra))
+             if isinstance(m, IntegerMatrix) and not sigma[-1] > SINGULAR_RTOL * sigma[0]]
+    flags = dict(zip(exact, rational.singular_flags([ms[i].entries for i in exact])))
+    return [SingularSpectrum(*s, flags.get(i, s[0][-1] == 0.0)) for i, s in enumerate(spectra)]
+
+
+def _sweep_stack(ms: Sequence) -> list[tuple[list[float], float, int]]:
+    """`svd_stack`'s (sigma, residual, sweeps) per matrix; its buffers go when it returns."""
     n = _entries(ms[0]).shape[0]
     start, layouts, places, flat_pairs = _round_robin_layouts(n)
     half = n // 2
@@ -439,21 +449,16 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
             raise ValidationError(f"svd_stack needs matrices of one size, got sizes {sizes}")
         x = _preconditioned(x)
         frob2[b] = np.add.reduce(np.square(x, dtype=float).ravel())
+        if not _FROB2_MIN <= frob2[b] <= _FROB2_MAX and (frob2[b] or x.any()):
+            raise ValidationError(f"matrix {b}: ||A||_F^2 = {frob2[b]:.3e} overflows or underflows the pair test")
         a[:, b] = x.T[start]
     del x  # the last x V is not held through the sweeps
     idle = np.empty(len(ms) * n * n)  # allocated once the preconditioner's temporaries are gone
-    # (sigma, residual, sweeps) per matrix, the verdict comes last
     spectra: list[tuple | None] = [([0.0] * n, 0.0, 0) if f == 0.0 else None for f in frob2]
     live = np.flatnonzero(frob2 != 0.0)  # index in ms of each matrix left in the stack
-    if len(live) < len(ms):
-        a = np.take(a, live, axis=1, out=_head(idle, (n, len(live), n)), mode="clip")
-        held, idle, frob2 = idle, held, frob2[live]
-    if n == 1:  # no pair: the one sweep rotates nothing
-        for b, b_sigma in enumerate(_sigmas(a, range(len(live)), idle)):
-            spectra[live[b]] = (b_sigma, 0.0, 1)
-        live = live[:0]
+    a = np.take(a, live, axis=1, out=_head(idle, (n, len(live), n)), mode="clip")
+    held, idle, frob2 = idle, held, frob2[live]
     at = 0  # the round whose layout the stack is in: the first round's
-    off2 = np.zeros(len(live))
     for sweep in range(MAX_SWEEPS):
         if not len(live):
             break
@@ -463,8 +468,7 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
         rows = _head(idle, (len(live), n, n))
         np.copyto(rows, a.transpose(1, 2, 0))
         dead = np.einsum("bij,bij->bj", rows, rows) <= COLUMN_FLOOR2 * frob2[:, None]
-        if dead.any():
-            a.transpose(1, 0, 2)[dead] = 0.0
+        a.transpose(1, 0, 2)[dead] = 0.0
         # this sweep's views of the buffer that holds the stack and of the idle one
         here, there = _views(held, n, len(live)), _views(idle, n, len(live))
         # off2 is summed only by the last sweep, for ConvergenceError: every
@@ -501,9 +505,7 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
                     continue
                 for b, b_sigma, b_off2 in zip(clean, _sigmas(a, clean, there[0]), clean_off2):
                     spectra[live[b]] = (b_sigma, math.sqrt(b_off2) / float(frob2[b]), sweep + 1)
-                keep = np.ones(len(live), dtype=bool)
-                keep[clean] = False
-                keep = np.flatnonzero(keep)
+                keep = np.delete(np.arange(len(live)), clean)
                 a = np.take(a, keep, axis=1, out=_head(there[0], (n, len(keep), n)), mode="clip")
                 here, there = _views(there[0], n, len(keep)), _views(here[0], n, len(keep))
                 live, frob2, off2 = live[keep], frob2[keep], off2[keep]
@@ -522,10 +524,7 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
         raise ConvergenceError(
             f"Jacobi sweep budget exhausted (residual {residual:.3e})", residual=residual
         )
-    exact = [i for i, (m, (sigma, _, _)) in enumerate(zip(ms, spectra))
-             if isinstance(m, IntegerMatrix) and not sigma[-1] > SINGULAR_RTOL * sigma[0]]
-    flags = dict(zip(exact, rational.singular_flags([ms[i].entries for i in exact])))
-    return [SingularSpectrum(*s, flags.get(i, s[0][-1] == 0.0)) for i, s in enumerate(spectra)]
+    return spectra
 
 
 def frobenius_norm(m) -> float:

@@ -15,17 +15,17 @@ T = TypeVar("T")
 Z_99 = 2.5758293035489004
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at z = Z_99."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes outside [0, trials]")
     phat = successes / trials
-    z2 = z * z
+    z2 = Z_99 * Z_99
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
-    half = (z / denom) * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
+    half = (Z_99 / denom) * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
     return (max(0.0, center - half), min(1.0, center + half))
 
 

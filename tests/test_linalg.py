@@ -200,7 +200,7 @@ def test_round_robin_schedule(n):
     # the schedule svd_stack runs: each round's ps and qs lead its column order
     start, layouts, places, pairs = schedule = linalg._round_robin_layouts(n)
     assert linalg._round_robin_layouts(n) is schedule  # every svd call of this size shares it
-    rounds = math.comb(n, 2) // max(1, n // 2)  # n - 1 rounds, n at odd n
+    rounds = n - 1 + n % 2  # n - 1 rounds, n at odd n
     assert len(layouts) == len(places) == len(pairs) == rounds
     for index in schedule:
         assert not index.flags.writeable
@@ -416,6 +416,26 @@ def test_svd_stack_refuses_mixed_sizes():
     with pytest.raises(ValidationError):
         svd_stack([np.eye(3), np.eye(4)])
     assert svd_stack([]) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("entries", [
+    [[1e80, 1e80], [1, 2]],  # g_pp g_qq overflows: nothing would rotate
+    [[1e200, 0], [0, 1]],  # ||A||_F^2 overflows
+    [[1e-170, 0], [0, 2e-170]],  # ||A||_F^2 underflows to 0, the zero matrix's
+    [[1e-160, 1e-161], [2e-160, 3e-160]],  # subnormal: sigma_max would lose digits
+    [[1e100, 1e100, 3], [1, 2, 5], [7, 1e99, 1]],  # a ConvergenceError with residual inf
+])
+def test_svd_stack_refuses_a_frobenius_norm_outside_the_float_range(entries):
+    # every g_pp g_qq is finite while tiny <= ||A||_F^2 <= sqrt(max)
+    with pytest.raises(ValidationError, match="^matrix 1: "):
+        svd_stack([np.eye(len(entries)), np.array(entries)])
+
+
+def test_svd_stack_sweeps_a_frobenius_norm_near_the_top_of_the_range():
+    entries = np.array([[1e76, 1e76], [1, 2]])  # ||A||_F^2 = 2e152
+    spec = svd(entries)
+    assert np.allclose(spec.sigma, np.linalg.svd(entries, compute_uv=False), rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """util.power: n raised to an exponent, or invalid input when the exponent
-is not finite or the power leaves the float range."""
+is not finite or the power leaves the float range; util.wilson_interval:
+the 99% Wilson score interval of a binomial proportion."""
 
+import math
 import re
 from fractions import Fraction
 
 import pytest
 
 from perturblab.errors import ValidationError
-from perturblab.util import power
+from perturblab.util import Z_99, power, wilson_interval
 
 
 def test_power_is_the_float_power():
@@ -26,3 +28,21 @@ def test_power_refuses_non_finite_exponent(exponent):
 def test_power_refuses_overflow(base, exponent):
     with pytest.raises(ValidationError, match=f"^{re.escape(f'e = {exponent} overflows {base}^(e)')}$"):
         power("e", base, exponent)
+
+
+@pytest.mark.parametrize("successes", [0, 5, 10])
+def test_wilson_interval_is_the_score_interval_at_z_99(successes):
+    # (2 k + z^2 -+ z sqrt(z^2 + 4 k (n - k) / n)) / (2 (n + z^2)), k successes in n trials
+    n, z2 = 10, Z_99 * Z_99
+    root = Z_99 * math.sqrt(z2 + 4 * successes * (n - successes) / n)
+    lo, hi = ((2 * successes + z2 + sign * root) / (2 * (n + z2)) for sign in (-1, 1))
+    assert wilson_interval(successes, n) == (pytest.approx(lo, abs=1e-15), pytest.approx(hi, abs=1e-15))
+
+
+@pytest.mark.parametrize("successes, trials, message", [
+    (0, 0, "trials must be positive"),
+    (11, 10, r"successes outside \[0, trials\]"),
+])
+def test_wilson_interval_refuses_impossible_counts(successes, trials, message):
+    with pytest.raises(ValueError, match=message):
+        wilson_interval(successes, trials)

@@ -10,9 +10,12 @@ baseline is reproducible from the seed alone as well.
 Every Monte Carlo kind runs one trial loop: chunks of consecutive
 trials, each chunk's base + noise matrices through one `svd_stack` call
 (which gives each of them the spectrum and singular verdict `svd` alone
-would; minors adds one call per leading block size), then one row per
-trial.  `frozen` is the cond-tail measurement run twice, masked and
-unmasked, on matched per-trial seeds.
+would; minors adds one call per leading block size), then the chunk's
+rows from one callback: tail, cond-tail and minors map a row function
+over its trials, and ge-check solves the chunk's nonsingular systems in
+one stack through each of its two eliminations, exact and floating.
+`frozen` is the cond-tail measurement run twice, masked and unmasked, on
+matched per-trial seeds.
 """
 
 from __future__ import annotations
@@ -140,14 +143,16 @@ def _record(trial: int, seed: int, spectrum: SingularSpectrum, tail_hit: bool) -
 
 def _svd_trials(
     cfg: ExperimentConfig, n: int, base: IntegerMatrix, law: DiscreteDistribution | None,
-    mask: np.ndarray | None, row: Callable[..., object], suffix: str = "", blocks: range = range(0),
+    mask: np.ndarray | None, rows: Callable[..., list], suffix: str = "", blocks: range = range(0),
 ) -> list:
-    """row(trial, seed, matrix, spectrum, *block spectra) for every trial of
-    base + noise, in trial order, with the spectra of its leading k x k
-    blocks for k in `blocks`.  A chunk of max(1, STACK_ENTRIES // n^2)
-    consecutive trials goes through one svd_stack call per matrix size, and
-    each seed is derived from (master seed, cfg.kind + suffix, n, index)
-    alone, so neither the chunk size nor the thread count moves a result."""
+    """The rows of every trial of base + noise, in trial order, one chunk
+    at a time: rows(indices, seeds, matrices, spectra, *block spectra) gets
+    a chunk's columns, with the spectra of each matrix's leading k x k
+    blocks for k in `blocks`, and returns one row per trial.  A chunk of
+    max(1, STACK_ENTRIES // n^2) consecutive trials goes through one
+    svd_stack call per matrix size, and each seed is derived from (master
+    seed, cfg.kind + suffix, n, index) alone, so neither the chunk size nor
+    the thread count moves a result."""
     label = cfg.kind + suffix
     size = max(1, STACK_ENTRIES // (n * n))
     starts = range(0, cfg.trials, size)
@@ -158,7 +163,7 @@ def _svd_trials(
         matrices = [_matrix(base, law, seed, mask) for seed in seeds]
         # each block keeps its matrix's type, so an integer block gets the exact verdict
         stacks = [svd_stack([type(m)(m.entries[:k, :k]) for m in matrices]) for k in blocks]
-        return list(map(row, indices, seeds, matrices, svd_stack(matrices), *stacks))
+        return rows(indices, seeds, matrices, svd_stack(matrices), *stacks)
 
     return [out for part in run_trials(run, len(starts), cfg.threads) for out in part]
 
@@ -256,9 +261,11 @@ def tail_curve(cfg: ExperimentConfig) -> TailResult:
     curves: dict[int, TailCurve] = {}
     for n, base, mask in _sizes(cfg):
         x_ref = 10.0 * math.sqrt(n)  # record-level tail flag reference
-        rows = _svd_trials(
-            cfg, n, base, law, mask, lambda i, seed, _, s: _record(i, seed, s, _inverse_norm(s) >= x_ref)
-        )
+
+        def record(trial: int, seed: int, _, spectrum: SingularSpectrum) -> ExperimentRecord:
+            return _record(trial, seed, spectrum, _inverse_norm(spectrum) >= x_ref)
+
+        rows = _svd_trials(cfg, n, base, law, mask, lambda *chunk: list(map(record, *chunk)))
         records.extend(rows)
         curves[n] = _tail_curve_from([_inverse_norm(r) for r in rows], n, cfg.grid_points)
     return TailResult(config=cfg, records=records, curves=curves)
@@ -343,11 +350,13 @@ def condition_tail(cfg: ExperimentConfig) -> CondTailResult:
         def record(trial: int, seed: int, _, spectrum: SingularSpectrum) -> ExperimentRecord:
             return _record(trial, seed, spectrum, spectrum.kappa >= tail_ref)
 
-        rows = _svd_trials(cfg, n, base, law, mask, record)
+        rows = _svd_trials(cfg, n, base, law, mask, lambda *chunk: list(map(record, *chunk)))
         records.extend(rows)
         table = _exceedance_table([r.kappa for r in rows], n, cfg.b_grid)
         if cfg.compare_gaussian:
-            gaussian = _svd_trials(cfg, n, base, None, mask, record, "-gaussian")
+            gaussian = _svd_trials(
+                cfg, n, base, None, mask, lambda *chunk: list(map(record, *chunk)), "-gaussian"
+            )
             gtable = _exceedance_table([r.kappa for r in gaussian], n, cfg.b_grid)
             gauss_tables[n] = gtable
             table = [
@@ -445,27 +454,35 @@ def singularity_probability(
 # elimination error against the exact reference
 
 
-def _ge_solve(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray | None:
-    """Gaussian elimination with partial pivoting carried out in `dtype` (float32
-    simulates single precision end to end), elementwise: no BLAS kernel moves it."""
-    a = a.astype(dtype).copy()
-    b = b.astype(dtype).copy()
-    n = len(b)
+def _ge_solve(systems: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian elimination with partial pivoting on each system [A | b] of a
+    (B, n, n + 1) stack, carried out in `dtype` (float32 simulates single
+    precision end to end): the (B, n) solutions x of A x = b and a flag per
+    system, False where a pivot column held only zeros.  Such a system rides
+    along as I x = 0, pivot 1, and raises no warning.
+
+    Elementwise, so no BLAS kernel moves it, and each system gets what
+    eliminating it alone gives: the pivot is the first largest |entry|, and
+    back-substitution sums each row along the last, contiguous axis, in the
+    order a lone row's sum takes."""
+    a = systems.astype(dtype)
+    count, n, _ = a.shape
+    every = np.arange(count)
+    solved = np.ones(count, dtype=bool)
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0:
-            return None
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        factors = (a[k + 1 :, k] / a[k, k]).astype(dtype)
-        a[k + 1 :, k:] -= factors[:, None] * a[k, k:]
-        b[k + 1 :] -= factors * b[k]
-    x = np.zeros(n, dtype=dtype)
+        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        a[every, k], a[every, piv] = a[every, piv], a[every, k]
+        if not a[:, k, k].all():
+            dead = a[:, k, k] == 0
+            solved &= ~dead
+            a[dead] = np.eye(n, n + 1, dtype=dtype)
+        factors = a[:, k + 1 :, k] / a[:, k, k, None]
+        a[:, k + 1 :, k:] -= factors[:, :, None] * a[:, k, None, k:]
+    x = np.zeros((count, n), dtype=dtype)
     for i in range(n - 1, -1, -1):
-        # a[i, i] is step i's pivot, nonzero, and no later step touches row i
-        x[i] = dtype(b[i] - np.add.reduce(a[i, i + 1 :] * x[i + 1 :])) / a[i, i]
-    return x
+        # a[:, i, i] is step i's pivot, nonzero, and no later step touches row i
+        x[:, i] = (a[:, i, n] - np.add.reduce(a[:, i, i + 1 : n] * x[:, i + 1 :], axis=-1)) / a[:, i, i]
+    return x, solved
 
 
 @dataclass(frozen=True, slots=True)
@@ -524,27 +541,34 @@ def ge_error_experiment(cfg: ExperimentConfig) -> GeResult:
     trials: list[GeTrial] = []
     for n, base, mask in _sizes(cfg):
 
-        def one(
-            trial: int, seed: int, system: IntegerMatrix, spectrum: SingularSpectrum
-        ) -> tuple[ExperimentRecord, GeTrial]:
-            rel = ratio = math.inf
-            if not spectrum.singular:
-                rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "ge-rhs", n, trial)))
-                b = rng.integers(-9, 10, size=n)
-                exact = rational.solve_exact(system.entries, b.tolist())
-                approx = _ge_solve(system.entries.astype(np.float64), b.astype(np.float64), dtype)
-                x_true = np.array([float(x) for x in exact])
+        def chunk_rows(
+            indices: range, seeds: list[int], matrices: list[IntegerMatrix], spectra: list[SingularSpectrum]
+        ) -> list[tuple[ExperimentRecord, GeTrial]]:
+            rel = [math.inf] * len(spectra)
+            live = [j for j, s in enumerate(spectra) if not s.singular]
+            if live:
+                systems = np.stack([np.hstack([
+                    matrices[j].entries,
+                    np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "ge-rhs", n, indices[j])))
+                    .integers(-9, 10, size=(n, 1)),
+                ]) for j in live])
+                # by Cramer's rule x = y / d; int / int is correctly rounded, as float(Fraction) is
+                x_true = np.array([[y[0] / d for y in ys] for d, ys in rational._solve(systems)])
+                approx, solved = _ge_solve(systems.astype(np.float64), dtype)
                 # elementwise norms, not BLAS ones: the ratios do not depend on the BLAS kernel
-                denom = math.sqrt(np.add.reduce(x_true * x_true))
-                if approx is not None and denom != 0.0:
-                    rel = math.sqrt(np.add.reduce((approx - x_true) ** 2)) / denom
-                if math.isfinite(spectrum.kappa):
-                    ratio = rel / (eps * spectrum.kappa)
-            return _record(trial, seed, spectrum, not spectrum.singular and ratio > 100.0), GeTrial(
-                trial, seed, spectrum.kappa, rel, ratio, spectrum.singular
-            )
+                norms = np.add.reduce(x_true * x_true, axis=-1)
+                errors = np.add.reduce((approx - x_true) ** 2, axis=-1)
+                for j, ok, error, norm in zip(live, solved, errors, norms):
+                    if ok and norm != 0.0:
+                        rel[j] = math.sqrt(error) / math.sqrt(norm)
+            out = []
+            for trial, seed, s, r in zip(indices, seeds, spectra, rel):
+                ratio = r / (eps * s.kappa) if math.isfinite(s.kappa) else math.inf
+                out.append((_record(trial, seed, s, not s.singular and ratio > 100.0),
+                            GeTrial(trial, seed, s.kappa, r, ratio, s.singular)))
+            return out
 
-        rows = _svd_trials(cfg, n, base, law, mask, one)
+        rows = _svd_trials(cfg, n, base, law, mask, chunk_rows)
         records.extend(r for r, _ in rows)
         trials.extend(t for _, t in rows)
     return GeResult(config=cfg, records=records, trials=trials, eps_machine=eps)
@@ -592,7 +616,9 @@ def minors_experiment(cfg: ExperimentConfig) -> MinorsResult:
             kappas = [s.kappa for s in (*blocks, spectrum)]
             return _record(trial, seed, spectrum, max(kappas) > threshold), kappas
 
-        rows = _svd_trials(cfg, n, base, law, mask, one, blocks=range(1, n))
+        rows = _svd_trials(
+            cfg, n, base, law, mask, lambda *chunk: list(map(one, *chunk)), blocks=range(1, n)
+        )
         records.extend(r for r, _ in rows)
         per_k[n] = {k: max(kappas[k - 1] for _, kappas in rows) for k in range(1, n + 1)}
         frac_ok[n] = sum(max(kappas) <= threshold for _, kappas in rows) / cfg.trials

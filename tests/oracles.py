@@ -8,7 +8,8 @@ over every entry assignment, and the normal law by mpmath's ncdf.  The
 scalar sampler, the Jacobi SVD, the scalar Fourier-side grid checks and
 the term-by-term Fraction back-substitution (on a Bareiss elimination
 over Python lists with largest-value pivots, not the library's stacked
-kernel), the rank-1 discretization searched over coefficient splits and
+kernel), the floating elimination of one system at a time with partial
+pivoting, the rank-1 discretization searched over coefficient splits and
 checked clause by clause, and the inverse search that filters every
 box-radius pair afresh for each multiplier and tests membership in
 Fractions below are the straightforward loops that the faster library
@@ -212,6 +213,32 @@ def invert_by_fractions(matrix):
     _, red = _bareiss(aug, n)
     columns = [fraction_back_substitute(red, n, n + col) for col in range(n)]
     return [list(row) for row in zip(*columns)]
+
+
+def ge_solve(a: np.ndarray, b: np.ndarray, dtype, pivots: list | None = None) -> np.ndarray | None:
+    """Gaussian elimination with partial pivoting on one system, carried out
+    in `dtype` (float32 simulates single precision end to end), elementwise;
+    None at a zero pivot column.  The pivot row of each step is appended to
+    `pivots` when one is given."""
+    a = a.astype(dtype).copy()
+    b = b.astype(dtype).copy()
+    n = len(b)
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(a[k:, k])))
+        if pivots is not None:
+            pivots.append(piv)
+        if a[piv, k] == 0:
+            return None
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+            b[[k, piv]] = b[[piv, k]]
+        factors = (a[k + 1 :, k] / a[k, k]).astype(dtype)
+        a[k + 1 :, k:] -= factors[:, None] * a[k, k:]
+        b[k + 1 :] -= factors * b[k]
+    x = np.zeros(n, dtype=dtype)
+    for i in range(n - 1, -1, -1):
+        x[i] = dtype(b[i] - np.add.reduce(a[i, i + 1 :] * x[i + 1 :])) / a[i, i]
+    return x
 
 
 def scalar_sample_vector(dists, seed):

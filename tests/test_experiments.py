@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -369,6 +370,44 @@ def test_ge_summary_fields():
     assert "fraction_ratio_le_100_well_conditioned" in s
 
 
+def _swap_heavy_bernoulli(n, dtype):
+    """(matrix, swaps): of the nonsingular bernoulli draws of seeds 0..49,
+    the one whose elimination swaps rows at the most steps."""
+    best = None
+    for seed in range(50):
+        a = sample_iid_matrix(bernoulli(), n, seed).astype(np.float64)
+        pivots = []
+        if oracles.ge_solve(a, np.ones(n), dtype, pivots) is not None:
+            swaps = sum(p != k for k, p in enumerate(pivots))
+            if best is None or swaps > best[1]:
+                best = (a, swaps)
+    return best
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+def test_stacked_elimination_equals_one_system_at_a_time(n, dtype):
+    rng = np.random.Generator(np.random.PCG64(400 + n))
+    swapping, swaps = _swap_heavy_bernoulli(n, dtype)
+    # a +-1 column ties at step 0 and step n - 1 has one row: most of the n - 2 steps between swap
+    assert 2 * swaps > n - 2 or n <= 2
+    singular = swapping.copy()  # a zero pivot column: at the last step, and at once when n = 1
+    singular[:, -1] = singular[:, 0] if n > 1 else 0.0
+    matrices = [swapping, singular, rng.integers(-9, 10, size=(n, n)).astype(np.float64), swapping]
+    rhs = [rng.integers(-9, 10, size=n).astype(np.float64) for _ in range(3)]
+    rhs.append(rhs[0])  # the last member duplicates the first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, solved = experiments._ge_solve(np.dstack([np.stack(matrices), np.stack(rhs)]), dtype)
+    assert x.dtype == dtype and x.shape == (4, n)
+    for b, (a, r) in enumerate(zip(matrices, rhs)):
+        want = oracles.ge_solve(a, r, dtype)
+        assert solved[b] == (want is not None)
+        if want is not None:
+            assert (x[b] == want).all()
+    assert not solved[1] and solved[0] and solved[3]
+
+
 # ---------------------------------------------------------------------------
 # one singular verdict: det = 0 for every integer matrix
 
@@ -478,15 +517,39 @@ def test_frozen_masked_run_actually_freezes():
 # chunks of trials swept as one svd_stack
 
 
-@pytest.mark.parametrize("kind", ["tail", "ge-check", "minors"])
-def test_stacked_runs_equal_trials_one_at_a_time(kind, monkeypatch):
+def _ge_trial_alone(cfg, trial, seed, system, spectrum):
+    """A ge-check trial recomputed on its own from the one-system oracles."""
+    n = system.n
+    rel = ratio = math.inf
+    if not spectrum.singular:
+        rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, "ge-rhs", n, trial)))
+        b = rng.integers(-9, 10, size=n)
+        x_true = np.array([float(x) for x in oracles.solve_by_fractions(system.entries.tolist(), b.tolist())])
+        single = cfg.precision == "single"
+        approx = oracles.ge_solve(
+            system.entries.astype(np.float64), b.astype(np.float64), np.float32 if single else np.float64
+        )
+        denom = math.sqrt(np.add.reduce(x_true * x_true))
+        if approx is not None and denom != 0.0:
+            rel = math.sqrt(np.add.reduce((approx - x_true) ** 2)) / denom
+        if math.isfinite(spectrum.kappa):
+            ratio = rel / ((2.0**-24 if single else 2.0**-53) * spectrum.kappa)
+    return experiments.GeTrial(trial, seed, spectrum.kappa, rel, ratio, spectrum.singular)
+
+
+@pytest.mark.parametrize("kind, entries", [
+    pytest.param("tail", experiments.STACK_ENTRIES, id="tail"),  # a full 2^16 stack
+    pytest.param("ge-check", 2**13, id="ge-check"),  # chunks of 20 at n = 20
+    pytest.param("ge-check", 1, id="ge-check-chunks-of-one"),
+    pytest.param("minors", 2**13, id="minors"),  # chunks of 9 at n = 30
+])
+def test_stacked_runs_equal_trials_one_at_a_time(kind, entries, monkeypatch):
     n = {"tail": 50, "ge-check": 20, "minors": 30}[kind]
-    if kind != "tail":  # smaller chunks (20 at n = 20, 9 at n = 30); tail keeps a full 2^16 stack
-        monkeypatch.setattr(experiments, "STACK_ENTRIES", 2**13)
-    size = max(1, experiments.STACK_ENTRIES // (n * n))
+    monkeypatch.setattr(experiments, "STACK_ENTRIES", entries)
+    size = max(1, entries // (n * n))
     full_chunks = 1 if kind == "minors" else 3  # a minors trial runs n - 1 more svd calls
-    trials = 100 if kind == "tail" else full_chunks * size + size // 2
-    assert trials // size >= full_chunks and trials % size  # full chunks, then a short one
+    trials = 100 if kind == "tail" else full_chunks * size + size // 2 if size > 1 else 12
+    assert trials // size >= full_chunks and (trials % size or size == 1)  # full chunks, then a short one
     cfg = ExperimentConfig(
         kind=kind, sizes=(n,), trials=trials, seed=29, mask="random:2",
         noise="gaussian" if kind == "tail" else "bernoulli",
@@ -494,7 +557,10 @@ def test_stacked_runs_equal_trials_one_at_a_time(kind, monkeypatch):
     run = {"tail": tail_curve, "ge-check": ge_error_experiment, "minors": minors_experiment}[kind]
     out = run(cfg)
     records = out.records
-    assert run(replace(cfg, threads=3)).records == records
+    threaded = run(replace(cfg, threads=3))
+    assert threaded.records == records
+    if kind == "ge-check":
+        assert threaded.trials == out.trials
     base = matrix_from_spec(cfg.matrix, n)
     mask = build_mask(cfg.mask, base, cfg.seed)
     law = experiments._law(cfg.noise)
@@ -502,7 +568,8 @@ def test_stacked_runs_equal_trials_one_at_a_time(kind, monkeypatch):
     full_kappas = []
     for record in records:
         seed = derive_seed(cfg.seed, kind, n, record.trial)
-        spectrum = svd(experiments._matrix(base, law, seed, mask))
+        matrix = experiments._matrix(base, law, seed, mask)
+        spectrum = svd(matrix)
         if kind == "tail":
             hit = spectrum.sigma_min == 0.0 or 1.0 / spectrum.sigma_min >= 10.0 * math.sqrt(n)
             assert record == experiments._record(record.trial, seed, spectrum, hit)
@@ -510,12 +577,15 @@ def test_stacked_runs_equal_trials_one_at_a_time(kind, monkeypatch):
             assert record == experiments._record(record.trial, seed, spectrum, record.tail_hit)
             full_kappas.append(spectrum.kappa)
         else:  # the tail flag comes from the solve error
-            assert (record.seed, record.sigma_max, record.sigma_min) == (
-                seed, spectrum.sigma_max, spectrum.sigma_min)
-            assert record.singular or record.kappa == spectrum.kappa
+            alone = _ge_trial_alone(cfg, record.trial, seed, matrix, spectrum)
+            assert out.trials[record.trial] == alone
+            hit = not spectrum.singular and alone.ratio > 100.0
+            assert record == experiments._record(record.trial, seed, spectrum, hit)
     if kind == "minors":
         assert out.per_k[n][n] == max(full_kappas)
         assert out.fraction_all_below[n] == sum(not r.tail_hit for r in records) / trials
+    if kind == "ge-check":
+        assert not all(t.singular for t in out.trials)
 
 
 # ---------------------------------------------------------------------------

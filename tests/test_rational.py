@@ -9,6 +9,7 @@ from perturblab import (
     ValidationError, WitnessVector, bernoulli, determinant, discretize_rank1, exact_concentration,
     fourier_bound, inverse_lo_search, invert_exact, lazy_coin, solve_exact,
 )
+from perturblab import rational
 from perturblab.noise import mu_float
 from perturblab.rational import singular_flags
 
@@ -88,6 +89,63 @@ def test_back_substitution_matches_fraction_oracle(n):
         assert solve_exact(a, b) == oracles.solve_by_fractions(a, b)
         if determinant(a) != 0:
             assert invert_exact(a) == oracles.invert_by_fractions(a)
+
+
+# a 4 x 4 system that stays in int64 beside one whose entries near 10^6 pass 2^63 after step 0
+_SMALL = np.random.Generator(np.random.PCG64(71)).integers(-9, 10, size=(4, 4))
+_WIDE = np.random.Generator(np.random.PCG64(72)).integers(-(10**6), 10**6 + 1, size=(4, 4))
+
+
+@pytest.mark.parametrize("matrices, rhs", [
+    ([[[1, 2, 3], [2, 4, 6], [1, 0, 1]], [[2, 1, 0], [1, 1, 1], [0, 3, 1]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]]],
+     [[1, 2, 3], [4, -5, 6], [0, 0, 7]]),
+    ([_SMALL.tolist(), _WIDE.tolist()], [[1, -2, 3, 4], [5, 6, -7, 8]]),
+    ([[[3]], [[0]], [[-2]]], [[7], [5], [1]]),
+], ids=["singular-member", "wide-entries", "n=1"])
+@pytest.mark.parametrize("entries", [rational._PYTHON_INT_ENTRIES, 1], ids=["one-group", "groups-of-one"])
+def test_stacked_solve_matches_fraction_oracles(matrices, rhs, entries, monkeypatch):
+    monkeypatch.setattr(rational, "_PYTHON_INT_ENTRIES", entries)
+    n = len(matrices[0])
+    systems = [[row + [c] + [int(i == j) for j in range(n)] for i, (row, c) in enumerate(zip(a, b))]
+               for a, b in zip(matrices, rhs)]
+    solved = rational._solve(systems)
+    assert len(solved) == len(matrices)
+    for a, b, got in zip(matrices, rhs, solved):
+        want = oracles.solve_by_fractions(a, b)
+        assert solve_exact(a, b) == want
+        if want is None:
+            assert got is None and determinant(a) == 0
+            continue
+        d, y = got
+        assert abs(d) == abs(determinant(a))
+        assert [Fraction(row[0], d) for row in y] == want
+        assert [[Fraction(v, d) for v in row[1:]] for row in y] == oracles.invert_by_fractions(a)
+        assert invert_exact(a) == oracles.invert_by_fractions(a)
+
+
+def test_wide_entries_turn_the_stack_to_python_ints_partway():
+    assert determinant(_SMALL) != 0 and determinant(_WIDE) != 0
+    a, sign, prev = rational._start([np.hstack([m, np.ones((4, 1), dtype=np.int64)]) for m in (_SMALL, _WIDE)])
+    assert a.dtype == np.int64
+    a, prev = rational._eliminate(a, range(1), sign, prev)
+    assert a.dtype == np.int64
+    assert rational._eliminate(a, range(1, 4), sign, prev)[0].dtype == object
+
+
+def test_python_int_steps_in_groups_of_one_match_leibniz(monkeypatch):
+    # every matrix of these wide stacks runs its Python-int steps alone
+    monkeypatch.setattr(rational, "_PYTHON_INT_ENTRIES", 1)
+    rng = np.random.Generator(np.random.PCG64(73))
+    prefixes = rng.integers(-(10**6), 10**6 + 1, size=(5, 3, 4))
+    prefixes[2, 2] = prefixes[2, 0]  # a rank-deficient prefix: every cofactor 0
+    for p, c in zip(prefixes, rational.cofactors(prefixes)):
+        assert [int(v) for v in c] == [(-1) ** (3 + j) * oracles.leibniz_det(np.delete(p, j, axis=1).tolist())
+                                        for j in range(4)]
+    squares = rng.integers(-(10**6), 10**6 + 1, size=(4, 4, 4))
+    squares[1, 3] = squares[1, 0]
+    assert singular_flags(squares) == [oracles.leibniz_det(m.tolist()) == 0 for m in squares]
+    assert singular_flags(squares)[1]
+    assert [determinant(m) for m in squares] == [oracles.leibniz_det(m.tolist()) for m in squares]
 
 
 def test_invert_exact_identity_product():

@@ -2,18 +2,16 @@
 
 Discrete noise laws with verified cosine envelopes, exact small-ball
 concentration against Fourier product bounds, generalized arithmetic
-progression discretization, witness rounding and classification, and a
-seeded experiment harness over the singular spectrum.
+progression discretization, witness classification, and a seeded
+experiment harness over the singular spectrum.
 """
 
 from .concentration import (
     ConcentrationQuery,
     ConcentrationValue,
     DominanceReport,
-    NondegeneracyReport,
     RichnessReport,
     check_dominance,
-    check_nondegeneracy,
     classify_rich,
     exact_concentration,
     exact_point_mass,
@@ -80,9 +78,7 @@ from .noise import (
     lazy_coin,
     parse_distribution,
     sample_iid_matrix,
-    sample_vector,
     symmetric_chain_margins,
-    symmetric_discretization,
     verify_certificate,
 )
 from .rational import determinant, invert_exact, solve_exact
@@ -97,14 +93,10 @@ from .records import (
 from .util import derive_seed, read_text, wilson_interval
 from .witness import (
     EpsilonNet,
-    SmallImageReport,
     WitnessClass,
     WitnessVector,
     classify_witness,
-    embed_zero_padded,
     greedy_net,
-    round_witness,
-    small_image_event,
 )
 
 __version__ = "0.1.0"

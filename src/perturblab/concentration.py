@@ -29,9 +29,9 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import ResourceError, ValidationError
-from .noise import BoundednessCertificate, DiscreteDistribution, distribution_from_spec, mu_float, sample_vector
+from .noise import BoundednessCertificate, DiscreteDistribution, distribution_from_spec, mu_float
 from .rational import as_fraction, whole_numbers
-from .util import content_lines, derive_seed, finite, keyed_lines, power, token, wilson_interval
+from .util import content_lines, finite, keyed_lines, power, token
 
 # resource limits, read at call time (tests lower them by monkeypatch)
 DP_STATE_BUDGET = 100_000_000
@@ -112,8 +112,7 @@ def _walk(query: ConcentrationQuery, v) -> tuple[dict[int, int], int, int]:
 
     The walk's support spans at most 2 * sum |v_i| max|xi_i| + 1 integers
     and at most prod(support sizes) points; if both exceed DP_STATE_BUDGET
-    the instance is out of reach for the exact path (use the
-    Monte Carlo estimator in check_nondegeneracy instead).
+    the instance is out of reach for the exact path.
     """
     weights = _weights(v, query.n)
     span = sum(abs(w) * d.max_abs_value for w, d in zip(weights, query.dists))
@@ -126,7 +125,7 @@ def _walk(query: ConcentrationQuery, v) -> tuple[dict[int, int], int, int]:
     if min(dense_states, sparse_states) > DP_STATE_BUDGET:
         raise ResourceError(
             f"exact convolution needs ~{min(dense_states, sparse_states):.2e} states "
-            f"(budget {DP_STATE_BUDGET}); use the Monte Carlo non-degeneracy estimator"
+            f"(concentration.DP_STATE_BUDGET = {DP_STATE_BUDGET})"
         )
     # integer DP over a running common denominator: Fraction addition costs a
     # gcd per step, ruinous for atom masses with wide denominators
@@ -236,58 +235,6 @@ def check_dominance(
         gap=gap,
         mu=mu,
         multipliers=mults,
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class NondegeneracyReport:
-    estimate: float
-    ci_low: float
-    ci_high: float
-    threshold: float
-    violation: bool
-    trials: int
-
-
-def check_nondegeneracy(
-    dists: Sequence[DiscreteDistribution],
-    shift: Sequence[int] | None,
-    y: Sequence[float],
-    mu,
-    trials: int,
-    seed: int,
-) -> NondegeneracyReport:
-    """Monte Carlo check that P(|(Z + X) . y| <= n^-2) stays below 1 - mu/2.
-
-    A 99% Wilson interval whose lower end clears the threshold flags a
-    violation of the non-degeneracy hypothesis for this direction y.
-    """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    dists = list(dists)
-    n = len(dists)
-    y_arr = np.asarray(y, dtype=float)
-    if y_arr.shape != (n,):
-        raise ValidationError("y length mismatch")
-    mu_f = mu_float(mu)
-    base = 0.0
-    if shift is not None:
-        base = float(np.dot(np.asarray(shift, dtype=float), y_arr))
-    cut = n ** (-2.0)
-    hits = 0
-    for t in range(trials):
-        x = sample_vector(dists, derive_seed(seed, "nondeg", t))
-        if abs(base + float(np.dot(x, y_arr))) <= cut:
-            hits += 1
-    lo, hi = wilson_interval(hits, trials)
-    threshold = 1.0 - mu_f / 2.0
-    return NondegeneracyReport(
-        estimate=hits / trials,
-        ci_low=lo,
-        ci_high=hi,
-        threshold=threshold,
-        violation=lo > threshold,
-        trials=trials,
     )
 
 

@@ -21,7 +21,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -284,29 +283,6 @@ def discretized_gaussian(truncation_radius: int = 8) -> DiscreteDistribution:
     return DiscreteDistribution(f"discretized_gaussian({radius})", tuple(atoms))
 
 
-def symmetric_discretization(
-    pairs: Sequence[tuple[object, object]], name: str = "symmetric_discretization"
-) -> DiscreteDistribution:
-    """Round a tabulated symmetric real law to the nearest integers.
-
-    ``pairs`` lists (position, probability) with rational entries; the law
-    must be symmetric about 0.  Mass at position x goes to the integer
-    nearest x, ties rounding away from zero so symmetry is preserved.
-    """
-    table = [(as_fraction(x), as_fraction(p)) for x, p in pairs]
-    mass: dict[Fraction, Fraction] = {}
-    for x, p in table:
-        mass[x] = mass.get(x, Fraction(0)) + p
-    for x, p in mass.items():
-        if mass.get(-x, Fraction(0)) != p:
-            raise ValidationError(f"tabulated law is not symmetric at {x}")
-    binned: dict[int, Fraction] = {}
-    for x, p in mass.items():
-        m = math.floor(x + Fraction(1, 2)) if x >= 0 else math.ceil(x - Fraction(1, 2))
-        binned[m] = binned.get(m, Fraction(0)) + p
-    return DiscreteDistribution(name, tuple(sorted(binned.items())))
-
-
 # the law spec heads: None takes no argument, else (convert, default); an
 # experiment's --noise also takes gaussian, the one law that is not discrete
 _LAW_ARGS = {"bernoulli": None, "lazy_coin": (as_fraction, Fraction(1, 2)),
@@ -342,20 +318,9 @@ def _draw(dist: DiscreteDistribution, u: np.ndarray) -> np.ndarray:
     return values[np.searchsorted(cum, u, side="left")]
 
 
-def sample_vector(dists: Sequence[DiscreteDistribution], seed: int) -> np.ndarray:
-    """Independent draw per coordinate, deterministic for a given seed."""
-    u = np.random.Generator(np.random.PCG64(seed)).random(len(dists))
-    out = np.empty(len(dists), dtype=np.int64)
-    keys = np.fromiter(map(id, dists), dtype=np.uint64, count=len(dists))
-    for key, dist in {id(d): d for d in dists}.items():
-        idx = keys == key  # one draw call per distinct law object
-        out[idx] = _draw(dist, u[idx])
-    return out
-
-
 def sample_iid_matrix(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
-    """n x n matrix of independent draws from one law (row-major fill); the
-    same matrix as sample_vector([dist] * n * n, seed) reshaped."""
+    """n x n matrix of independent draws from one law, filled row-major
+    from n^2 seeded uniforms."""
     u = np.random.Generator(np.random.PCG64(seed)).random(n * n)
     return _draw(dist, u).reshape(n, n)
 

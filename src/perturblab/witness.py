@@ -1,10 +1,8 @@
-"""Integer witnesses, sphere nets, and the small-image event.
+"""Integer witnesses and their labels, and separated nets on the sphere.
 
-A near-null unit direction v is converted to an integer witness by
-rounding n^(B+2) v to the nearest lattice point; the witness inherits a
-norm window [0.9, 1.1] n^(B+2) and is then classified by the exact
-concentration of its row walk (rich/poor) and by how many of its
-coordinates are large (singular/nonsingular profile).
+An integer witness is classified by the exact concentration of its row
+walk (rich/poor) and by how many of its coordinates are large
+(singular/nonsingular profile).
 """
 
 from __future__ import annotations
@@ -12,19 +10,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .concentration import ConcentrationQuery, RichnessReport, classify_rich
 from .errors import ValidationError
-from .noise import mu_float
 from .rational import whole_numbers
-from .util import finite, power, wilson_interval
+from .util import finite, power
 
-# beyond 2^53 the float scale n^(B+2) no longer represents integers
-# exactly and rounding would be meaningless
-_SCALE_LIMIT = 2.0**53
 # a rich witness has the singular profile when fewer than
 # ceil(n^SINGULAR_COUNT_EXPONENT) coordinates reach ceil(n^(B/2))
 SINGULAR_COUNT_EXPONENT = 0.2
@@ -57,34 +50,6 @@ class WitnessVector:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-def round_witness(v: Sequence[float], n: int, b_exponent: float) -> WitnessVector:
-    """Round n^(B+2) v to integers; v must be a unit vector (within 1%).
-
-    The rounding perturbs each coordinate by at most 1/2, so the witness
-    norm stays inside [0.9, 1.1] n^(B+2) and the witness image under any
-    matrix M gains at most ||M|| sqrt(n)/2 over n^(B+2) ||M v||.
-    """
-    v_arr = np.asarray(v, dtype=float)
-    if v_arr.ndim != 1 or len(v_arr) != n:
-        raise ValidationError(f"direction has length {v_arr.shape}, expected {n}")
-    norm_v = float(np.linalg.norm(v_arr))
-    if not (0.99 <= norm_v <= 1.01):
-        raise ValidationError(f"direction norm {norm_v} outside [0.99, 1.01]")
-    scale = power("b_exponent + 2", n, float(b_exponent) + 2.0)
-    if scale > _SCALE_LIMIT:
-        raise ValidationError(
-            f"scale n^(B+2) = {scale:.3g} overflows exact integer rounding"
-        )
-    w = np.rint(scale * v_arr).astype(np.int64)
-    norm_w = float(np.linalg.norm(w.astype(float)))
-    if not (0.9 * scale <= norm_w <= 1.1 * scale):
-        raise ValidationError(
-            f"witness norm {norm_w:.4g} outside [0.9, 1.1] * {scale:.4g}"
-        )
-    return WitnessVector(values=tuple(int(x) for x in w), norm=norm_w,
-                         b_exponent=float(b_exponent))
 
 
 def classify_witness(w: WitnessVector, query: ConcentrationQuery, a_exponent: float) -> WitnessVector:
@@ -241,60 +206,4 @@ def greedy_net(l: int, epsilon: float, seed: int) -> EpsilonNet:
         points=np.stack(pts),
         rejection_streak=streak,
         uncovered_mass_bound=bound,
-    )
-
-
-def embed_zero_padded(net: EpsilonNet, n: int) -> np.ndarray:
-    """Embed net points into R^n on the first l coordinates (zeros elsewhere)."""
-    if n < net.dimension:
-        raise ValidationError(f"target dimension {n} below net dimension {net.dimension}")
-    out = np.zeros((len(net), n))
-    out[:, : net.dimension] = net.points
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the small-image event
-
-
-@dataclass(frozen=True, slots=True)
-class SmallImageReport:
-    estimate: float
-    ci_low: float
-    ci_high: float
-    product_bound: float
-    threshold: float
-    trials: int
-
-
-def small_image_event(
-    sample_matrix: Callable[[int], np.ndarray],
-    y: Sequence[float],
-    trials: int,
-    mu,
-) -> SmallImageReport:
-    """Estimate P(||M y|| <= n^-2) over seeded matrix draws.
-
-    Also reports the per-row product bound (1 - mu/2)^n: each row has
-    escape probability at least mu/2 under non-degeneracy, and the rows
-    are independent.
-    """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    y_arr = np.asarray(y, dtype=float)
-    n = len(y_arr)
-    mu_f = mu_float(mu)
-    cut = float(n) ** (-2.0)
-    hits = 0
-    for t in range(trials):
-        m = sample_matrix(t)
-        arr = getattr(m, "entries", m)
-        image = np.asarray(arr, dtype=float) @ y_arr
-        if float(np.linalg.norm(image)) <= cut:
-            hits += 1
-    lo, hi = wilson_interval(hits, trials)
-    bound = (1.0 - mu_f / 2.0) ** n
-    return SmallImageReport(
-        estimate=hits / trials, ci_low=lo, ci_high=hi,
-        product_bound=bound, threshold=cut, trials=trials,
     )

@@ -12,7 +12,6 @@ from perturblab import (
     bernoulli,
     certificate_from_symmetric,
     check_dominance,
-    check_nondegeneracy,
     classify_rich,
     discretized_gaussian,
     exact_concentration,
@@ -105,8 +104,8 @@ def test_exact_concentration_budget(monkeypatch):
     q = ConcentrationQuery(dists=(BERN,) * 30)
     v = tuple(10**14 + i for i in range(30))
     monkeypatch.setattr(concentration, "DP_STATE_BUDGET", 1000)
-    with pytest.raises(ResourceError, match=r"^exact convolution needs ~1\.02e\+03 states \(budget 1000\); "
-                                            r"use the Monte Carlo non-degeneracy estimator$"):
+    with pytest.raises(ResourceError, match=r"^exact convolution needs ~1\.02e\+03 states "
+                                            r"\(concentration\.DP_STATE_BUDGET = 1000\)$"):
         exact_concentration(q, v)
 
 
@@ -285,33 +284,6 @@ def test_classify_rich_default_offset():
     q = ConcentrationQuery(dists=(BERN,) * n)
     rep = classify_rich(q, tuple(2**i for i in range(n)), a_exponent=1.0)
     assert rep.label == "rich"  # 2^-12 = 2.4e-4 >= 12^-5 = 4.0e-6
-
-
-# ---------------------------------------------------------------------------
-# nondegeneracy
-
-
-def test_nondegeneracy_typical_direction():
-    n = 12
-    y = np.ones(n) / np.sqrt(n)
-    rep = check_nondegeneracy([BERN] * n, None, y, Fraction(1, 4), trials=400, seed=5)
-    assert rep.trials == 400
-    assert 0.0 <= rep.estimate <= 1.0
-    assert not rep.violation
-
-
-def test_nondegeneracy_degenerate_direction_flags():
-    # y = e_1 with noise that never moves: the image is always 0
-    n = 4
-    point = ConcentrationQuery  # noqa: F841  (readability only)
-    from perturblab import DiscreteDistribution
-
-    frozen_law = DiscreteDistribution("point", ((0, Fraction(1)),))
-    y = np.zeros(n)
-    y[0] = 1.0
-    rep = check_nondegeneracy([frozen_law] * n, None, y, Fraction(1, 4), trials=300, seed=9)
-    assert rep.estimate == 1.0
-    assert rep.violation
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from perturblab import (
     lazy_coin,
     parse_distribution,
     sample_iid_matrix,
-    sample_vector,
-    symmetric_discretization,
     verify_certificate,
 )
 from perturblab.noise import GRID_TOLERANCE, symmetric_chain_margins
@@ -136,26 +134,6 @@ def test_discretized_gaussian_thread_safe():
 def test_discretized_gaussian_radius_floor():
     with pytest.raises(ValidationError):
         discretized_gaussian(truncation_radius=4)
-
-
-def test_symmetric_discretization_rounds_away_from_zero_on_ties():
-    d = symmetric_discretization(
-        [
-            (Fraction(1, 2), Fraction(1, 4)),
-            (Fraction(-1, 2), Fraction(1, 4)),
-            (0, Fraction(1, 2)),
-        ]
-    )
-    # 1/2 rounds to 1, -1/2 to -1: symmetry survives
-    assert d.probability_of(1) == Fraction(1, 4)
-    assert d.probability_of(-1) == Fraction(1, 4)
-    assert d.probability_of(0) == Fraction(1, 2)
-    assert d.is_symmetric
-
-
-def test_symmetric_discretization_rejects_asymmetric_table():
-    with pytest.raises(ValidationError):
-        symmetric_discretization([(1, Fraction(1, 2)), (0, Fraction(1, 2))])
 
 
 def test_distribution_spec_strings():
@@ -295,8 +273,8 @@ FIVE_LAWS = (
     lazy_coin(Fraction(1, 2)),
     lazy_coin(Fraction(1, 10)),
     discretized_gaussian(),
-    symmetric_discretization([(Fraction(-3, 2), Fraction(1, 4)), (0, Fraction(1, 2)),
-                              (Fraction(3, 2), Fraction(1, 4))]),
+    DiscreteDistribution("symmetric_discretization",
+                         ((-2, Fraction(1, 4)), (0, Fraction(1, 2)), (2, Fraction(1, 4)))),
 )
 
 
@@ -342,24 +320,24 @@ def test_chain_margins_property(num, den, s):
 # sampling
 
 
-def test_sample_vector_deterministic():
-    dists = [bernoulli()] * 5 + [discretized_gaussian()] * 5
-    a = sample_vector(dists, seed=123)
-    b = sample_vector(dists, seed=123)
-    c = sample_vector(dists, seed=124)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+def test_sample_iid_matrix_deterministic():
+    for law in (bernoulli(), discretized_gaussian()):
+        a = sample_iid_matrix(law, 32, seed=123)
+        b = sample_iid_matrix(law, 32, seed=123)
+        c = sample_iid_matrix(law, 32, seed=124)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
-def test_sample_vector_values_in_support():
+def test_sample_iid_matrix_values_in_support():
     d = lazy_coin(Fraction(1, 3))
-    x = sample_vector([d] * 1000, seed=7)
+    x = sample_iid_matrix(d, 32, seed=7)
     assert set(np.unique(x)) <= {-1, 0, 1}
 
 
-def test_sample_vector_empirical_frequencies():
+def test_sample_iid_matrix_empirical_frequencies():
     d = lazy_coin(Fraction(1, 2))
-    x = sample_vector([d] * 20000, seed=11)
+    x = sample_iid_matrix(d, 142, seed=11)
     frac_zero = float(np.mean(x == 0))
     assert abs(frac_zero - 0.5) < 0.02
 
@@ -371,15 +349,7 @@ def test_sample_iid_matrix_shape_and_determinism():
     assert np.array_equal(m, sample_iid_matrix(bernoulli(), 8, seed=5))
 
 
-def test_sample_matrix_matches_vector_layout():
-    # the matrix is the length-n^2 sample laid out row-major
-    d = bernoulli()
-    flat = sample_vector([d] * 9, seed=42)
-    m = sample_iid_matrix(d, 3, seed=42)
-    assert np.array_equal(m, flat.reshape(3, 3))
-
-
-# the vectorized samplers against the scalar per-coordinate loop, bit for bit
+# the vectorized sampler against the scalar per-coordinate loop, bit for bit
 
 _LAWS = [
     bernoulli(),
@@ -388,7 +358,8 @@ _LAWS = [
     lazy_coin(1),
     discretized_gaussian(6),
     discretized_gaussian(8),
-    symmetric_discretization([("-3/2", "1/8"), ("-1/3", "3/8"), ("1/3", "3/8"), ("3/2", "1/8")]),
+    DiscreteDistribution("symmetric_discretization",
+                         ((-2, Fraction(1, 8)), (0, Fraction(3, 4)), (2, Fraction(1, 8)))),
     parse_distribution("-2 1/3\n5 1/6\n7 1/2\n", name="skewed"),
     DiscreteDistribution("point", ((4, Fraction(1)),)),
 ]
@@ -402,13 +373,3 @@ def test_sample_iid_matrix_equals_scalar_loop(law, seed):
         got = sample_iid_matrix(law, n, seed)
         assert got.dtype == ref.dtype == np.int64
         assert np.array_equal(got, ref)
-
-
-@pytest.mark.parametrize("seed", [0, 3, 99])
-def test_sample_vector_mixed_laws_equals_scalar_loop(seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    # equal laws built twice are separate objects: grouping must not matter
-    pool = _LAWS + [bernoulli(), discretized_gaussian(6)]
-    dists = [pool[int(i)] for i in rng.integers(0, len(pool), size=3000)]
-    assert np.array_equal(sample_vector(dists, seed), oracles.scalar_sample_vector(dists, seed))
-    assert sample_vector([], seed).shape == (0,)

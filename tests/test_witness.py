@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,53 +12,10 @@ from perturblab import (
     WitnessVector,
     bernoulli,
     classify_witness,
-    embed_zero_padded,
     greedy_net,
-    round_witness,
-    sample_iid_matrix,
-    small_image_event,
 )
 
 BERN = bernoulli()
-
-
-# ---------------------------------------------------------------------------
-# rounding
-
-
-def test_round_witness_diagonal_direction():
-    n = 4
-    v = np.zeros(n)
-    v[0] = 1.0
-    w = round_witness(v, n, b_exponent=2.0)
-    scale = float(n) ** 4.0
-    assert w.values[0] == round(scale)
-    assert w.values[1:] == (0, 0, 0)
-    assert 0.9 * scale <= w.norm <= 1.1 * scale
-
-
-def test_round_witness_uniform_direction():
-    n = 4
-    w = round_witness(np.ones(n) / 2.0, n, b_exponent=2.0)
-    # frozen: 4^4 / 2 = 128 per coordinate
-    assert w.values == (128, 128, 128, 128)
-
-
-def test_round_witness_rejects_non_unit():
-    with pytest.raises(ValidationError):
-        round_witness(np.ones(4), 4, b_exponent=2.0)
-
-
-def test_round_witness_rejects_overflow_scale():
-    with pytest.raises(ValidationError):
-        round_witness(np.ones(16) / 4.0, 16, b_exponent=12.0)  # 16^14 > 2^53
-    with pytest.raises(ValidationError, match=r"^b_exponent \+ 2 = 1e\+300 overflows"):
-        round_witness([0.6, 0.8], 2, b_exponent=1e300)  # 2^(B+2) is past the float range
-
-
-def test_round_witness_length_mismatch():
-    with pytest.raises(ValidationError):
-        round_witness(np.ones(3) / math.sqrt(3), 4, b_exponent=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,44 +147,7 @@ def test_epsilon_net_container_checks_separation():
         )
 
 
-def test_embed_zero_padded():
-    net = greedy_net(2, 0.8, seed=2)
-    out = embed_zero_padded(net, 5)
-    assert out.shape == (len(net.points), 5)
-    assert not out[:, 2:].any()
-    assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
-    with pytest.raises(ValidationError):
-        embed_zero_padded(net, 1)
-
-
 def test_min_distance_to():
     net = greedy_net(2, 0.5, seed=4)
     x = np.asarray(net.points[0])
     assert net.min_distance_to(x) == pytest.approx(0.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# small image event
-
-
-def test_small_image_rare_for_random_sign_matrix():
-    n = 10
-    y = np.ones(n) / math.sqrt(n)
-
-    def draw(t):
-        return sample_iid_matrix(BERN, n, seed=1000 + t)
-
-    rep = small_image_event(draw, y, trials=300, mu=Fraction(1, 4))
-    assert rep.estimate <= rep.product_bound + 0.05
-    assert rep.product_bound == pytest.approx((1 - 0.125) ** n, rel=1e-12)
-
-
-def test_small_image_certain_for_zero_matrix():
-    n = 5
-    y = np.ones(n) / math.sqrt(n)
-
-    def draw(t):
-        return np.zeros((n, n), dtype=np.int64)
-
-    rep = small_image_event(draw, y, trials=50, mu=Fraction(1, 4))
-    assert rep.estimate == 1.0

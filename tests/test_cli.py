@@ -133,6 +133,18 @@ def test_lo_check_bad_file(tmp_path, capsys):
     assert "k_exponent = 1e+300 overflows" in err
 
 
+def test_lo_check_over_budget_exits_3_naming_the_limit(tmp_path, capsys):
+    # 30 bernoulli weights near 10^9: 2^30 points and ~6e10 sums, both over
+    # the exact convolution's state limit
+    query = tmp_path / "q.txt"
+    query.write_text("dist bernoulli\nv " + " ".join(str(10**9 + i) for i in range(30)) + "\n")
+    code, out, err = run(capsys, "lo-check", str(query))
+    assert code == 3
+    assert out == ""
+    assert f"(concentration.DP_STATE_BUDGET = {concentration.DP_STATE_BUDGET})" in err
+    assert "Monte Carlo" not in err
+
+
 # ----------------------------------------------------------------- gap-verify
 
 

@@ -109,6 +109,50 @@ def test_exact_concentration_budget(monkeypatch):
         exact_concentration(q, v)
 
 
+def test_exact_point_mass_budget(monkeypatch):
+    # the point mass walks the same convolution and meets the same limit
+    q = ConcentrationQuery(dists=(BERN,) * 30)
+    v = tuple(10**14 + i for i in range(30))
+    monkeypatch.setattr(concentration, "DP_STATE_BUDGET", 1000)
+    with pytest.raises(ResourceError, match=r"^exact convolution needs ~1\.02e\+03 states "
+                                            r"\(concentration\.DP_STATE_BUDGET = 1000\)$"):
+        exact_point_mass(q, v)
+
+
+def test_budget_counts_sparse_states_for_wide_weights(monkeypatch):
+    # weights near 10^14 span ~10^15 dense states, but 9 bernoulli
+    # coordinates reach only 2^9 = 512 points: at a budget of 512 the walk
+    # runs and agrees with enumeration, one state fewer refuses
+    dists = (BERN,) * 9
+    v = tuple(10**14 + 3**i for i in range(9))
+    q = ConcentrationQuery(dists=dists)
+    monkeypatch.setattr(concentration, "DP_STATE_BUDGET", 512)
+    want_sup, want_arg, want_at_zero = oracles.brute_force_concentration(dists, v)
+    out = exact_concentration(q, v)
+    assert (out.sup, out.argmax) == (want_sup, want_arg)
+    assert exact_point_mass(q, v) == want_at_zero
+    monkeypatch.setattr(concentration, "DP_STATE_BUDGET", 511)
+    with pytest.raises(ResourceError, match=r"^exact convolution needs ~5\.12e\+02 states "
+                                            r"\(concentration\.DP_STATE_BUDGET = 511\)$"):
+        exact_concentration(q, v)
+
+
+def test_budget_counts_dense_states_for_many_atoms(monkeypatch):
+    # 8 lazy coins with weights 1, 2, 3, ... reach 3^8 = 6561 points but
+    # only 2 * 15 + 1 = 31 sums: the dense count decides
+    dists = (LAZY,) * 8
+    v = tuple(1 + i % 3 for i in range(8))
+    q = ConcentrationQuery(dists=dists)
+    monkeypatch.setattr(concentration, "DP_STATE_BUDGET", 31)
+    want_sup, want_arg, _ = oracles.brute_force_concentration(dists, v)
+    out = exact_concentration(q, v)
+    assert (out.sup, out.argmax) == (want_sup, want_arg)
+    monkeypatch.setattr(concentration, "DP_STATE_BUDGET", 30)
+    with pytest.raises(ResourceError, match=r"^exact convolution needs ~3\.10e\+01 states "
+                                            r"\(concentration\.DP_STATE_BUDGET = 30\)$"):
+        exact_concentration(q, v)
+
+
 # ---------------------------------------------------------------------------
 # fourier bound
 

@@ -15,6 +15,7 @@ from perturblab import (
     discretized_gaussian,
     distribution_from_spec,
     lazy_coin,
+    noise,
     parse_distribution,
     sample_iid_matrix,
     verify_certificate,
@@ -342,6 +343,18 @@ def test_sample_iid_matrix_empirical_frequencies():
     assert abs(frac_zero - 0.5) < 0.02
 
 
+@pytest.mark.parametrize("law", FIVE_LAWS, ids=str)
+def test_sample_iid_matrix_atom_frequencies(law):
+    # 142^2 = 20164 draws: each atom's share within 5 standard errors of its mass
+    x = sample_iid_matrix(law, 142, seed=11)
+    draws = x.size
+    assert set(np.unique(x)) <= set(law.values)
+    for value, p in law.atoms:
+        freq = float(np.count_nonzero(x == value)) / draws
+        p = float(p)
+        assert abs(freq - p) <= 5.0 * math.sqrt(p * (1.0 - p) / draws) + 1.0 / draws, value
+
+
 def test_sample_iid_matrix_shape_and_determinism():
     m = sample_iid_matrix(bernoulli(), 8, seed=5)
     assert m.shape == (8, 8)
@@ -373,3 +386,19 @@ def test_sample_iid_matrix_equals_scalar_loop(law, seed):
         got = sample_iid_matrix(law, n, seed)
         assert got.dtype == ref.dtype == np.int64
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("law", _LAWS, ids=lambda d: d.name)
+def test_draw_takes_first_atom_at_or_above_u(law):
+    # uniforms on and just past each cumulative float mass: the side="left"
+    # lookup picks the first atom whose cumulative mass is >= u
+    cum = np.cumsum([float(p) for p in law.probabilities])
+    cum[-1] = 1.0
+    probes = [0.0, float(np.nextafter(1.0, 0.0))]
+    for c in cum[:-1]:
+        probes += [float(c), float(np.nextafter(c, 1.0))]
+    u = np.array(probes)
+    want = [law.values[next(k for k, c in enumerate(cum) if c >= x)] for x in probes]
+    got = noise._draw(law, u)
+    assert got.dtype == np.int64
+    assert got.tolist() == want

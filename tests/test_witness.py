@@ -11,9 +11,11 @@ from perturblab import (
     WitnessClass,
     WitnessVector,
     bernoulli,
+    classify_rich,
     classify_witness,
     greedy_net,
 )
+from perturblab.witness import label_witness
 
 BERN = bernoulli()
 
@@ -80,6 +82,32 @@ def test_classify_large_coord_exponent_override():
     # nor has a finite B whose cut n^(B/2) overflows a float
     with pytest.raises(ValidationError, match=r"^b_exponent / 2 = 5e\+299 overflows"):
         classify_witness(replace(w, b_exponent=1e300), q, a_exponent=1.0)
+
+
+def test_witness_vector_rejects_empty():
+    with pytest.raises(ValidationError, match="^empty witness$"):
+        WitnessVector(values=(), norm=0.0, b_exponent=1.0)
+
+
+def test_classify_changes_only_the_label():
+    n = 8
+    w = WitnessVector(values=(10,) * n, norm=3.5, b_exponent=2.0)
+    out = classify_witness(w, ConcentrationQuery(dists=(BERN,) * n), a_exponent=1.0)
+    assert out.label == WitnessClass.RICH_NONSINGULAR
+    assert (out.values, out.norm, out.b_exponent) == (w.values, w.norm, w.b_exponent)
+    assert w.label == WitnessClass.UNCLASSIFIED
+
+
+@pytest.mark.parametrize("a_exponent", [-0.5, 1.0])
+def test_label_witness_from_a_report_matches_classify(a_exponent):
+    # the classify command computes the richness report once and labels
+    # from it; that must agree with classify_witness
+    n = 8
+    q = ConcentrationQuery(dists=(BERN,) * n)
+    for values in ((10,) * n, (100, 1, 1, 1, 1, 1, 1, 1), tuple(2**i for i in range(n))):
+        w = WitnessVector(values=values, norm=0.0, b_exponent=2.0)
+        report = classify_rich(q, w.values, a_exponent)
+        assert label_witness(w, report) == classify_witness(w, q, a_exponent)
 
 
 # ---------------------------------------------------------------------------

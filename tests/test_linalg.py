@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from perturblab import (
     svd,
     svd_stack,
 )
-from perturblab import linalg
+from perturblab import experiments, linalg
 
 import oracles
 
@@ -544,6 +545,41 @@ def test_gram_test_skips_the_rounds_that_rotate_nothing(monkeypatch):
     (spec,) = svd_stack([m])
     _assert_reference([m], [spec])
     assert spec.sweeps == 3 and len(rounds) < 1.2 * (n - 1)
+
+
+@pytest.mark.parametrize("n, integer", [(20, True), (50, False), (100, False)])
+def test_compact_rounds_rotate_the_failing_slots_alone(n, integer, monkeypatch):
+    # the chunks of ge-check (163 bernoulli 20 x 20), tail (26 gaussian
+    # 50 x 50) and cond-tail (6 gaussian 100 x 100): some rounds fail at most
+    # half of their (pair, matrix) slots and rotate those alone, with every
+    # field the reference's and the stack still about twice its bytes
+    count = experiments.STACK_ENTRIES // (n * n)
+    if integer:
+        draws = [IntegerMatrix(sample_iid_matrix(bernoulli(), n, seed)) for seed in range(count)]
+    else:
+        draws = [RealMatrix(experiments.gaussian_matrix(n, seed)) for seed in range(count)]
+    run, rotate, rounds, gathered = linalg._round, linalg._rotate, [0], [0]
+
+    def counted(*args):
+        mask, failing = run(*args)
+        rounds[0] += int(0 < 2 * failing <= mask.size)
+        return mask, failing
+
+    def counted_rotate(ap, *args):
+        gathered[0] += ap.ndim == 2  # the failing slots' columns, not the whole blocks
+        rotate(ap, *args)
+
+    monkeypatch.setattr(linalg, "_round", counted)
+    monkeypatch.setattr(linalg, "_rotate", counted_rotate)
+    tracemalloc.start()
+    try:
+        spectra = svd_stack(draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rounds[0] > 0 and gathered[0] == rounds[0]
+    assert peak <= 2.5 * count * n * n * 8
+    _assert_reference(draws, spectra)
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,20 @@ the current round's column order, so a round's pairs are two contiguous
 blocks.  A round rotates only what fails its pair test: when at most half
 of its (pair, matrix) slots fail, their columns are gathered, rotated and
 put back; otherwise the whole blocks rotate, with s and then c copied out
-beside them so that all products but one run on contiguous operands.  The
-stack lives in one of two flat buffers allocated once per call, and every
-temporary as large as the stack is a view of the other, so a call holds
-about twice its stack's bytes: 2.3 to 2.45 times, traced, at the
+beside them so that all products but one run on contiguous operands.  A
+round whose cosines all round to 1.0, as nearly every round on a
+preconditioned matrix does, leaves out the products by c, which are exact.
+The stack lives in one of two flat buffers allocated once per call, and
+every temporary as large as the stack is a view of the other, so a call
+holds about twice its stack's bytes: 2.3 to 2.45 times, traced, at the
 experiments' chunks of n = 20, 50 and 100.
 
 Most matrices are swept preconditioned: as x V instead of x, V the
 eigenbasis of x^T x from LAPACK rounded to multiples of 2^-26 and made
-orthogonal again by one Newton-Schulz step in einsum.  Its columns are
-orthogonal up to that rounding, and the sweeps end after two or three
-instead of about ten.  The route rule keeps x itself when
+orthogonal again by one Newton-Schulz step: its Gram V^T V in BLAS, whose
+products and sums on that grid are all exact, the rest in einsum.  Its
+columns are orthogonal up to that rounding, and the sweeps end after two
+or three instead of about ten.  The route rule keeps x itself when
 n < PRECONDITION_MIN_N (a full stack of small matrices sweeps faster than
 it preconditions them one by one), when lambda_min(x^T x) <= 0 (the zero
 matrix, singular integer draws), when n eps kappa-hat > ROUTE_TOL
@@ -231,20 +234,25 @@ def _preconditioned(x: np.ndarray) -> np.ndarray:
 
     V is the eigenbasis of x^T x from LAPACK, rounded to multiples of
     1 / EIGENBASIS_GRID and made orthogonal again by one Newton-Schulz step,
-    V <- 1.5 V - 0.5 V (V^T V).  The step and the product x V run in einsum,
-    not BLAS, so x V depends on the BLAS kernel that computed the eigenbasis
-    only where an entry lies within that kernel's roundoff of a grid
-    midpoint: 2 of 2000 draws at n = 50 and 2 of 600 at n = 100 (gaussian
-    and graded bernoulli) moved under OpenBLAS's Prescott kernel against the
-    default, none under Haswell.  The rule keeps x when n < PRECONDITION_MIN_N,
-    when its Gram matrix is not finite, when the smallest eigenvalue
-    lambda_min is <= 0 (the zero matrix and singular integer draws), when
-    n eps kappa-hat > ROUTE_TOL, kappa-hat = sqrt(lambda_max / lambda_min)
-    (the ill-conditioned tail, where the roundoff of forming x V, about
-    n eps sigma_max, is no longer small against sigma_min), and when two
-    eigenvalues are within n eps EIGENBASIS_GRID lambda_max of each other:
-    the eigenvectors of such a pair are fixed by LAPACK's roundoff only to
-    about a grid step, and an exact tie leaves their basis to the BLAS kernel.
+    V <- 1.5 V - 0.5 V (V^T V).  V^T V runs in BLAS, since it is exact: each
+    entry of the rounded V is m / 2^26 with |m| <= 2^26, so every product is
+    a multiple of 2^-52, and every partial sum of a column pair, in any order,
+    is a multiple of 2^-52 below |v_i| |v_j| < 2 in magnitude, which a double
+    holds exactly; every BLAS kernel gives einsum's bits.  V (V^T V) and the
+    product x V are not exact and run in einsum, so x V depends on the BLAS
+    kernel that computed the eigenbasis only where an entry lies within that
+    kernel's roundoff of a grid midpoint: 2 of 2000 draws at n = 50 and 2 of
+    600 at n = 100 (gaussian and graded bernoulli) moved under OpenBLAS's
+    Prescott kernel against the default, none under Haswell.  The rule keeps
+    x when n < PRECONDITION_MIN_N, when its Gram matrix is not finite, when
+    the smallest eigenvalue lambda_min is <= 0 (the zero matrix and singular
+    integer draws), when n eps kappa-hat > ROUTE_TOL, kappa-hat =
+    sqrt(lambda_max / lambda_min) (the ill-conditioned tail, where the
+    roundoff of forming x V, about n eps sigma_max, is no longer small
+    against sigma_min), and when two eigenvalues are within
+    n eps EIGENBASIS_GRID lambda_max of each other: the eigenvectors of such
+    a pair are fixed by LAPACK's roundoff only to about a grid step, and an
+    exact tie leaves their basis to the BLAS kernel.
     """
     if len(x) < PRECONDITION_MIN_N:
         return x
@@ -258,18 +266,25 @@ def _preconditioned(x: np.ndarray) -> np.ndarray:
             or np.diff(lam).min(initial=math.inf) <= n_eps * EIGENBASIS_GRID * lam[-1]):
         return x
     v = np.rint(v * EIGENBASIS_GRID) / EIGENBASIS_GRID
-    v = 1.5 * v - 0.5 * np.einsum("ik,kj->ij", v, np.einsum("ki,kj->ij", v, v))
+    v = 1.5 * v - 0.5 * np.einsum("ik,kj->ij", v, v.T @ v)
     return np.einsum("ik,kj->ij", y, v)
 
 
-def _rotate(ap: np.ndarray, aq: np.ndarray, c: np.ndarray, s: np.ndarray,
+def _rotate(ap: np.ndarray, aq: np.ndarray, c: np.ndarray | None, s: np.ndarray,
             sp: np.ndarray, sq: np.ndarray) -> None:
     """ap, aq <- c ap - s aq, s ap + c aq in place, by the same products and
     sums, with sp and sq taking s ap and s aq: s, and then c, is copied into
-    one of them first, so that only ap *= c reads a stride-0 operand."""
+    one of them first, so that only ap *= c reads a stride-0 operand.  c is
+    None when every c is 1.0: then ap, aq <- ap - s aq, s ap + aq, which
+    leaves out the products by c, each exact (signed zeros included), so
+    the values are the same and no operand is stride-0."""
     np.copyto(sp, s)
     np.multiply(sp, aq, out=sq)
     sp *= ap
+    if c is None:
+        ap -= sq
+        aq += sp
+        return
     ap *= c
     ap -= sq
     np.copyto(sq, c)
@@ -286,7 +301,11 @@ def _round(a: np.ndarray, buf: np.ndarray, off2: np.ndarray | None) -> tuple[np.
     their two products and put back, and the four fit, 4 (h B / 2) n <= B n^2
     for h pairs and B matrices.  Otherwise the whole blocks rotate, their
     products in `buf`, and a slot that passes gets t = 0: c = 1, s = 0.
-    Returns the test's mask and its count."""
+    When every 1 + t^2 rounds to 1 (t^2 <= 2^-53, as on nearly every
+    round of a preconditioned x V, whose rotations are near-identity), every
+    c = 1 / sqrt(1 + t^2) is 1.0 and s = t c is t, bit for bit, so the round
+    hands `_rotate` c = None and s = t; a masked slot's t = 0 counts as one
+    of them.  Returns the test's mask and its count."""
     half, n = len(a) // 2, a.shape[2]
     ap, aq = a[:half], a[half:2 * half]
     norms2 = np.einsum("jbi,jbi->bj", a[:2 * half], a[:2 * half], order="C")
@@ -310,12 +329,13 @@ def _round(a: np.ndarray, buf: np.ndarray, off2: np.ndarray | None) -> tuple[np.
     t = sgn / (np.abs(theta) + np.hypot(1.0, theta))
     if partial:
         t = np.where(mask, t, 0.0)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
+    w = 1.0 + t * t
+    c = None if w.max() == 1.0 else 1.0 / np.sqrt(w)
+    s = t if c is None else t * c
     if not compact:
-        _rotate(ap, aq, c.T[:, :, None], s.T[:, :, None], *_head(buf, (2, *ap.shape)))
+        _rotate(ap, aq, c if c is None else c.T[:, :, None], s.T[:, :, None], *_head(buf, (2, *ap.shape)))
         return mask, count
-    c, s = c[:, None], s[:, None]
+    c, s = c if c is None else c[:, None], s[:, None]
     slots, rows_p, rows_q = np.flatnonzero(fails), ap.reshape(-1, n), aq.reshape(-1, n)
     gp, gq, sp, sq = _head(buf, (4, count, n))
     np.take(rows_p, slots, axis=0, out=gp, mode="clip")
@@ -386,13 +406,13 @@ def _refresh(a: np.ndarray, cols: np.ndarray, layout: np.ndarray, norms2: np.nda
     failing[layout, layout[cols, None]] = fails
 
 
-def _sigmas(a: np.ndarray, bs: Sequence[int], buf: np.ndarray) -> list[list[float]]:
-    """The singular values of the converged matrices bs of a stack, each
-    descending: their column norms, squared and summed down the rows of
-    row-major copies in the idle buffer `buf`, as np.linalg.norm sums them."""
-    rows = _head(buf, (len(bs), len(a), len(a)))
-    for i, b in enumerate(bs):
-        np.copyto(rows[i], a[:, b].T)
+def _sigmas(done: np.ndarray, buf: np.ndarray) -> list[list[float]]:
+    """The singular values of a column-major stack `done` of converged
+    matrices, each descending: their column norms, squared and summed down
+    the rows of row-major copies, made by one transposed copy into `buf`,
+    as np.linalg.norm sums them."""
+    rows = _head(buf, (done.shape[1], len(done), len(done)))
+    np.copyto(rows, done.transpose(1, 2, 0))
     return np.sort(np.sqrt(np.add.reduce(np.square(rows, out=rows), axis=1)), axis=1)[:, ::-1].tolist()
 
 
@@ -436,9 +456,11 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     large as it is a view of the other, idle one: the gather (the buffers
     then swap), the rotation products or the gathered columns beside them,
     the row-major copy for the dead-column test, the Gram matrices and the
-    compaction when matrices leave (it swaps them too).  So a call holds
-    about twice its stack's bytes.  The inputs are written straight into
-    the first buffer in start-column order.
+    compaction when matrices leave, which gathers the leaving ones beside
+    the rest and swaps the buffers, so that their row-major copies for
+    sigma go into the one it frees.  So a call holds about twice its
+    stack's bytes.  The inputs are written straight into the first buffer
+    in start-column order.
     Each matrix keeps its own off-diagonal sum, dead-column floor and sweep
     count.  Every reduction runs in the order a lone row-major matrix
     takes: ||A||_F^2 along the matrix's rows, pair sums along one
@@ -536,10 +558,15 @@ def _sweep_stack(ms: Sequence) -> list[tuple[list[float], float, int]]:
                 skip = whole and not last
                 if not len(clean):
                     continue
-                for b, b_sigma, b_off2 in zip(clean, _sigmas(a, clean, there[0]), clean_off2):
-                    spectra[live[b]] = (b_sigma, math.sqrt(b_off2) / float(frob2[b]), sweep + 1)
+                # the matrices that stay and those that leave, gathered side
+                # by side into the idle buffer, free the stack's buffer for
+                # the leaving ones' row-major copies
                 keep = np.delete(np.arange(len(live)), clean)
+                done = np.take(a, clean, axis=1, out=_head(there[0][len(keep) * n * n:], (n, len(clean), n)),
+                               mode="clip")
                 a = np.take(a, keep, axis=1, out=_head(there[0], (n, len(keep), n)), mode="clip")
+                for b, b_sigma, b_off2 in zip(clean, _sigmas(done, here[0]), clean_off2):
+                    spectra[live[b]] = (b_sigma, math.sqrt(b_off2) / float(frob2[b]), sweep + 1)
                 here, there = _views(there[0], n, len(keep)), _views(here[0], n, len(keep))
                 live, frob2, off2 = live[keep], frob2[keep], off2[keep]
                 if skip:

@@ -27,6 +27,7 @@ from perturblab import (
 from perturblab import experiments, linalg
 
 import oracles
+from test_golden_outputs import LARGE, _large_draws
 
 
 def _random_int_matrix(rng, n, lo=-9, hi=10):
@@ -413,6 +414,43 @@ def test_svd_stack_preconditioned_sigma_min_within_route_tol():
         assert abs(s - t) <= linalg.ROUTE_TOL * t
 
 
+def _grid_bases():
+    """Matrices on the preconditioner's grid of multiples of 2^-26 whose
+    columns have norm about 1 or less: a signed permutation, +-2^-26
+    everywhere, +-1 once per column and +-2^-26 elsewhere, mixed magnitudes
+    and signs, and the grid-rounded eigenbases of the golden LARGE draws,
+    rounded as `_preconditioned` rounds them."""
+    rng, n, grid = np.random.default_rng(29), 100, linalg.EIGENBASIS_GRID
+    signs = rng.choice((-1.0, 1.0), size=(3, n, n))
+    perm = np.eye(n)[rng.permutation(n)] * signs[0]
+    yield perm
+    yield signs[1] / grid
+    yield np.where(perm != 0.0, perm, signs[2] / grid)
+    yield np.rint(rng.uniform(-1.0, 1.0, (n, n)) * grid / math.sqrt(n)) / grid
+    for size, count in LARGE.items():
+        for m in _large_draws(size, count):
+            y = linalg._entries(m).astype(float)
+            yield np.rint(np.linalg.eigh(y.T @ y)[1] * grid) / grid
+
+
+def test_the_preconditioners_gram_is_exact_in_blas():
+    # every product of two grid entries is a multiple of 2^-52 and every
+    # partial sum of a column pair one below |v_i| |v_j| < 2, so V^T V is
+    # exact in any order: BLAS, whatever its kernel, gives einsum's bits.
+    # The exact sum is taken in int64 multiples of 2^-52, which hold the n
+    # products of |m| <= 2^26 for every n < 2^11
+    for v in _grid_bases():
+        m = v * linalg.EIGENBASIS_GRID
+        assert np.array_equal(m, np.rint(m)) and np.abs(m).max() <= linalg.EIGENBASIS_GRID
+        m = m.astype(np.int64)
+        exact = m.T @ m
+        assert np.abs(exact).max() < 2**53
+        gram = v.T @ v
+        scaled = gram * 2.0**52
+        assert np.array_equal(scaled, np.rint(scaled)) and np.array_equal(scaled.astype(np.int64), exact)
+        assert np.array_equal(gram, np.einsum("ki,kj->ij", v, v))
+
+
 def test_svd_stack_refuses_mixed_sizes():
     with pytest.raises(ValidationError):
         svd_stack([np.eye(3), np.eye(4)])
@@ -580,6 +618,43 @@ def test_compact_rounds_rotate_the_failing_slots_alone(n, integer, monkeypatch):
     assert rounds[0] > 0 and gathered[0] == rounds[0]
     assert peak <= 2.5 * count * n * n * 8
     _assert_reference(draws, spectra)
+
+
+def _chunk(kind, n, count, c_exponent=None):
+    if kind == "gaussian":
+        return [RealMatrix(experiments.gaussian_matrix(n, seed)) for seed in range(count)]
+    base = matrix_from_spec("graded_diagonal" if kind == "graded" else "zero", n, c_exponent)
+    return [perturb(base, IntegerMatrix(sample_iid_matrix(bernoulli(), n, seed))) for seed in range(count)]
+
+
+@pytest.mark.parametrize("kind, n, count, c_exponent", [
+    ("graded", 100, 1, None),  # cond-tail's lone draw, swept as x V
+    ("gaussian", 50, 26, None),  # tail's chunk, x V
+    ("bernoulli", 20, 2, None),  # ge-check's two-trial batch, x V
+    ("bernoulli", 8, 128, None),  # under the size floor: x
+    ("graded", 100, 3, 3.0),  # C = 3, kappa past the route rule: x
+])
+def test_rounds_whose_cosines_all_round_to_one_leave_out_the_products_by_c(kind, n, count, c_exponent,
+                                                                           monkeypatch):
+    # on x V the rotations are near-identity and nearly every round hands
+    # _rotate c = None; on x the general path runs too; every field is the
+    # reference's either way
+    draws = _chunk(kind, n, count, c_exponent)
+    calls, rotate = [], linalg._rotate
+
+    def spy(ap, aq, c, *args):
+        calls.append(c is None)
+        rotate(ap, aq, c, *args)
+
+    monkeypatch.setattr(linalg, "_rotate", spy)
+    spectra = svd_stack(draws)
+    _assert_reference(draws, spectra)
+    kept = {_kept(m) for m in draws}
+    assert len(kept) == 1 and calls.count(True) > 0
+    if kept == {False}:
+        assert calls.count(True) > 3 * calls.count(False)
+    else:
+        assert calls.count(False) > 0
 
 
 # ---------------------------------------------------------------------------

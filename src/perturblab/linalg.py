@@ -16,6 +16,8 @@ put back; otherwise the whole blocks rotate, with s and then c copied out
 beside them so that all products but one run on contiguous operands.  A
 round whose cosines all round to 1.0, as nearly every round on a
 preconditioned matrix does, leaves out the products by c, which are exact.
+A matrix leaves the stack at a Gram test, which evaluates a whole sweep's
+pair tests from the diagonal and upper triangle of its Gram matrix.
 The stack lives in one of two flat buffers allocated once per call, and
 every temporary as large as the stack is a view of the other, so a call
 holds about twice its stack's bytes: 2.3 to 2.45 times, traced, at the
@@ -191,17 +193,20 @@ class SingularSpectrum:
 
 
 @functools.lru_cache(maxsize=None)
-def _round_robin_layouts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _round_robin_layouts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`svd_stack`'s deterministic all-pairs schedule, rounds of disjoint pairs
     (n - 1 of them, n at odd n, so one with no pair at n = 1), over the start
     order, the first round's column order: per round its layout, the rows of
     the start order that its order takes (its ps, its qs, then the column
     left over at odd n), and the inverse, the row that each start-order row
     takes in it, so a stack laid out for round r reaches round t's layout by
-    the one gather places[r][layouts[t]]; and per round the flat indices of
-    its pairs above the diagonal of an n x n Gram matrix in the start order.
-    Cached per n, read-only.  Built in Python: numpy's set routines would add
-    about 1.7 MB to every run's peak RSS."""
+    the one gather places[r][layouts[t]]; per round that gather from the round
+    before, steps[t] = places[t - 1][layouts[t]] (round 0's from the last
+    round); and per round the flat indices of its pairs above the diagonal of
+    an n x n Gram matrix in the start order.  Cached per n, read-only, in the
+    narrowest index types: about 4 n^2 bytes a size up to n = 255, 8 n^2
+    beyond.  Built in Python: numpy's set routines would add about 1.7 MB to
+    every run's peak RSS."""
     m = n + n % 2
     idx = list(range(m))
     orders = []
@@ -214,9 +219,10 @@ def _round_robin_layouts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     row = {col: i for i, col in enumerate(start)}
     layouts = [[row[col] for col in order] for order in orders]
     places = [sorted(range(n), key=layout.__getitem__) for layout in layouts]
+    steps = [[places[r - 1][row] for row in layout] for r, layout in enumerate(layouts)]
     pairs = [[min(p, q) * n + max(p, q) for p, q in zip(x[:n // 2], x[n // 2:2 * (n // 2)])] for x in layouts]
     # in the narrowest index types: they hold n^2 entries each
-    schedule = (*(np.array(x, dtype=np.min_scalar_type(n)) for x in (start, layouts, places)),
+    schedule = (*(np.array(x, dtype=np.min_scalar_type(n)) for x in (start, layouts, places, steps)),
                 np.array(pairs, dtype=np.min_scalar_type(n * n)))
     for index in schedule:
         index.setflags(write=False)  # every svd call of this size shares them
@@ -351,18 +357,25 @@ def _gram_test(a: np.ndarray, quiet: np.ndarray, whole: bool, flat_pairs: np.nda
     """The Gram test of a stack laid out in the start order: the kernel's
     pair test, |g_pq| > PAIR_TOL sqrt(g_pp g_qq), of every pair of every
     matrix, from the Gram matrices of the whole stack or of its `quiet`
-    matrices alone, by one einsum into the idle buffer `buf`.  The thresholds
-    are built where each Gram matrix repeats itself, below its diagonal, so
-    the test allocates one boolean per entry and nothing the size of the
-    stack.  Returns the quiet matrices with no failing pair, the off-diagonal
-    sum of each over a sweep (each round's pairs in the round's order, the
-    rounds one after another, as the sweep sums it), which pairs fail in some
-    tested matrix (by start-order rows, both ways) and the tested matrices'
-    squared column norms."""
+    matrices alone, in the idle buffer `buf`.  Only their diagonals and upper
+    triangles are formed, by the einsum in blocks of rows; the thresholds
+    are built below the diagonal, over whatever the buffer held there, so
+    the test reads nothing there that it did not write, and it allocates
+    one boolean per entry and nothing the size of the stack.  Returns the
+    quiet matrices with no failing pair, the off-diagonal sum of each over
+    a sweep (each round's pairs in the round's order, the rounds one after
+    another, as the sweep sums it), which pairs fail in some tested matrix
+    (by start-order rows, both ways) and the tested matrices' squared
+    column norms."""
     n = len(a)
     sel = np.arange(a.shape[1]) if whole else np.flatnonzero(quiet)
     sub = a if whole else np.take(a, sel, axis=1, out=_head(buf, (n, len(sel), n)), mode="clip")
-    gram = np.einsum("jbi,kbi->bjk", sub, sub, out=_head(buf[0 if whole else sub.size:], (len(sel), n, n)))
+    gram = _head(buf[0 if whole else sub.size:], (len(sel), n, n))
+    # 8 rows a block: each block's entries are the full einsum's sums, only its
+    # corner below the diagonal is wasted work, and n / 8 calls keep numpy's
+    # per-call cost small (4 rows cost more at n = 100, 16 more at n = 20)
+    for lo in range(0, n, 8):
+        np.einsum("jbi,kbi->bjk", sub[lo:lo + 8], sub[lo:], out=gram[:, lo:lo + 8, lo:])
     norms2 = np.einsum("bjj->bj", gram).copy()
     upper, lower = np.less.outer(np.arange(n), np.arange(n)), np.greater.outer(np.arange(n), np.arange(n))
     np.copyto(gram, norms2[:, :, None], where=lower)
@@ -434,31 +447,33 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     below RESIDUAL_TOL * ||A||_F^2; it then leaves the stack.  That sweep
     is not run: the first round of every sweep probes it, and a matrix
     that round leaves alone goes to the Gram test (`_gram_test`), which
-    evaluates every pair test of the sweep from one einsum of its Gram
-    matrix.  A matrix with no failing pair leaves there, with the sigma and
-    residual that the rotation-free sweep would have given and that sweep
-    counted in `sweeps`, so every field is what the sweep gives.  When the
-    test covers the whole stack it also says which rounds have a failing
-    pair in some matrix: the sweep runs only those rounds, refreshing the
-    tests of the columns each one rotates (`_refresh`), so a round is
-    skipped only when it would rotate nothing.  The last sweep runs every
-    round and sums its residual, which ConvergenceError reports.  At n = 1
-    the one round has no pair, and the Gram test retires every matrix.
+    evaluates every pair test of the sweep from the upper triangle of its
+    Gram matrix.  A matrix with no failing pair leaves there, with the
+    sigma and residual that the rotation-free sweep would have given and
+    that sweep counted in `sweeps`, so every field is what the sweep gives.
+    When the probe left most of the stack quiet, the test covers the whole
+    stack and also says which rounds have a failing pair in some matrix:
+    the sweep runs only those rounds, refreshing the tests of the columns
+    each one rotates (`_refresh`), so a round is skipped only when it would
+    rotate nothing.  The last sweep runs every round and sums its residual,
+    which ConvergenceError reports.  At n = 1 the one round has no pair, and
+    the Gram test retires every matrix.
 
     The stack is column-major, columns outermost: a[j, b] is a column of
     matrix b, one contiguous row, in the round's column order, so the
     round's ps and qs columns are two contiguous blocks; each round is one
-    gather from the layout of the last round run (`_round_robin_layouts`)
-    and a rotation in place (`_round`): of the whole ps and qs blocks when
-    more than half of the round's (pair, matrix) slots fail, else of the
-    failing slots' columns alone, gathered and put back.  The stack lives
-    in one of two flat buffers allocated once per call, and every array as
-    large as it is a view of the other, idle one: the gather (the buffers
-    then swap), the rotation products or the gathered columns beside them,
-    the row-major copy for the dead-column test, the Gram matrices and the
-    compaction when matrices leave, which gathers the leaving ones beside
-    the rest and swaps the buffers, so that their row-major copies for
-    sigma go into the one it frees.  So a call holds about twice its
+    gather from the layout of the last round run (`_round_robin_layouts`
+    caches the step from the round before) and a rotation in place
+    (`_round`): of the whole ps and qs blocks when more than half of the
+    round's (pair, matrix) slots fail, else of the failing slots' columns
+    alone, gathered and put back.  The stack lives in one of two flat
+    buffers allocated once per call, and every array as large as it is a
+    view of the other, idle one: the gather (the buffers then swap), the
+    rotation products or the gathered columns beside them, the row-major
+    copy for the dead-column test, the Gram matrices and the compaction
+    when matrices leave, which gathers the leaving ones beside the rest and
+    swaps the buffers, so that their row-major copies for sigma go into the
+    one it frees.  So a call holds about twice its
     stack's bytes.  The inputs are written straight into the first buffer
     in start-column order.
     Each matrix keeps its own off-diagonal sum, dead-column floor and sweep
@@ -491,7 +506,7 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
 def _sweep_stack(ms: Sequence) -> list[tuple[list[float], float, int]]:
     """`svd_stack`'s (sigma, residual, sweeps) per matrix; its buffers go when it returns."""
     n = _entries(ms[0]).shape[0]
-    start, layouts, places, flat_pairs = _round_robin_layouts(n)
+    start, layouts, places, steps, flat_pairs = _round_robin_layouts(n)
     half = n // 2
     held = np.empty(len(ms) * n * n)
     # column-major: a[j, b] is column start[j] of matrix b, one contiguous row
@@ -532,26 +547,25 @@ def _sweep_stack(ms: Sequence) -> list[tuple[list[float], float, int]]:
         off2 = np.zeros(len(live))
         skip = False
         for r, layout in enumerate(layouts):
-            if skip and not failing[layout[:half], layout[half:2 * half]].any():
+            if skip and not failing.take(flat_pairs[r]).any():
                 continue
-            if r != at:
-                np.take(here[1], places[at][layout], axis=0, out=there[1], mode="clip")
+            if r != at:  # one step from the round before, or from the last round run
+                step = steps[r] if at == (r - 1) % len(layouts) else places[at][layout]
+                np.take(here[1], step, axis=0, out=there[1], mode="clip")
                 here, there, at = there, here, r
             a = here[1]
             mask, count = _round(a, there[0], off2 if last else None)
-            if r == 0 or skip and count:
-                pairs = np.flatnonzero(np.logical_or.reduce(mask, axis=0))
             if r == 0:
                 # The first round probes the sweep: a matrix it left alone
                 # (quiet) fails no pair at all, or it rotates later in this
                 # sweep, and the Gram test tells which.  It tests the whole
-                # stack when this round rotated at most n / 2 columns or left
-                # most matrices quiet, and the sweep then skips the rounds
-                # with no failing pair while the columns it refreshes
-                # number at most n / 2 (half a Gram's einsum work).
+                # stack when this round left most matrices quiet, and the
+                # sweep then skips the rounds with no failing pair while the
+                # columns it refreshes number at most n / 2 (half a Gram's
+                # einsum work).
                 quiet = ~np.logical_or.reduce(mask, axis=1)
                 budget = n // 2
-                whole = 2 * len(pairs) <= budget or 2 * np.count_nonzero(quiet) > len(live)
+                whole = 2 * np.count_nonzero(quiet) > len(live)
                 if not (whole or quiet.any()):
                     continue
                 clean, clean_off2, failing, norms2 = _gram_test(a, quiet, whole, flat_pairs, there[0])
@@ -574,6 +588,7 @@ def _sweep_stack(ms: Sequence) -> list[tuple[list[float], float, int]]:
                 if not len(live):
                     break
             elif skip and count:
+                pairs = np.flatnonzero(np.logical_or.reduce(mask, axis=0))
                 budget -= 2 * len(pairs)
                 skip = budget >= 0
                 if skip:

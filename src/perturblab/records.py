@@ -91,9 +91,10 @@ def run_trials(fn: Callable[[int], object], count: int, threads: int) -> list:
     consecutive trials (`experiments._svd_trials`), so a call here is a chunk
     and one pool task sweeps a whole stack.  Results come back ordered by
     index, so aggregation does not depend on the worker count; each fn
-    call must derive its seeds from its index alone.
+    call must derive its seeds from its index alone.  One call, or none,
+    runs inline whatever `threads` says: a pool would only add a thread.
     """
-    if threads <= 1:
+    if threads <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
     from concurrent.futures import ThreadPoolExecutor  # only pooled runs pay for loading it
 

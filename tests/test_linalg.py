@@ -200,10 +200,12 @@ def test_svd_equals_reference_jacobi_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 20])
 def test_round_robin_schedule(n):
     # the schedule svd_stack runs: each round's ps and qs lead its column order
-    start, layouts, places, pairs = schedule = linalg._round_robin_layouts(n)
+    start, layouts, places, steps, pairs = schedule = linalg._round_robin_layouts(n)
     assert linalg._round_robin_layouts(n) is schedule  # every svd call of this size shares it
     rounds = n - 1 + n % 2  # n - 1 rounds, n at odd n
-    assert len(layouts) == len(places) == len(pairs) == rounds
+    assert len(layouts) == len(places) == len(steps) == len(pairs) == rounds
+    for r in range(rounds):  # one gather by the step takes the round before's layout (round 0's: the last's) to r's
+        assert layouts[r - 1][steps[r]].tolist() == layouts[r].tolist()
     for index in schedule:
         assert not index.flags.writeable
     assert sorted(start.tolist()) == list(range(n))
@@ -570,6 +572,28 @@ def test_gram_test_leaves_the_convergence_error_to_the_reference(max_sweeps, mon
             svd_stack(x_v)
         late = linalg._preconditioned(x_v[needs.index(3)])
         assert info.value.residual == oracles.jacobi_sweeps(late, max_sweeps=max_sweeps)[1]
+
+
+@pytest.mark.parametrize("whole", [True, False])
+def test_gram_test_reads_nothing_below_the_diagonal_of_its_buffer(whole):
+    # the test forms the upper triangles alone and builds its thresholds
+    # below them: an idle buffer of NaN gives what a zeroed one gives
+    n = 20
+    rng = np.random.default_rng(3)
+    draws = [np.linalg.qr(rng.standard_normal((n, n)))[0] * rng.uniform(1.0, 9.0, n) for _ in range(6)]
+    draws[1][:, 3] += 1e-6 * draws[1][:, 5]  # pair (3, 5) fails
+    draws[3][:, 1] += 1e-6 * draws[3][:, 7]  # pair (1, 7) fails
+    start, _, _, _, flat_pairs = linalg._round_robin_layouts(n)
+    a = np.stack([x.T[start] for x in draws], axis=1)  # a[j, b] is column start[j] of matrix b
+    quiet = np.array([True, False, True, True, False, False])
+    tested = [linalg._gram_test(a, quiet, whole, flat_pairs, np.full(a.size, fill)) for fill in (0.0, np.nan)]
+    for zeroed, nan in zip(*tested):
+        assert np.array_equal(zeroed, nan)
+    clean, off2, failing, norms2 = tested[0]
+    assert clean.tolist() == [0, 2] and np.all(off2 > 0.0)
+    bent = {(3, 5), (1, 7)} if whole else {(1, 7)}
+    assert {tuple(sorted((int(start[p]), int(start[q])))) for p, q in np.argwhere(failing)} == bent
+    assert np.array_equal(failing, failing.T) and len(norms2) == (6 if whole else 3)
 
 
 def test_gram_test_skips_the_rounds_that_rotate_nothing(monkeypatch):

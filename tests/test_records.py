@@ -125,3 +125,17 @@ def test_run_trials_preserves_order_under_contention():
         return i
 
     assert run_trials(work, 5, threads=4) == list(range(5))
+
+
+def test_run_trials_runs_a_single_task_inline(monkeypatch):
+    import concurrent.futures
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a single task started a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+    assert run_trials(lambda i: i + 7, 1, 8) == [7]
+    assert run_trials(lambda i: i, 0, 8) == []
+    with pytest.raises(AssertionError, match="started a pool"):
+        run_trials(lambda i: i, 2, 2)

@@ -25,23 +25,23 @@ experiments' chunks of n = 20, 50 and 100.
 
 Most matrices are swept preconditioned: as x V instead of x, V the
 eigenbasis of x^T x from LAPACK rounded to multiples of 2^-26 and made
-orthogonal again by one Newton-Schulz step: its Gram V^T V in BLAS, whose
-products and sums on that grid are all exact, the rest in einsum.  Its
-columns are orthogonal up to that rounding, and the sweeps end after two
-or three instead of about ten.  The route rule keeps x itself when
+orthogonal again by one Newton-Schulz step, so the sweeps end after two or
+three instead of about ten.  Whole-numbered x whose row sums of |x| are
+below EXACT_ROW_SUM takes the exact route: its products run in BLAS with
+no roundoff, so only its small correction and one subtraction round, and its
+sigma_min keeps Jacobi's relative accuracy at any kappa-hat =
+sqrt(lambda_max / lambda_min) the experiments reach.  Other x takes the
+float route, whose roundoff of about n eps sigma_max costs sigma_min up to
+n eps kappa-hat in relative terms.  The route rule keeps x itself when
 n < PRECONDITION_MIN_N (a full stack of small matrices sweeps faster than
-it preconditions them one by one), when lambda_min(x^T x) <= 0 (the zero
-matrix, singular integer draws), when n eps kappa-hat > ROUTE_TOL
-(kappa-hat = sqrt(lambda_max / lambda_min), the ill-conditioned tail) or
-when two eigenvalues lie so close that roundoff can move V by a grid step.
-Raising PRECONDITION_MIN_N past n gives the plain kernel on x, bit for bit.
-On x the small sigma keep their high relative accuracy; on x V, forming
-the product leaves an absolute error of about n eps sigma_max, so sigma_min
-carries a relative error of up to about n eps kappa-hat <= ROUTE_TOL.
-Spectra of matrices kept as x never touch BLAS.  Those of x V depend on the
-BLAS kernel only when an entry of the eigenbasis lies within that kernel's
-roundoff of a grid midpoint, which rint then sends the other way: rare,
-but not ruled out (see `_preconditioned`).
+it preconditions them one by one), when x = 0, when two eigenvalues lie so
+close that roundoff can move V by a grid step and, on the float route,
+when lambda_min(x^T x) <= 0 or n eps kappa-hat > ROUTE_TOL (the
+ill-conditioned tail).  Raising PRECONDITION_MIN_N past n gives the plain
+kernel on x, bit for bit.  Spectra of matrices kept as x never touch BLAS;
+those of x V depend on the BLAS kernel only when an entry of the
+eigenbasis lies within that kernel's roundoff of a grid midpoint, which
+rint then sends the other way: rare, but not ruled out (`_preconditioned`).
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ SINGULAR_RTOL = 1e-10
 # time, n >= 16 0.34-0.94 times
 PRECONDITION_MIN_N = 16
 EIGENBASIS_GRID = 2.0**26
+EXACT_ROW_SUM = 2.0**27  # the exact route's bound on row sums of |x|
 ROUTE_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 _FROB2_MIN, _FROB2_MAX = float(np.finfo(float).tiny), math.sqrt(np.finfo(float).max)
@@ -239,41 +240,70 @@ def _preconditioned(x: np.ndarray) -> np.ndarray:
     route rule keeps x.
 
     V is the eigenbasis of x^T x from LAPACK, rounded to multiples of
-    1 / EIGENBASIS_GRID and made orthogonal again by one Newton-Schulz step,
-    V <- 1.5 V - 0.5 V (V^T V).  V^T V runs in BLAS, since it is exact: each
-    entry of the rounded V is m / 2^26 with |m| <= 2^26, so every product is
-    a multiple of 2^-52, and every partial sum of a column pair, in any order,
-    is a multiple of 2^-52 below |v_i| |v_j| < 2 in magnitude, which a double
-    holds exactly; every BLAS kernel gives einsum's bits.  V (V^T V) and the
-    product x V are not exact and run in einsum, so x V depends on the BLAS
-    kernel that computed the eigenbasis only where an entry lies within that
-    kernel's roundoff of a grid midpoint: 2 of 2000 draws at n = 50 and 2 of
-    600 at n = 100 (gaussian and graded bernoulli) moved under OpenBLAS's
-    Prescott kernel against the default, none under Haswell.  The rule keeps
-    x when n < PRECONDITION_MIN_N, when its Gram matrix is not finite, when
-    the smallest eigenvalue lambda_min is <= 0 (the zero matrix and singular
-    integer draws), when n eps kappa-hat > ROUTE_TOL, kappa-hat =
-    sqrt(lambda_max / lambda_min) (the ill-conditioned tail, where the
-    roundoff of forming x V, about n eps sigma_max, is no longer small
-    against sigma_min), and when two eigenvalues are within
-    n eps EIGENBASIS_GRID lambda_max of each other: the eigenvectors of such
-    a pair are fixed by LAPACK's roundoff only to about a grid step, and an
-    exact tie leaves their basis to the BLAS kernel.
+    1 / EIGENBASIS_GRID (V-hat) and made orthogonal again by one Newton-Schulz
+    step, V <- V - V E / 2 with E = V-hat^T V-hat - I, which runs in BLAS
+    since it is exact: each product of grid entries is a multiple of 2^-52,
+    and every partial sum of a column pair, in any order, one below
+    |v_i| |v_j| < 2.  Whole-numbered x (by type, or floats by value) whose
+    row sums of |x| are below EXACT_ROW_SUM takes the exact route, all in
+    BLAS: each product in P = x V-hat is a multiple of 2^-26 no larger than
+    |x_ij|, so every partial sum is one below 2^27; each slice of P times E
+    (`_slices`) is exact too, and x V = P - (sum of the slice products) / 2
+    rounds only that sum and the subtraction.  Jacobi on it keeps its
+    columnwise relative accuracy (Demmel-Veselic): sigma_min errs by about
+    eps times the condition of x V with unit columns, which V-hat's grid
+    keeps near max(1, 2^-27 kappa-hat), kappa-hat = sqrt(lambda_max /
+    lambda_min).  Other x takes the float route, V E and x V in einsum,
+    whose roundoff of about n eps sigma_max costs sigma_min up to
+    n eps kappa-hat.  x V depends on the BLAS kernel that computed the
+    eigenbasis only where an entry lies within its roundoff of a grid
+    midpoint: 2 of 2000 draws at n = 50 and 2 of 600 at n = 100 (gaussian
+    and graded bernoulli) moved under OpenBLAS's Prescott kernel against the
+    default, none under Haswell.  The rule keeps x when n < PRECONDITION_MIN_N,
+    when x^T x is not finite, when x = 0, and when two eigenvalues are within
+    n eps EIGENBASIS_GRID lambda_max of each other, which fixes their
+    eigenvectors only to about a grid step (an exact tie leaves their basis
+    to the BLAS kernel); on the float route also when lambda_min <= 0 or
+    n eps kappa-hat > ROUTE_TOL.  The exact route needs neither, and a
+    singular draw's lambda_min has a sign that moves with the BLAS kernel.
     """
-    if len(x) < PRECONDITION_MIN_N:
+    n = len(x)
+    if n < PRECONDITION_MIN_N:
         return x
     y = x.astype(float, copy=False)
     gram = y.T @ y
     if not np.all(np.isfinite(gram)):
         return x
     lam, v = np.linalg.eigh(gram)
-    n_eps = len(x) * _EPS
-    if (not lam[0] > 0.0 or n_eps * math.sqrt(lam[-1] / lam[0]) > ROUTE_TOL
+    n_eps = n * _EPS
+    exact = ((x.dtype.kind == "i" or y.item(0).is_integer() and np.array_equal(np.trunc(y), y))
+             and np.add.reduce(np.abs(y), axis=1).max() < EXACT_ROW_SUM)
+    if (not lam[-1] > 0.0 or not exact and (not lam[0] > 0.0 or n_eps * math.sqrt(lam[-1] / lam[0]) > ROUTE_TOL)
             or np.diff(lam).min(initial=math.inf) <= n_eps * EIGENBASIS_GRID * lam[-1]):
         return x
     v = np.rint(v * EIGENBASIS_GRID) / EIGENBASIS_GRID
+    if exact:
+        p, e = y @ v, v.T @ v
+        del y, v, gram  # so that the slices fit within the stack's second copy
+        e.flat[::n + 1] -= 1.0
+        return p - 0.5 * sum(cut @ e for cut in _slices(p, e))
     v = 1.5 * v - 0.5 * np.einsum("ik,kj->ij", v, v.T @ v)
     return np.einsum("ik,kj->ij", y, v)
+
+
+def _slices(p: np.ndarray, e: np.ndarray):
+    """Slices of P (multiples of 2^-26) that sum to it exactly, widest
+    first, cut by np.trunc and powers of two: u times integers below 2^w, u a
+    power of two and w = 53 - bits(max |E| 2^52) - bits(n), so each partial
+    sum of a slice times E (multiples of 2^-52) is exact in BLAS."""
+    width = 53 - int(max(e.max(), -e.min()) * 2.0**52).bit_length() - len(p).bit_length()
+    rest, unit = p, 2.0 ** (math.frexp(max(p.max(), -p.min()))[1] - width)
+    while unit * EIGENBASIS_GRID > 1.0:
+        cut = np.trunc(rest * (1.0 / unit)) * unit
+        rest = rest - cut
+        yield cut
+        unit /= 2.0**width
+    yield rest
 
 
 def _rotate(ap: np.ndarray, aq: np.ndarray, c: np.ndarray | None, s: np.ndarray,

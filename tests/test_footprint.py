@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 import perturblab
-from perturblab import (IntegerMatrix, RealMatrix, bernoulli, experiments, rational, sample_iid_matrix,
-                        svd_stack)
+from perturblab import (IntegerMatrix, RealMatrix, bernoulli, experiments, linalg, matrix_from_spec, perturb,
+                        rational, sample_iid_matrix, svd_stack)
 from perturblab.gaps import NO_EXCLUSIONS
 from perturblab.util import derive_seed
 
@@ -107,14 +107,21 @@ def test_covers_that_exclude_nothing_share_one_empty_set():
         assert perturblab.inverse_lo_search(v, Fraction(1, 4), a_exponent=4.0).found.excluded is NO_EXCLUSIONS
 
 
-@pytest.mark.parametrize("n", [20, 50, 100])
-def test_svd_stack_holds_about_two_copies_of_its_stack(n):
+@pytest.mark.parametrize("n, kind", [(20, "gaussian"), (50, "gaussian"), (100, "gaussian"),
+                                     (20, "bernoulli"), (100, "graded")])
+def test_svd_stack_holds_about_two_copies_of_its_stack(n, kind):
     # the stack and one idle buffer of its size, of which every large
     # temporary of a sweep, the Gram test's included, is a view; at the
     # chunks of ge-check (n = 20, 163 matrices), tail (n = 50, 26 matrices)
-    # and cond-tail (n = 100, 6 matrices)
+    # and cond-tail (n = 100, 6 matrices), gaussian and, through the exact
+    # preconditioner's slices, the integer chunks of ge-check and criterion 6
     count = experiments.STACK_ENTRIES // (n * n)
-    matrices = [RealMatrix(experiments.gaussian_matrix(n, seed)) for seed in range(count)]
+    if kind == "gaussian":
+        matrices = [RealMatrix(experiments.gaussian_matrix(n, seed)) for seed in range(count)]
+    else:
+        base = matrix_from_spec("graded_diagonal" if kind == "graded" else "zero", n)
+        matrices = [perturb(base, IntegerMatrix(sample_iid_matrix(bernoulli(), n, seed))) for seed in range(count)]
+        assert not any(linalg._preconditioned(m.entries) is m.entries for m in matrices)
     tracemalloc.start()
     try:
         svd_stack(matrices)

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,12 +310,16 @@ def _graded_draw(n):
 
 
 def _kept_as_x(n):
-    """Draws the route rule sweeps as x: the zero draw, a singular integer
-    draw, the duplicated-column base and an ill-conditioned graded draw."""
+    """Draws the route rule sweeps as x: the zero draw; a singular bernoulli
+    draw and the duplicated-column base, both times 2^26, whose largest row
+    sums of |x| (n 2^26 and 2^27) put them on the float rule, whose
+    lambda_min and kappa tests keep them; and an ill-conditioned graded draw
+    made real-valued (/ 3), which the kappa test keeps."""
     singular = sample_iid_matrix(bernoulli(), n, 4)
     singular[:, -1] = singular[:, 0]
-    return [IntegerMatrix(np.zeros((n, n), dtype=np.int64)), IntegerMatrix(singular),
-            matrix_from_spec("duplicated_column", n), _graded_draw(n)]
+    return [IntegerMatrix(np.zeros((n, n), dtype=np.int64)), IntegerMatrix(singular * 2**26),
+            IntegerMatrix(matrix_from_spec("duplicated_column", n).entries * 2**26),
+            RealMatrix(_graded_draw(n).entries / 3)]
 
 
 @pytest.mark.parametrize("n", [2, 7, 20])
@@ -451,6 +457,140 @@ def test_the_preconditioners_gram_is_exact_in_blas():
         scaled = gram * 2.0**52
         assert np.array_equal(scaled, np.rint(scaled)) and np.array_equal(scaled.astype(np.int64), exact)
         assert np.array_equal(gram, np.einsum("ki,kj->ij", v, v))
+
+
+def _near_dependent(n, seed, m=2**22):
+    """Entries up to m in magnitude; the last column is the sum of the first
+    two but for one unit, so one sigma is tiny (kappa 5e8 to 1.2e9 for the
+    seeds below)."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-m, m + 1, size=(n, n))
+    x[:, -1] = x[:, 0] + x[:, 1]
+    x[rng.integers(n), -1] += 1
+    return x
+
+
+def _row_graded(n, seed):
+    """One row of entries up to 5 in magnitude over rows of such entries
+    times 10^5 to 10^6: kappa about 5e7 for the seeds below."""
+    rng = np.random.default_rng(seed)
+    d = np.round(np.concatenate([[1.0], 10.0 ** np.linspace(5, 6, n - 1)])).astype(np.int64)
+    return d[:, None] * rng.integers(-5, 6, size=(n, n))
+
+
+def _refused_graded(n, seed):
+    """A bernoulli draw on the graded diagonal that the float rule's kappa
+    test refuses at these seeds."""
+    return perturb(matrix_from_spec("graded_diagonal", n), IntegerMatrix(sample_iid_matrix(bernoulli(), n, seed))).entries
+
+
+def _row_sum_at(x, bound):
+    """x with one entry of its first row set so that the row's sum of |x| is bound."""
+    x = x.copy()
+    x[0, 2] = 0
+    x[0, 2] = bound - np.abs(x[0]).sum()
+    assert np.abs(x).sum(axis=1).max() == bound
+    return x
+
+
+def _exact_reference(x):
+    """The exact route's V-hat (in multiples of 2^-26), P = x V-hat (2^-26)
+    and E (2^-52), in int64, by the Gram and eigh `_preconditioned` takes."""
+    y = x.astype(float)
+    m = np.rint(np.linalg.eigh(y.T @ y)[1] * linalg.EIGENBASIS_GRID).astype(np.int64)
+    return m, x.astype(np.int64) @ m, m.T @ m - 2**52 * np.eye(len(x), dtype=np.int64)
+
+
+def _exact_route_inputs():
+    """The golden LARGE graded draws and a near-dependent draw whose largest
+    row sum of |x| is 2^27 - 1, one below EXACT_ROW_SUM."""
+    for size, count in LARGE.items():
+        yield from (linalg._entries(m) for m in _large_draws(size, count)[count:])
+    yield _row_sum_at(_near_dependent(24, 5), 2**27 - 1)
+
+
+def test_the_exact_routes_products_are_exact_in_blas():
+    # P = x V-hat, E = V-hat^T V-hat - I and every slice of P times E are the
+    # integer sums, bit for bit, whatever the kernel.  The result rounds only
+    # the sum of the slice products and P - (that sum) / 2: on sampled entries
+    # it is within half an ulp and eps sum_k |P_ik E_kj| of P - P E / 2, taken
+    # in Fractions, and it is that value correctly rounded on the golden draws,
+    # whose P E is small against P
+    rng = np.random.default_rng(31)
+    for x in _exact_route_inputs():
+        n = len(x)
+        m, p_int, e_int = _exact_reference(x)
+        v = m / linalg.EIGENBASIS_GRID
+        p, e = x.astype(float) @ v, v.T @ v
+        e.flat[::n + 1] -= 1.0
+        assert np.array_equal(p * 2.0**26, p_int) and np.array_equal(e * 2.0**52, e_int)
+        total = np.zeros_like(p_int)
+        for cut in linalg._slices(p, e):
+            k = (cut * 2.0**26).astype(np.int64)
+            assert np.array_equal(k, cut * 2.0**26)
+            total += k
+            low = int(np.bitwise_or.reduce(k.ravel()))
+            shift = (low & -low).bit_length() - 1 if low else 0
+            k >>= shift  # cut = k 2^(shift - 26), with every sum of k times E below 2^53
+            assert int(np.abs(k).max()) * int(np.abs(e_int).max()) * n < 2**53
+            assert np.array_equal(cut @ e, (k @ e_int) * 2.0**(shift - 26 - 52))
+        assert np.array_equal(total, p_int)
+        out = linalg._preconditioned(x)
+        assert out is not x
+        p_rows, e_cols = p_int.tolist(), e_int.T.tolist()
+        wide = np.abs(x).sum(axis=1).max() > 2**26
+        for i, j in rng.integers(n, size=(200, 2)).tolist():
+            pe = sum(a * b for a, b in zip(p_rows[i], e_cols[j]))
+            exact = Fraction(p_rows[i][j], 2**26) - Fraction(pe, 2**79)
+            spread = sum(abs(a * b) for a, b in zip(p_rows[i], e_cols[j])) / 2**78
+            assert abs(Fraction(out[i, j]) - exact) <= math.ulp(out[i, j]) / 2 + linalg._EPS * spread
+            assert wide or out[i, j] == float(exact)
+
+
+def test_the_exact_route_takes_whole_numbers_below_a_row_sum_of_2_27():
+    # by value, not type: an IntegerMatrix and its float copy go one route.
+    # A draw the kappa test refuses is swept as x V while its row sums stay
+    # below 2^27, and kept as x at 2^27, or once one entry is not whole
+    x = _near_dependent(24, 5)
+    below, at = _row_sum_at(x, 2**27 - 1), _row_sum_at(x, 2**27)
+    for y in (below, at):
+        lam = np.linalg.eigvalsh(y.T.astype(float) @ y)
+        assert not lam[0] > 0.0 or 24 * linalg._EPS * math.sqrt(lam[-1] / lam[0]) > linalg.ROUTE_TOL
+    assert linalg._preconditioned(below) is not below
+    assert np.array_equal(linalg._preconditioned(below), linalg._preconditioned(below.astype(float)))
+    assert linalg._preconditioned(at) is at
+    for y in (below.astype(float) / 3, below + np.eye(24) / 2):
+        assert linalg._preconditioned(y) is y
+    assert linalg._preconditioned(x) is not x
+
+
+def _mp_sigma_min(x, dps=40):
+    """sigma_min of an integer x from mpmath's eigsy of the exact integer Gram x^T x."""
+    xs = x.astype(object)
+    with mpmath.workdps(dps):
+        return float(mpmath.sqrt(min(mpmath.eigsy(mpmath.matrix((xs.T @ xs).tolist()), eigvals_only=True))))
+
+
+def test_the_exact_routes_sigma_min_is_relatively_accurate():
+    # one-sided Jacobi on x V formed to about one rounding an entry keeps its
+    # columnwise relative accuracy at kappa up to 1e9, where the float rule
+    # keeps x; plain Jacobi on x misses 10 n eps on the near-dependent columns
+    cases = [("near", _near_dependent(24, seed)) for seed in (5, 13, 17)]
+    cases += [("row", _row_graded(24, seed)) for seed in (8, 12)]
+    cases += [("graded", _refused_graded(n, seed)) for n, seeds in ((24, (278, 1378)), (32, (592, 1396)))
+              for seed in seeds]
+    for kind, x in cases:
+        n = len(x)
+        assert linalg._preconditioned(x) is not x, kind
+        reference = _mp_sigma_min(x)
+        (spec,) = svd_stack([IntegerMatrix(x)])
+        assert abs(spec.sigma_min - reference) <= 10 * n * linalg._EPS * reference, kind
+        plain = _jacobi(IntegerMatrix(x)).sigma_min
+        if kind == "near":
+            assert spec.sigma_max / reference >= 5e8
+            assert abs(plain - reference) > 10 * n * linalg._EPS * reference
+        elif kind == "graded":
+            assert n * linalg._EPS * spec.sigma_max / reference > linalg.ROUTE_TOL
 
 
 def test_svd_stack_refuses_mixed_sizes():
@@ -656,7 +796,7 @@ def _chunk(kind, n, count, c_exponent=None):
     ("gaussian", 50, 26, None),  # tail's chunk, x V
     ("bernoulli", 20, 2, None),  # ge-check's two-trial batch, x V
     ("bernoulli", 8, 128, None),  # under the size floor: x
-    ("graded", 100, 3, 3.0),  # C = 3, kappa past the route rule: x
+    ("graded", 100, 3, 3.0),  # C = 3: 80 diagonal entries equal the cap 10^6, so the gap test keeps x
 ])
 def test_rounds_whose_cosines_all_round_to_one_leave_out_the_products_by_c(kind, n, count, c_exponent,
                                                                            monkeypatch):

@@ -107,14 +107,6 @@ class Gap:
         x, a, b = (int(t * scale) for t in (x, g1, g2))
         return _least_coefficient(x, a, b, n1) <= n2
 
-    def contains_quotient(self, x, a_bound: int) -> bool:
-        """Membership in {p / a : p in gap, 1 <= a <= a_bound} (symmetry makes
-        negative divisors redundant)."""
-        if a_bound < 1:
-            raise ValidationError("a_bound must be >= 1")
-        x = as_fraction(x)
-        return any(self.contains(x * a) for a in range(1, a_bound + 1))
-
 
 def sumset(p: Gap, q: Gap) -> Gap:
     """The sumset of two progressions is the progression of the

@@ -17,7 +17,17 @@ beside them so that all products but one run on contiguous operands.  A
 round whose cosines all round to 1.0, as nearly every round on a
 preconditioned matrix does, leaves out the products by c, which are exact.
 A matrix leaves the stack at a Gram test, which evaluates a whole sweep's
-pair tests from the diagonal and upper triangle of its Gram matrix.
+pair tests from the diagonal and upper triangle of its Gram matrix.  The
+first round of each sweep probes it, and the matrices that round leaves
+alone are tested.  The round skip: when the probe leaves every matrix of
+the stack alone, the test also tells which rounds of the sweep have a
+failing pair, and the sweep skips the others, which would rotate nothing.
+After each round it runs, it refreshes the tests of the columns that
+rotated (`_refresh`); once those pass n / 2 columns, it runs every round
+left.  The last sweep allowed runs every round.  A skipped round changes
+no value.  In the experiments the skip serves stacks of one or two, such as
+the chunk of one from n = 182 on: in a full chunk of many matrices some
+matrix nearly always rotates in the probe.
 The stack lives in one of two flat buffers allocated once per call, and
 every temporary as large as the stack is a view of the other, so a call
 holds about twice its stack's bytes: 2.3 to 2.45 times, traced, at the
@@ -147,11 +157,6 @@ def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def _views(buf: np.ndarray, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """One of `svd_stack`'s buffers and a stack of `count` in it."""
-    return buf, _head(buf, (n, count, n))
-
-
 @dataclass(frozen=True, slots=True)
 class SingularSpectrum:
     """All singular values, descending, the final Jacobi residual and sweep
@@ -159,12 +164,11 @@ class SingularSpectrum:
     IntegerMatrix exactly det = 0 (SINGULAR_RTOL clears most, the rational
     elimination decides the rest), else sigma_min = 0, since the COLUMN_FLOOR2
     floor puts every nonzero sigma_min above 1e-100 sigma_max.  The residual
-    and sweep count are those of the Jacobi run that produced sigma: on x V
-    when `svd_stack` preconditioned the matrix, on x when its route rule kept
-    x, relative to the Frobenius norm of what was swept.  A matrix leaves the
-    stack at the Gram test of the sweep that would rotate nothing in it; the
-    count includes that sweep, which the test stands in for, and the residual
-    is the one that sweep would sum, so both are the plain Jacobi run's."""
+    (relative to the Frobenius norm of what was swept) and sweep count are
+    those of the plain Jacobi run that produced sigma: on x V when
+    `svd_stack` preconditioned the matrix, on x when its route rule kept x,
+    whatever the Gram test and the round skip (the module docstring) leave
+    out; the count includes the rotation-free sweep the test stands in for."""
 
     sigma: tuple[float, ...]
     convergence_residual: float
@@ -194,18 +198,17 @@ class SingularSpectrum:
 
 
 @functools.lru_cache(maxsize=None)
-def _round_robin_layouts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _round_robin_layouts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`svd_stack`'s deterministic all-pairs schedule, rounds of disjoint pairs
     (n - 1 of them, n at odd n, so one with no pair at n = 1), over the start
     order, the first round's column order: per round its layout, the rows of
     the start order that its order takes (its ps, its qs, then the column
-    left over at odd n), and the inverse, the row that each start-order row
-    takes in it, so a stack laid out for round r reaches round t's layout by
-    the one gather places[r][layouts[t]]; per round that gather from the round
-    before, steps[t] = places[t - 1][layouts[t]] (round 0's from the last
-    round); and per round the flat indices of its pairs above the diagonal of
-    an n x n Gram matrix in the start order.  Cached per n, read-only, in the
-    narrowest index types: about 4 n^2 bytes a size up to n = 255, 8 n^2
+    left over at odd n), so a stack laid out for round r reaches round t's
+    layout by the one gather argsort(layouts[r])[layouts[t]]; per round that
+    gather from the round before, steps[t] (round 0's from the last round);
+    and per round the flat indices of its pairs above the diagonal of an
+    n x n Gram matrix in the start order.  Cached per n, read-only, in the
+    narrowest index types: about 3 n^2 bytes a size up to n = 255, 6 n^2
     beyond.  Built in Python: numpy's set routines would add about 1.7 MB to
     every run's peak RSS."""
     m = n + n % 2
@@ -219,11 +222,11 @@ def _round_robin_layouts(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     start = orders[0]
     row = {col: i for i, col in enumerate(start)}
     layouts = [[row[col] for col in order] for order in orders]
-    places = [sorted(range(n), key=layout.__getitem__) for layout in layouts]
+    places = [sorted(range(n), key=layout.__getitem__) for layout in layouts]  # the inverse layouts
     steps = [[places[r - 1][row] for row in layout] for r, layout in enumerate(layouts)]
     pairs = [[min(p, q) * n + max(p, q) for p, q in zip(x[:n // 2], x[n // 2:2 * (n // 2)])] for x in layouts]
     # in the narrowest index types: they hold n^2 entries each
-    schedule = (*(np.array(x, dtype=np.min_scalar_type(n)) for x in (start, layouts, places, steps)),
+    schedule = (*(np.array(x, dtype=np.min_scalar_type(n)) for x in (start, layouts, steps)),
                 np.array(pairs, dtype=np.min_scalar_type(n * n)))
     for index in schedule:
         index.setflags(write=False)  # every svd call of this size shares them
@@ -382,22 +385,25 @@ def _round(a: np.ndarray, buf: np.ndarray, off2: np.ndarray | None) -> tuple[np.
     return mask, count
 
 
-def _gram_test(a: np.ndarray, quiet: np.ndarray, whole: bool, flat_pairs: np.ndarray,
+def _gram_test(a: np.ndarray, quiet: np.ndarray, flat_pairs: np.ndarray,
                buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Gram test of a stack laid out in the start order: the kernel's
     pair test, |g_pq| > PAIR_TOL sqrt(g_pp g_qq), of every pair of every
-    matrix, from the Gram matrices of the whole stack or of its `quiet`
-    matrices alone, in the idle buffer `buf`.  Only their diagonals and upper
-    triangles are formed, by the einsum in blocks of rows; the thresholds
-    are built below the diagonal, over whatever the buffer held there, so
-    the test reads nothing there that it did not write, and it allocates
-    one boolean per entry and nothing the size of the stack.  Returns the
-    quiet matrices with no failing pair, the off-diagonal sum of each over
-    a sweep (each round's pairs in the round's order, the rounds one after
-    another, as the sweep sums it), which pairs fail in some tested matrix
-    (by start-order rows, both ways) and the tested matrices' squared
-    column norms."""
+    tested matrix, from their Gram matrices in the idle buffer `buf`.  When
+    most of the stack is `quiet`, the whole stack is tested in place;
+    otherwise the quiet matrices alone, gathered first, since then their
+    copy and their Gram matrices fit in the buffer together.  Only the
+    diagonals and upper triangles are formed, by the einsum in blocks of
+    rows; the thresholds are built below the diagonal, over whatever the
+    buffer held there, so the test reads nothing there that it did not
+    write, and it allocates one boolean per entry and nothing the size of
+    the stack.  Returns the quiet matrices with no failing pair, the
+    off-diagonal sum of each over a sweep (each round's pairs in the round's
+    order, the rounds one after another, as the sweep sums it), which pairs
+    fail in some tested matrix (by start-order rows, both ways) and the
+    tested matrices' squared column norms."""
     n = len(a)
+    whole = 2 * np.count_nonzero(quiet) > len(quiet)
     sel = np.arange(a.shape[1]) if whole else np.flatnonzero(quiet)
     sub = a if whole else np.take(a, sel, axis=1, out=_head(buf, (n, len(sel), n)), mode="clip")
     gram = _head(buf[0 if whole else sub.size:], (len(sel), n, n))
@@ -481,13 +487,10 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
     Gram matrix.  A matrix with no failing pair leaves there, with the
     sigma and residual that the rotation-free sweep would have given and
     that sweep counted in `sweeps`, so every field is what the sweep gives.
-    When the probe left most of the stack quiet, the test covers the whole
-    stack and also says which rounds have a failing pair in some matrix:
-    the sweep runs only those rounds, refreshing the tests of the columns
-    each one rotates (`_refresh`), so a round is skipped only when it would
-    rotate nothing.  The last sweep runs every round and sums its residual,
-    which ConvergenceError reports.  At n = 1 the one round has no pair, and
-    the Gram test retires every matrix.
+    Rounds that would rotate nothing may be skipped (the round skip, in the
+    module docstring).  The last sweep runs every round and sums its
+    residual, which ConvergenceError reports.  At n = 1 the one round has
+    no pair, and the Gram test retires every matrix.
 
     The stack is column-major, columns outermost: a[j, b] is a column of
     matrix b, one contiguous row, in the round's column order, so the
@@ -536,11 +539,12 @@ def svd_stack(ms: Sequence) -> list[SingularSpectrum]:
 def _sweep_stack(ms: Sequence) -> list[tuple[list[float], float, int]]:
     """`svd_stack`'s (sigma, residual, sweeps) per matrix; its buffers go when it returns."""
     n = _entries(ms[0]).shape[0]
-    start, layouts, places, steps, flat_pairs = _round_robin_layouts(n)
+    start, layouts, steps, flat_pairs = _round_robin_layouts(n)
     half = n // 2
-    held = np.empty(len(ms) * n * n)
+    # the stack a is a view of the head of `here`; `there` is idle
+    here = np.empty(len(ms) * n * n)
     # column-major: a[j, b] is column start[j] of matrix b, one contiguous row
-    a = _head(held, (n, len(ms), n))
+    a = _head(here, (n, len(ms), n))
     frob2 = np.empty(len(ms))
     for b, m in enumerate(ms):
         x = _entries(m)
@@ -553,11 +557,11 @@ def _sweep_stack(ms: Sequence) -> list[tuple[list[float], float, int]]:
             raise ValidationError(f"matrix {b}: ||A||_F^2 = {frob2[b]:.3e} overflows or underflows the pair test")
         a[:, b] = x.T[start]
     del x  # the last x V is not held through the sweeps
-    idle = np.empty(len(ms) * n * n)  # allocated once the preconditioner's temporaries are gone
+    there = np.empty(len(ms) * n * n)  # allocated once the preconditioner's temporaries are gone
     spectra: list[tuple | None] = [([0.0] * n, 0.0, 0) if f == 0.0 else None for f in frob2]
     live = np.flatnonzero(frob2 != 0.0)  # index in ms of each matrix left in the stack
-    a = np.take(a, live, axis=1, out=_head(idle, (n, len(live), n)), mode="clip")
-    held, idle, frob2 = idle, held, frob2[live]
+    a = np.take(a, live, axis=1, out=_head(there, (n, len(live), n)), mode="clip")
+    here, there, frob2 = there, here, frob2[live]
     at = 0  # the round whose layout the stack is in: the first round's
     for sweep in range(MAX_SWEEPS):
         if not len(live):
@@ -565,12 +569,10 @@ def _sweep_stack(ms: Sequence) -> list[tuple[list[float], float, int]]:
         # columns squeezed this far below ||A||_F are pure roundoff debris
         # (their true singular value is 0 at this precision); zeroing them
         # stops the rotation pair test from chasing denormal residue
-        rows = _head(idle, (len(live), n, n))
+        rows = _head(there, (len(live), n, n))
         np.copyto(rows, a.transpose(1, 2, 0))
         dead = np.einsum("bij,bij->bj", rows, rows) <= COLUMN_FLOOR2 * frob2[:, None]
         a.transpose(1, 0, 2)[dead] = 0.0
-        # this sweep's views of the buffer that holds the stack and of the idle one
-        here, there = _views(held, n, len(live)), _views(idle, n, len(live))
         # off2 is summed only by the last sweep, for ConvergenceError: every
         # other residual comes from the Gram test
         last = sweep == MAX_SWEEPS - 1
@@ -580,38 +582,35 @@ def _sweep_stack(ms: Sequence) -> list[tuple[list[float], float, int]]:
             if skip and not failing.take(flat_pairs[r]).any():
                 continue
             if r != at:  # one step from the round before, or from the last round run
-                step = steps[r] if at == (r - 1) % len(layouts) else places[at][layout]
-                np.take(here[1], step, axis=0, out=there[1], mode="clip")
+                step = steps[r] if at == (r - 1) % len(layouts) else np.argsort(layouts[at])[layout]
+                a = np.take(a, step, axis=0, out=_head(there, a.shape), mode="clip")
                 here, there, at = there, here, r
-            a = here[1]
-            mask, count = _round(a, there[0], off2 if last else None)
+            mask, count = _round(a, there, off2 if last else None)
             if r == 0:
                 # The first round probes the sweep: a matrix it left alone
                 # (quiet) fails no pair at all, or it rotates later in this
-                # sweep, and the Gram test tells which.  It tests the whole
-                # stack when this round left most matrices quiet, and the
-                # sweep then skips the rounds with no failing pair while the
-                # columns it refreshes number at most n / 2 (half a Gram's
-                # einsum work).
+                # sweep, and the Gram test tells which.  When this round left
+                # every matrix quiet, the sweep then skips the rounds with no
+                # failing pair while the columns it refreshes number at most
+                # n / 2 (half a Gram's einsum work).
                 quiet = ~np.logical_or.reduce(mask, axis=1)
-                budget = n // 2
-                whole = 2 * np.count_nonzero(quiet) > len(live)
-                if not (whole or quiet.any()):
+                if not quiet.any():
                     continue
-                clean, clean_off2, failing, norms2 = _gram_test(a, quiet, whole, flat_pairs, there[0])
-                skip = whole and not last
+                clean, clean_off2, failing, norms2 = _gram_test(a, quiet, flat_pairs, there)
+                skip = quiet.all() and not last
+                budget = n // 2
                 if not len(clean):
                     continue
                 # the matrices that stay and those that leave, gathered side
                 # by side into the idle buffer, free the stack's buffer for
                 # the leaving ones' row-major copies
                 keep = np.delete(np.arange(len(live)), clean)
-                done = np.take(a, clean, axis=1, out=_head(there[0][len(keep) * n * n:], (n, len(clean), n)),
+                done = np.take(a, clean, axis=1, out=_head(there[len(keep) * n * n:], (n, len(clean), n)),
                                mode="clip")
-                a = np.take(a, keep, axis=1, out=_head(there[0], (n, len(keep), n)), mode="clip")
-                for b, b_sigma, b_off2 in zip(clean, _sigmas(done, here[0]), clean_off2):
+                a = np.take(a, keep, axis=1, out=_head(there, (n, len(keep), n)), mode="clip")
+                for b, b_sigma, b_off2 in zip(clean, _sigmas(done, here), clean_off2):
                     spectra[live[b]] = (b_sigma, math.sqrt(b_off2) / float(frob2[b]), sweep + 1)
-                here, there = _views(there[0], n, len(keep)), _views(here[0], n, len(keep))
+                here, there = there, here
                 live, frob2, off2 = live[keep], frob2[keep], off2[keep]
                 if skip:
                     norms2 = norms2[keep]
@@ -622,8 +621,7 @@ def _sweep_stack(ms: Sequence) -> list[tuple[list[float], float, int]]:
                 budget -= 2 * len(pairs)
                 skip = budget >= 0
                 if skip:
-                    _refresh(a, np.concatenate((pairs, half + pairs)), layout, norms2, failing, there[0])
-        held, idle = here[0], there[0]
+                    _refresh(a, np.concatenate((pairs, half + pairs)), layout, norms2, failing, there)
     if len(live):
         residual = math.sqrt(off2[0]) / float(frob2[0])
         raise ConvergenceError(

@@ -120,10 +120,6 @@ class EpsilonNet:
     def __len__(self):
         return len(self.points)
 
-    def min_distance_to(self, x: np.ndarray) -> float:
-        diffs = self.points - np.asarray(x, dtype=float)
-        return float(np.sqrt(np.min(np.sum(diffs * diffs, axis=1))))
-
 
 def _deterministic_mesh(l: int) -> np.ndarray | None:
     """Dense deterministic unit-vector meshes for low dimensions."""

@@ -109,13 +109,6 @@ def test_contains_fractional_generators():
     assert not g.contains(Fraction(1, 3))
 
 
-def test_contains_quotient():
-    g = Gap(generators=(Fraction(5),), dims=(2,))
-    # 5/2 notin g, but (5/2) * 2 = 5 in g
-    assert g.contains_quotient(Fraction(5, 2), a_bound=2)
-    assert not g.contains_quotient(Fraction(1, 3), a_bound=2)
-
-
 def test_sumset_concatenates():
     p = Gap(generators=(Fraction(1),), dims=(1,))
     q = Gap(generators=(Fraction(10),), dims=(1,))

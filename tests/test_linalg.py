@@ -202,10 +202,11 @@ def test_svd_equals_reference_jacobi_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 20])
 def test_round_robin_schedule(n):
     # the schedule svd_stack runs: each round's ps and qs lead its column order
-    start, layouts, places, steps, pairs = schedule = linalg._round_robin_layouts(n)
+    start, layouts, steps, pairs = schedule = linalg._round_robin_layouts(n)
     assert linalg._round_robin_layouts(n) is schedule  # every svd call of this size shares it
+    places = [np.argsort(layout) for layout in layouts]  # the inverse layouts
     rounds = n - 1 + n % 2  # n - 1 rounds, n at odd n
-    assert len(layouts) == len(places) == len(steps) == len(pairs) == rounds
+    assert len(layouts) == len(steps) == len(pairs) == rounds
     for r in range(rounds):  # one gather by the step takes the round before's layout (round 0's: the last's) to r's
         assert layouts[r - 1][steps[r]].tolist() == layouts[r].tolist()
     for index in schedule:
@@ -714,19 +715,22 @@ def test_gram_test_leaves_the_convergence_error_to_the_reference(max_sweeps, mon
         assert info.value.residual == oracles.jacobi_sweeps(late, max_sweeps=max_sweeps)[1]
 
 
-@pytest.mark.parametrize("whole", [True, False])
-def test_gram_test_reads_nothing_below_the_diagonal_of_its_buffer(whole):
+@pytest.mark.parametrize("quiet", [[1, 1, 1, 1, 0, 0], [1, 0, 1, 1, 0, 0]])
+def test_gram_test_reads_nothing_below_the_diagonal_of_its_buffer(quiet):
     # the test forms the upper triangles alone and builds its thresholds
-    # below them: an idle buffer of NaN gives what a zeroed one gives
+    # below them: an idle buffer of NaN gives what a zeroed one gives, both
+    # when most matrices are quiet and the whole stack is tested and when
+    # the quiet ones are tested alone
     n = 20
     rng = np.random.default_rng(3)
     draws = [np.linalg.qr(rng.standard_normal((n, n)))[0] * rng.uniform(1.0, 9.0, n) for _ in range(6)]
     draws[1][:, 3] += 1e-6 * draws[1][:, 5]  # pair (3, 5) fails
     draws[3][:, 1] += 1e-6 * draws[3][:, 7]  # pair (1, 7) fails
-    start, _, _, _, flat_pairs = linalg._round_robin_layouts(n)
+    start, _, _, flat_pairs = linalg._round_robin_layouts(n)
     a = np.stack([x.T[start] for x in draws], axis=1)  # a[j, b] is column start[j] of matrix b
-    quiet = np.array([True, False, True, True, False, False])
-    tested = [linalg._gram_test(a, quiet, whole, flat_pairs, np.full(a.size, fill)) for fill in (0.0, np.nan)]
+    quiet = np.array(quiet, dtype=bool)
+    whole = 2 * quiet.sum() > len(quiet)
+    tested = [linalg._gram_test(a, quiet, flat_pairs, np.full(a.size, fill)) for fill in (0.0, np.nan)]
     for zeroed, nan in zip(*tested):
         assert np.array_equal(zeroed, nan)
     clean, off2, failing, norms2 = tested[0]
@@ -747,6 +751,32 @@ def test_gram_test_skips_the_rounds_that_rotate_nothing(monkeypatch):
     (spec,) = svd_stack([m])
     _assert_reference([m], [spec])
     assert spec.sweeps == 3 and len(rounds) < 1.2 * (n - 1)
+
+
+@pytest.mark.parametrize("kind, n, count, first", [
+    ("graded", 100, 6, 6),  # cond-tail's chunk at criterion 6's size
+    ("gaussian", 50, 26, 0),  # tail's chunk
+    ("bernoulli", 20, 163, 0),  # ge-check's chunk
+    ("bernoulli", 8, 1024, 0),  # a chunk under the size floor, swept as x
+    ("bernoulli", 20, 2, 0),  # a two-matrix stack whose second probe leaves both matrices quiet
+])
+def test_the_round_skip_arms_only_when_the_probe_leaves_every_matrix_quiet(kind, n, count, first, monkeypatch):
+    # on these full chunks some matrix rotates in every probe round, so the
+    # sweeps run every round and refresh nothing; a stack the probe leaves
+    # wholly quiet skips the rounds that would rotate nothing; every field is
+    # the reference's either way
+    draws = _chunk(kind, n, first + count)[first:]
+    refresh, run, refreshed, rounds = linalg._refresh, linalg._round, [], []
+    monkeypatch.setattr(linalg, "_refresh", lambda *args: refreshed.append(None) or refresh(*args))
+    monkeypatch.setattr(linalg, "_round", lambda *args: rounds.append(None) or run(*args))
+    spectra = svd_stack(draws)
+    _assert_reference(draws, spectra)
+    # every round of every sweep, and the probe round of the last
+    unskipped = (max(spec.sweeps for spec in spectra) - 1) * len(linalg._round_robin_layouts(n)[1]) + 1
+    if count == 2:
+        assert refreshed and len(rounds) < unskipped
+    else:
+        assert not refreshed and len(rounds) == unskipped
 
 
 @pytest.mark.parametrize("n, integer", [(20, True), (50, False), (100, False)])

@@ -173,9 +173,3 @@ def test_epsilon_net_container_checks_separation():
             dimension=2, epsilon=0.5, points=tuple(map(tuple, p)),
             rejection_streak=10, uncovered_mass_bound=0.5,
         )
-
-
-def test_min_distance_to():
-    net = greedy_net(2, 0.5, seed=4)
-    x = np.asarray(net.points[0])
-    assert net.min_distance_to(x) == pytest.approx(0.0, abs=1e-12)
